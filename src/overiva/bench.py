@@ -95,7 +95,6 @@ def run_benchmark(
                 config = RunConfig(
                     method=method,
                     iterations=iterations,
-                    seed=base_seed + trial,
                     threads=threads,
                     **kwargs,
                 )

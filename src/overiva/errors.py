@@ -1,6 +1,6 @@
 """Exception types raised across the toolkit.
 
-Numerical failures carry enough context (batch index, pivot step) to point
+Numerical failures carry enough context (the batch index) to point
 at the offending frequency bin when they surface through the CLI.
 """
 

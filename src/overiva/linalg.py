@@ -4,8 +4,14 @@ Every routine accepts stacked operands: an array of shape ``(..., M, M)``
 is a batch of matrices over the leading axes, which is how the independent
 per-frequency-bin problems are processed in single calls. Matrices are
 small (M <= 8 in practice) while batches are large (one entry per bin),
-so the hand-rolled factorizations below vectorize over the batch axis and
-loop only over the M pivot steps.
+so each routine is a single call into numpy's batched LAPACK gufuncs:
+LU solves and log-determinants go through ``np.linalg.solve`` and
+``np.linalg.slogdet``.
+
+Singularity rule: a matrix is singular when its LU factorization meets
+an exactly zero pivot, or, for a solve, when a pivot lost to rounding
+shows in the solution as max|x| * max|A| * SINGULARITY_RTOL > max|b| for
+some right-hand-side column (a NaN in x counts as a failure).
 
 Failures carry the flattened batch index of the first offending matrix so
 callers can report the frequency bin.
@@ -19,7 +25,9 @@ import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite, SingularMatrix
 
-# Pivot magnitudes below this fraction of max|A| declare the matrix singular.
+# A solve whose max|x| exceeds max|b| / (SINGULARITY_RTOL * max|A|) is
+# taken to have lost a pivot to rounding: A's condition number is then
+# at least 1 / SINGULARITY_RTOL.
 SINGULARITY_RTOL = 1e-13
 
 # Largest Hermitian asymmetry max|A - A^H| tolerated, relative to max|A|.
@@ -67,50 +75,17 @@ def _check_hermitian(a, name="matrix"):
         raise ValueError(f"{name} is not Hermitian within tolerance")
 
 
-def _lu_factor(a):
-    """Batched LU with partial pivoting: returns (lu, perm) with A[perm] = L @ U.
+def _first(mask):
+    """Flattened index of the first True entry, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
-    lu holds the unit lower triangle below the diagonal and U on and above
-    it. perm[i, k] is the source row of A that landed at position k. Raises
-    SingularMatrix when a pivot magnitude falls below
-    SINGULARITY_RTOL * max|A| for its matrix (ties in the pivot search are
-    broken toward the lowest row index).
-    """
-    m = a.shape[-1]
-    batch_shape = a.shape[:-2]
-    lu = a.reshape(-1, m, m).copy()
-    nb = lu.shape[0]
-    perm = np.tile(np.arange(m), (nb, 1))
-    tol = SINGULARITY_RTOL * np.abs(lu).max(axis=(1, 2))
-    rows = np.arange(nb)
-    for k in range(m):
-        # argmax returns the first maximizer, i.e. the lowest row index.
-        piv = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
-        pivmag = np.abs(lu[rows, piv, k])
-        bad = (pivmag < tol) | (pivmag == 0.0)
-        if np.any(bad):
-            idx = int(np.flatnonzero(bad)[0])
-            raise SingularMatrix(
-                f"matrix at batch index {idx} is singular to working "
-                f"precision (pivot step {k})",
-                batch_index=idx,
-            )
-        swap = piv != k
-        if np.any(swap):
-            b = rows[swap]
-            p = piv[swap]
-            tmp = lu[b, k].copy()
-            lu[b, k] = lu[b, p]
-            lu[b, p] = tmp
-            tmp = perm[b, k].copy()
-            perm[b, k] = perm[b, p]
-            perm[b, p] = tmp
-        if k < m - 1:
-            lu[:, k + 1 :, k] /= lu[:, k, k][:, None]
-            lu[:, k + 1 :, k + 1 :] -= (
-                lu[:, k + 1 :, k, None] * lu[:, None, k, k + 1 :]
-            )
-    return lu, perm, batch_shape
+
+def _singular(idx):
+    return SingularMatrix(
+        f"matrix at batch index {idx} is singular to working precision",
+        batch_index=idx,
+    )
 
 
 def lu_solve(a, b):
@@ -127,6 +102,10 @@ def lu_solve(a, b):
     Returns
     -------
     x : ndarray, same logical shape as b after broadcasting.
+
+    Raises SingularMatrix for the first matrix in the batch that is
+    singular by the module's rule: an exactly zero pivot, or
+    max|x| * max|A| * SINGULARITY_RTOL > max|b| in some column.
     """
     a = _as_matrix_batch(a, "a")
     b = np.asarray(b, dtype=np.complex128)
@@ -148,29 +127,41 @@ def lu_solve(a, b):
         raise ValueError(f"rhs shape {b.shape} does not match M={m}")
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     r = b.shape[-1]
-    a = np.broadcast_to(a, batch + (m, m))
-    b = np.broadcast_to(b, batch + (m, r))
-    lu, perm, _ = _lu_factor(a)
-    nb = lu.shape[0]
-    x = b.reshape(nb, m, r)[np.arange(nb)[:, None], perm].copy()
-    for i in range(m):  # forward substitution, unit lower triangle
-        if i > 0:
-            x[:, i] -= np.sum(lu[:, i, :i, None] * x[:, :i], axis=1)
-    for i in range(m - 1, -1, -1):  # back substitution
-        if i < m - 1:
-            x[:, i] -= np.sum(lu[:, i, i + 1 :, None] * x[:, i + 1 :], axis=1)
-        x[:, i] /= lu[:, i, i, None]
+    a = np.broadcast_to(a, batch + (m, m)).reshape(-1, m, m)
+    b = np.broadcast_to(b, batch + (m, r)).reshape(-1, m, r)
+    n_ok = len(a)
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        # Matrix n_ok has a zero pivot, but one before it may have lost a
+        # pivot to rounding: solve those and check them as well.
+        n_ok = _first(np.linalg.slogdet(a)[0] == 0)
+        x = np.linalg.solve(a[:n_ok], b[:n_ok])
+    # Written so that a NaN anywhere in the solution fails the check.
+    ok = (
+        np.abs(x).max(axis=1)
+        * (SINGULARITY_RTOL * np.abs(a[:n_ok]).max(axis=(1, 2)))[:, None]
+        <= np.abs(b[:n_ok]).max(axis=1)
+    )
+    bad = _first(~np.all(ok, axis=1))
+    if bad is not None or n_ok < len(a):
+        raise _singular(n_ok if bad is None else bad)
     x = x.reshape(batch + (m, r))
     return x[..., 0] if vector else x
 
 
 def logabsdet(a):
-    """log|det A| per batched matrix. Raises SingularMatrix instead of -inf."""
+    """log|det A| per batched matrix. Raises SingularMatrix instead of -inf.
+
+    Only an exactly zero pivot counts as singular: a matrix that is
+    singular only to rounding returns a large negative finite value.
+    """
     a = _as_matrix_batch(a, "a")
-    lu, _, batch_shape = _lu_factor(a)
-    diag = lu[:, np.arange(a.shape[-1]), np.arange(a.shape[-1])]
-    out = np.sum(np.log(np.abs(diag)), axis=1).reshape(batch_shape)
-    return out if batch_shape else float(out)
+    sign, out = np.linalg.slogdet(a)
+    idx = _first(sign == 0)
+    if idx is not None:
+        raise _singular(idx)
+    return out if out.ndim else float(out)
 
 
 def cholesky(a):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,7 +74,6 @@ class RunConfig:
     iterations: int = None
     eps1: float = model.EPS_VARIANCE
     eps2: float = model.EPS_RIDGE
-    seed: int = 0
     convergence_delta: float = None
     relative_ridge: bool = False
     wz_mode: str = "fast"
@@ -107,8 +105,9 @@ class SeparationResult:
     demixing : DemixingStack with the target filters in the leading columns
     images : (K, F, T, M) spatial images of the targets on the array
     cost_trace : per-iteration values of the full objective
-    wall_time : seconds spent in covariance and update computation
-        (excludes STFT, file I/O, and the diagnostic cost evaluation)
+    wall_time : seconds spent in run(): covariances, sweeps, the
+        per-iteration cost trace and projection back (excludes STFT
+        and file I/O)
     """
 
     demixing: DemixingStack
@@ -316,34 +315,13 @@ def projection_back(w_stack, x, k):
     return s[..., None] * a[..., None, :]
 
 
-def pick_top_k(images, n_pick):
-    """Indices of the n_pick images with the largest total power.
-
-    Stable ordering: ties resolve to the lowest index. Returns a tuple of
-    0-based indices, descending in power.
-    """
-    powers = np.array([np.sum(np.abs(np.asarray(im)) ** 2) for im in images])
-    return _top_indices(powers, n_pick)
-
-
 def _top_indices(powers, n_pick):
+    """Indices of the n_pick largest powers, descending.
+
+    Stable ordering: ties resolve to the lowest index.
+    """
     order = np.argsort(-np.asarray(powers), kind="stable")
     return tuple(int(i) for i in order[:n_pick])
-
-
-class _Stopwatch:
-    """Accumulates wall time over the bracketed segments."""
-
-    def __init__(self):
-        self.total = 0.0
-
-    @contextmanager
-    def __call__(self):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.total += time.perf_counter() - t0
 
 
 def _bin_chunks(n_bins, n_chunks):
@@ -440,11 +418,10 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
             f"must be < M={n_chan}"
         )
 
-    timer = _Stopwatch()
+    t0 = time.perf_counter()
     pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
     try:
-        with timer():
-            noise_cov = model.noise_covariance(data)
+        noise_cov = model.noise_covariance(data)
         live = np.einsum("fmm->f", noise_cov).real > 0.0
         w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
         chunks = _bin_chunks(n_bins, config.threads)
@@ -462,54 +439,52 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
             targets_buf[sl] = data[sl] @ np.conj(w[sl, :, :n_targets])
 
         for _ in range(config.iterations):
-            with timer():
-                map_chunks(stage_demix)
-                lam = model.update_variances(
-                    targets_buf.transpose(2, 0, 1), config.eps1
-                )
+            map_chunks(stage_demix)
+            lam = model.update_variances(
+                targets_buf.transpose(2, 0, 1), config.eps1
+            )
 
-                def stage_sweep(sl, lam=lam):
-                    covs = np.stack(
-                        [
-                            model.weighted_covariance(
-                                data[sl], lam[k], config.eps2,
-                                config.relative_ridge,
-                            )
-                            for k in range(n_targets)
-                        ]
-                    )
-                    try:
-                        w[sl] = _sweep_bins(
-                            method, w[sl], covs, noise_cov[sl], live[sl],
-                            config.wz_mode, on_wz_update,
+            def stage_sweep(sl, lam=lam):
+                covs = np.stack(
+                    [
+                        model.weighted_covariance(
+                            data[sl], lam[k], config.eps2,
+                            config.relative_ridge,
                         )
-                    except NumericalError as exc:
-                        raise _shift_bin(exc, sl.start) from None
+                        for k in range(n_targets)
+                    ]
+                )
+                try:
+                    w[sl] = _sweep_bins(
+                        method, w[sl], covs, noise_cov[sl], live[sl],
+                        config.wz_mode, on_wz_update,
+                    )
+                except NumericalError as exc:
+                    raise _shift_bin(exc, sl.start) from None
 
-                map_chunks(stage_sweep)
-                scale = lam.mean(axis=1)
-                lam = lam / scale[:, None]
-                w[:, :, :n_targets] *= scale ** -0.5
+            map_chunks(stage_sweep)
+            scale = lam.mean(axis=1)
+            lam = lam / scale[:, None]
+            w[:, :, :n_targets] *= scale ** -0.5
             cost_trace.append(model.cost_total(w, lam, data))
             if config.convergence_delta is not None and len(cost_trace) >= 2:
                 prev, cur = cost_trace[-2], cost_trace[-1]
                 if abs(prev - cur) <= config.convergence_delta * abs(prev):
                     break
 
-        with timer():
-            if method is Method.IP2 and n_targets < n_chan and np.any(live):
-                try:
-                    w[live, :, n_targets:] = update_wz_fast(
-                        w[live, :, :n_targets], noise_cov[live]
-                    )
-                except NumericalError as exc:
-                    raise _shift_bin(exc, 0) from None
-            if method is Method.AUXIVA:
-                w, images = _auxiva_images(w, data, n_targets)
-            else:
-                images = np.stack(
-                    [projection_back(w, data, k) for k in range(n_targets)]
+        if method is Method.IP2 and n_targets < n_chan and np.any(live):
+            try:
+                w[live, :, n_targets:] = update_wz_fast(
+                    w[live, :, :n_targets], noise_cov[live]
                 )
+            except NumericalError as exc:
+                raise _shift_bin(exc, 0) from None
+        if method is Method.AUXIVA:
+            w, images = _auxiva_images(w, data, n_targets)
+        else:
+            images = np.stack(
+                [projection_back(w, data, k) for k in range(n_targets)]
+            )
     finally:
         if pool is not None:
             pool.shutdown()
@@ -518,7 +493,7 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
         demixing=DemixingStack(w, n_targets),
         images=images,
         cost_trace=np.array(cost_trace),
-        wall_time=timer.total,
+        wall_time=time.perf_counter() - t0,
     )
 
 

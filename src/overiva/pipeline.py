@@ -91,7 +91,6 @@ def separate_file(
             "iterations": run_config.iterations,
             "eps1": run_config.eps1,
             "eps2": run_config.eps2,
-            "seed": run_config.seed,
             "convergence_delta": run_config.convergence_delta,
             "relative_ridge": run_config.relative_ridge,
             "wz_mode": run_config.wz_mode,

@@ -46,7 +46,6 @@ REPORT_SCHEMA = {
                 "iterations",
                 "eps1",
                 "eps2",
-                "seed",
                 "convergence_delta",
                 "relative_ridge",
                 "wz_mode",

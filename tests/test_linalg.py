@@ -78,6 +78,17 @@ class TestLuSolve:
         with pytest.raises(SingularMatrix):
             linalg.lu_solve(a, np.ones(2))
 
+    def test_rounding_singular_covariance_raises_with_index(self):
+        """A sample covariance with a duplicated channel is rank-deficient
+        only up to rounding; it is still reported, at its batch index."""
+        rng = np.random.default_rng(7)
+        x = random_complex(rng, (200, 4))
+        x = np.concatenate([x, x[:, :1]], axis=1)
+        a = np.stack([np.eye(5), x.conj().T @ x / 200])
+        with pytest.raises(SingularMatrix) as info:
+            linalg.lu_solve(a, np.eye(5)[:, 0])
+        assert info.value.batch_index == 1
+
     def test_zero_matrix_is_singular(self):
         with pytest.raises(SingularMatrix):
             linalg.lu_solve(np.zeros((2, 2)), np.ones(2))

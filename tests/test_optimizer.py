@@ -6,18 +6,23 @@ end-to-end run() driver on planted scenes."""
 import numpy as np
 import pytest
 
-from overiva.errors import DegenerateBlock, InvalidK, NotPositiveDefinite
+from overiva.errors import (
+    DegenerateBlock,
+    InvalidK,
+    NotPositiveDefinite,
+    SingularMatrix,
+)
 from overiva.model import cost_jw, stationarity_residual
 from overiva.optimizer import (
     Method,
     RunConfig,
+    _top_indices,
     auxiva_sweep,
     ip0_update_row,
     ip1_sweep,
     ip2_complete_wz,
     ip2_update,
     ip3_sweep,
-    pick_top_k,
     projection_back,
     run,
     update_wz_fast,
@@ -381,21 +386,23 @@ class TestProjectionBack:
 
 
 class TestPickTopK:
+    """_top_indices picks the auxiva outputs that run() keeps."""
+
     def test_orders_by_power(self):
-        images = [np.full(4, 1.0), np.full(4, 5.0), np.full(4, 3.0)]
-        assert pick_top_k(images, 2) == (1, 2)
-        assert pick_top_k(images, 3) == (1, 2, 0)
+        powers = [4.0, 100.0, 36.0]
+        assert _top_indices(powers, 2) == (1, 2)
+        assert _top_indices(powers, 3) == (1, 2, 0)
 
     def test_tie_prefers_lowest_index(self):
-        images = [np.ones(3), np.ones(3) * -1, np.zeros(3)]
-        assert pick_top_k(images, 1) == (0,)
+        powers = [3.0, 3.0, 0.0]
+        assert _top_indices(powers, 1) == (0,)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(22)
         images = [random_complex(rng, (3, 4)) for _ in range(6)]
         powers = [float(np.sum(np.abs(im) ** 2)) for im in images]
         oracle = tuple(sorted(range(6), key=lambda i: -powers[i]))
-        assert pick_top_k(images, 6) == oracle
+        assert _top_indices(np.array(powers), 6) == oracle
 
 
 def planted_scene(rng, n_bins, n_frames, m, flat_mixing=True):
@@ -507,6 +514,14 @@ class TestRun:
         calls = []
         run(x, 1, RunConfig(method="ip1", iterations=2), on_wz_update=lambda w, g: calls.append(w.shape))
         assert calls and all(s[-2:] == (3, 3) for s in calls)
+
+    def test_auxiva_duplicated_channel_names_bin(self):
+        """A copied microphone makes the background rows' covariance
+        singular; the failure names the first frequency bin."""
+        x, _ = self.make_x(m=3)
+        x = np.concatenate([x, x[:, :, :1]], axis=2)
+        with pytest.raises(SingularMatrix, match="frequency bin 0"):
+            run(x, 1, RunConfig(method="auxiva", iterations=3))
 
     def test_accepts_string_and_enum_methods(self):
         x, _ = self.make_x()
