@@ -36,11 +36,7 @@ spec = SceneSpec(
 x = stft(synthesize(spec).mixture, StftConfig(1024, 256))
 n_targets = spec.n_sources
 
-# Full background mode keeps the objective trace exact, which is what a
-# monotonicity check needs.
-result = run(
-    x, n_targets, RunConfig(method="ip1", iterations=50, wz_mode="full")
-)
+result = run(x, n_targets, RunConfig(method="ip1", iterations=50))
 trace = np.asarray(result.cost_trace)
 verify_monotone_trace(trace)
 print(f"objective: {trace[0]:.1f} -> {trace[-1]:.1f} over {trace.size - 1} sweeps")

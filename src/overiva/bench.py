@@ -10,7 +10,6 @@ mixture itself and anchors the improvement scale.
 from __future__ import annotations
 
 import csv
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,6 @@ def run_benchmark(
     sample_rate=16000,
     stft_config=StftConfig(),
     iterations=None,
-    eps1=None,
-    eps2=None,
     threads=1,
     log=None,
 ):
@@ -87,16 +84,8 @@ def run_benchmark(
                     scores[method].append(sdr_set(refs, ests).mean)
                     times[method].append(0.0)
                     continue
-                kwargs = {}
-                if eps1 is not None:
-                    kwargs["eps1"] = eps1
-                if eps2 is not None:
-                    kwargs["eps2"] = eps2
                 config = RunConfig(
-                    method=method,
-                    iterations=iterations,
-                    threads=threads,
-                    **kwargs,
+                    method=method, iterations=iterations, threads=threads
                 )
                 result = run(mix_spec, cell.n_sources, config)
                 ests = np.stack(

@@ -89,8 +89,7 @@ def _build_parser():
     sep.add_argument("--threads", type=_threads, default=None,
                      help=f"worker threads or 'auto' (default ${THREADS_ENV} or 1)")
     sep.add_argument("--verify-monotone", action="store_true",
-                     help="run with the fully normalized background update "
-                          "and fail if the cost trace increases")
+                     help="fail if the cost trace increases")
     sep.set_defaults(func=_cmd_separate)
 
     mix = sub.add_parser("make-mix", help="synthesize a test scene")
@@ -139,7 +138,6 @@ def _cmd_separate(args):
         eps1=args.eps1,
         eps2=args.eps2,
         threads=_resolve_threads(args.threads),
-        wz_mode="full" if args.verify_monotone else "fast",
     )
     stft_config = StftConfig(args.frame_len, args.frame_len // args.hop_div)
     report = separate_file(
@@ -265,10 +263,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedFormat, CorruptFile) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (UnsupportedFormat, CorruptFile, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericalError as exc:

@@ -5,9 +5,8 @@ Four schedules share the same per-bin building blocks:
 - ``auxiva``: iterative-projection row updates cycled over all M outputs,
   with the unweighted mixture covariance standing in for the background
   rows. The determined-IVA baseline run on the full array.
-- ``ip1``: row updates for the K targets followed by one background block
-  update per sweep (fast orthogonal-complement form by default, fully
-  normalized form on request).
+- ``ip1``: row updates for the K targets followed by one orthogonal-
+  complement background update per sweep.
 - ``ip2``: single-target extraction (K = 1) via a generalized eigenvalue
   problem; the background block is materialized once after the loop.
 - ``ip3``: row updates interleaved with a background refresh after every
@@ -15,6 +14,10 @@ Four schedules share the same per-bin building blocks:
 
 All update functions are pure: they take stacked arrays with leading
 batch axes (one entry per frequency bin) and return new arrays.
+
+run() records the negative log-likelihood once per iteration, from the
+covariances the sweep has formed. For ip1, ip2 and ip3 it profiles out
+the background block, which only matters through its span (_bin_cost).
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .errors import (
 )
 from .linalg import hermitian_transpose
 from .model import DemixingStack
-from .stft import Spectrogram
 
 
 class Method(Enum):
@@ -63,11 +65,9 @@ class RunConfig:
 
     iterations defaults to 50 (3 for ip2, whose single-target update
     reaches its fixed point in a few steps). convergence_delta, when set,
-    stops early once the relative cost change drops below it. wz_mode
-    selects the background update used by ip1: the fast orthogonal
-    complement ("fast") or the fully normalized block ("full", the mode
-    with a monotone cost trace). threads > 1 splits the frequency axis
-    across a thread pool; results are identical to the sequential run.
+    stops early once the relative cost change drops below it. threads > 1
+    splits the frequency axis across a thread pool; images and cost
+    trace are identical to the sequential run.
     """
 
     method: Method = Method.IP1
@@ -76,7 +76,6 @@ class RunConfig:
     eps2: float = model.EPS_RIDGE
     convergence_delta: float = None
     relative_ridge: bool = False
-    wz_mode: str = "fast"
     threads: int = 1
 
     def __post_init__(self):
@@ -92,8 +91,6 @@ class RunConfig:
             raise ValueError("eps1 must be positive")
         if self.eps2 < 0:
             raise ValueError("eps2 must be nonnegative")
-        if self.wz_mode not in ("fast", "full"):
-            raise ValueError(f"unknown wz_mode {self.wz_mode!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -104,7 +101,8 @@ class SeparationResult:
 
     demixing : DemixingStack with the target filters in the leading columns
     images : (K, F, T, M) spatial images of the targets on the array
-    cost_trace : per-iteration values of the full objective
+    cost_trace : per-iteration values of the objective with the
+        background profiled (see the module docstring)
     wall_time : seconds spent in run(): covariances, sweeps, the
         per-iteration cost trace and projection back (excludes STFT
         and file I/O)
@@ -177,7 +175,7 @@ def update_wz_fast(w_targets, noise_cov):
     return np.concatenate([top, eye], axis=-2)
 
 
-def ip1_sweep(w_stack, target_covs, noise_cov, wz_mode="fast", on_wz_update=None):
+def ip1_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
     """One sweep: all K target rows, then one background update.
 
     target_covs : (K, ..., M, M) weighted covariances; noise_cov :
@@ -190,12 +188,7 @@ def ip1_sweep(w_stack, target_covs, noise_cov, wz_mode="fast", on_wz_update=None
     for k in range(n_targets):
         w[..., :, k] = ip0_update_row(w, target_covs[k], k)
     if n_targets < w.shape[-1]:
-        if wz_mode == "full":
-            w[..., :, n_targets:] = update_wz_full(w, noise_cov, n_targets)
-        else:
-            w[..., :, n_targets:] = update_wz_fast(
-                w[..., :, :n_targets], noise_cov
-            )
+        w[..., :, n_targets:] = update_wz_fast(w[..., :, :n_targets], noise_cov)
         if on_wz_update is not None:
             on_wz_update(w, noise_cov)
     return w
@@ -206,7 +199,7 @@ def ip3_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
 
     Keeps the orthogonal constraint satisfied at every intermediate
     state, which is what allows the determinant to stay in closed form.
-    Coincides with ip1_sweep (fast mode) when there is a single target.
+    Coincides with ip1_sweep when there is a single target.
     """
     w = np.array(w_stack, copy=True)
     n_targets = target_covs.shape[0]
@@ -250,43 +243,6 @@ def ip2_update(target_cov, noise_cov):
             batch_index=idx,
         )
     return u / np.sqrt(q)[..., None]
-
-
-def _householder_complement(y):
-    """Orthonormal basis of the complement of span(y), (..., M, M - 1).
-
-    Columns of the Householder reflector that maps y onto e_1, excluding
-    the first: unitary, so the columns are orthonormal and all
-    perpendicular to y. A zero y yields the complement of e_1.
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    m = y.shape[-1]
-    norm = np.linalg.norm(y, axis=-1)
-    y0 = y[..., 0]
-    mag = np.abs(y0)
-    phase = np.where(mag > 0, y0 / np.where(mag > 0, mag, 1.0), 1.0)
-    v = np.array(y, copy=True)
-    v[..., 0] += phase * norm
-    vnorm2 = np.sum(np.abs(v) ** 2, axis=-1)
-    denom = np.where(vnorm2 > 0, vnorm2, 1.0)
-    h = np.broadcast_to(np.eye(m, dtype=np.complex128), y.shape + (m,)).copy()
-    h -= 2.0 * v[..., :, None] * np.conj(v[..., None, :]) / denom[..., None, None]
-    return h[..., :, 1:]
-
-
-def ip2_complete_wz(u1, noise_cov):
-    """Background block around a single extracted filter, (..., M, M - 1).
-
-    Builds an orthonormal basis of the directions uncorrelated with the
-    target output (perpendicular to G_z u_1) and whitens it against G_z,
-    so W_z^H G_z W_z = I and W_z^H G_z u_1 = 0.
-    """
-    u1 = np.asarray(u1, dtype=np.complex128)
-    y = np.einsum("...ij,...j->...i", np.asarray(noise_cov), u1)
-    basis = _householder_complement(y)
-    inner = hermitian_transpose(basis) @ np.asarray(noise_cov) @ basis
-    inner = 0.5 * (inner + hermitian_transpose(inner))
-    return basis @ linalg.inv_sqrt_hermitian(inner)
 
 
 def projection_back(w_stack, x, k):
@@ -337,26 +293,35 @@ def _shift_bin(exc, offset):
     return type(exc)(f"frequency bin {where}: {exc}", batch_index=bin_idx)
 
 
-def _sweep_bins(method, w, target_covs, noise_cov, ok, wz_mode, on_wz_update):
+def _unmask(exc, mask):
+    """Map the batch index of an error raised on a[mask] to its index in a."""
+    idx = exc.batch_index
+    idx = None if idx is None else int(np.flatnonzero(mask)[idx])
+    return type(exc)(str(exc), batch_index=idx)
+
+
+def _sweep_bins(method, w, target_covs, noise_cov, ok, on_wz_update):
     """Dispatch one sweep on a chunk, skipping background updates on
     bins whose mixture covariance is identically zero."""
+    if not np.any(ok):
+        return _rows_only(method, w, target_covs, noise_cov)
     if np.all(ok):
         if method is Method.AUXIVA:
             return auxiva_sweep(w, target_covs, noise_cov)
         if method is Method.IP1:
-            return ip1_sweep(w, target_covs, noise_cov, wz_mode, on_wz_update)
+            return ip1_sweep(w, target_covs, noise_cov, on_wz_update)
         if method is Method.IP3:
             return ip3_sweep(w, target_covs, noise_cov, on_wz_update)
         return _ip2_rows(w, target_covs, noise_cov)
     out = np.array(w, copy=True)
-    if np.any(ok):
-        out[ok] = _sweep_bins(
-            method, w[ok], target_covs[:, ok], noise_cov[ok], ok[ok],
-            wz_mode, on_wz_update,
-        )
-    bad = ~ok
-    if np.any(bad):
-        out[bad] = _rows_only(method, w[bad], target_covs[:, bad], noise_cov[bad])
+    for mask in (ok, ~ok):
+        try:
+            out[mask] = _sweep_bins(
+                method, w[mask], target_covs[:, mask], noise_cov[mask],
+                ok[mask], on_wz_update,
+            )
+        except NumericalError as exc:
+            raise _unmask(exc, mask) from None
     return out
 
 
@@ -374,6 +339,44 @@ def _rows_only(method, w, target_covs, noise_cov):
     for k in range(target_covs.shape[0]):
         out[..., :, k] = ip0_update_row(out, target_covs[k], k)
     return out
+
+
+def _bin_cost(w, target_covs, ridge, noise_cov, profiled, logdet_gz):
+    """Per-bin objective, (F,), less the factor T and the variance term.
+
+    sum_k w_k^H (G_k - ridge_k I) w_k plus, on profiled bins (G_z
+    regular), the background term minimized over the block at fixed span,
+    (M - K) + log det G_z - log det(W_s^H G_z W_s) (what update_wz_full
+    attains); elsewhere the explicit tr(W_z^H G_z W_z) - 2 log|det W|.
+    ridge : scalar or (K, F), the ridge weighted_covariance added to G_k.
+    """
+    n_targets = target_covs.shape[0]
+    ws = w[..., :, :n_targets]
+    cost = np.einsum("fik,kfij,fjk->f", np.conj(ws), target_covs, ws).real
+    cost -= np.sum(ridge * np.sum(np.abs(ws) ** 2, axis=-2).T, axis=0)
+    if np.any(profiled):
+        wp = ws[profiled]
+        gram = hermitian_transpose(wp) @ noise_cov[profiled] @ wp
+        cost[profiled] += (
+            w.shape[-1] - n_targets
+            + logdet_gz[profiled]
+            - _masked_logabsdet(gram, profiled)
+        )
+    explicit = ~profiled
+    if np.any(explicit):
+        we = w[explicit]
+        wz = we[..., :, n_targets:]
+        tr = np.einsum("fik,fij,fjk->f", np.conj(wz), noise_cov[explicit], wz)
+        cost[explicit] += tr.real - 2.0 * _masked_logabsdet(we, explicit)
+    return cost
+
+
+def _masked_logabsdet(a, mask):
+    """logabsdet of a = b[mask], with errors indexed into b."""
+    try:
+        return linalg.logabsdet(a)
+    except NumericalError as exc:
+        raise _unmask(exc, mask) from None
 
 
 def run(x, n_targets, config=RunConfig(), on_wz_update=None):
@@ -400,9 +403,7 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
     -------
     SeparationResult
     """
-    data = x.data if isinstance(x, Spectrogram) else np.asarray(x)
-    if data.ndim != 3:
-        raise ShapeMismatch(f"expected (F, T, M) spectrogram, got {data.shape}")
+    data = model._spec_data(x)
     n_bins, n_frames, n_chan = data.shape
     method = config.method
     if n_targets < 1:
@@ -423,6 +424,9 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
     try:
         noise_cov = model.noise_covariance(data)
         live = np.einsum("fmm->f", noise_cov).real > 0.0
+        sign, logdet_gz = np.linalg.slogdet(noise_cov)
+        profiled = (sign != 0) & (method is not Method.AUXIVA)
+        bin_cost = np.empty(n_bins)
         w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
         chunks = _bin_chunks(n_bins, config.threads)
         targets_buf = np.empty((n_bins, n_frames, n_targets), dtype=np.complex128)
@@ -454,19 +458,30 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                         for k in range(n_targets)
                     ]
                 )
+                ridge = config.eps2
+                if config.relative_ridge:  # eps2 * unridged tr(G_k) / M
+                    ridge = ridge * np.einsum("kfmm->kf", covs).real / (
+                        n_chan * (1.0 + config.eps2)
+                    )
                 try:
                     w[sl] = _sweep_bins(
                         method, w[sl], covs, noise_cov[sl], live[sl],
-                        config.wz_mode, on_wz_update,
+                        on_wz_update,
+                    )
+                    bin_cost[sl] = _bin_cost(
+                        w[sl], covs, ridge, noise_cov[sl], profiled[sl],
+                        logdet_gz[sl],
                     )
                 except NumericalError as exc:
                     raise _shift_bin(exc, sl.start) from None
 
             map_chunks(stage_sweep)
+            # Taken before the rescale below, which leaves it unchanged.
+            cost_trace.append(
+                float(n_frames * bin_cost.sum() + n_bins * np.sum(np.log(lam)))
+            )
             scale = lam.mean(axis=1)
-            lam = lam / scale[:, None]
             w[:, :, :n_targets] *= scale ** -0.5
-            cost_trace.append(model.cost_total(w, lam, data))
             if config.convergence_delta is not None and len(cost_trace) >= 2:
                 prev, cur = cost_trace[-2], cost_trace[-1]
                 if abs(prev - cur) <= config.convergence_delta * abs(prev):
@@ -478,7 +493,7 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                     w[live, :, :n_targets], noise_cov[live]
                 )
             except NumericalError as exc:
-                raise _shift_bin(exc, 0) from None
+                raise _shift_bin(_unmask(exc, live), 0) from None
         if method is Method.AUXIVA:
             w, images = _auxiva_images(w, data, n_targets)
         else:

@@ -93,7 +93,6 @@ def separate_file(
             "eps2": run_config.eps2,
             "convergence_delta": run_config.convergence_delta,
             "relative_ridge": run_config.relative_ridge,
-            "wz_mode": run_config.wz_mode,
             "threads": run_config.threads,
             "frame_len": stft_config.frame_len,
             "hop": stft_config.hop,

@@ -48,7 +48,6 @@ REPORT_SCHEMA = {
                 "eps2",
                 "convergence_delta",
                 "relative_ridge",
-                "wz_mode",
                 "threads",
                 "frame_len",
                 "hop",
@@ -129,18 +128,22 @@ class TestSeparate:
         assert wav_a == wav_b
 
     def test_verify_monotone(self, scene_dir, tmp_path):
+        """The flag only checks the trace: the images are those of a run
+        without it."""
         report_path = tmp_path / "report.json"
+        args = ("--method", "ip1", "--iters", "10")
         code = main(
             separate_args(
-                scene_dir, tmp_path / "out",
-                "--method", "ip1", "--iters", "10",
+                scene_dir, tmp_path / "out", *args,
                 "--verify-monotone", "--json", str(report_path),
             )
         )
         assert code == EXIT_OK
         report = json.loads(report_path.read_text())
         assert report["verify_monotone"] is True
-        assert report["config"]["wz_mode"] == "full"
+        assert main(separate_args(scene_dir, tmp_path / "plain", *args)) == EXIT_OK
+        checked = (tmp_path / "out" / "source_1.wav").read_bytes()
+        assert checked == (tmp_path / "plain" / "source_1.wav").read_bytes()
 
     def test_ip2_needs_single_source(self, scene_dir, tmp_path, capsys):
         code = main(

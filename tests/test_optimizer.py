@@ -10,6 +10,7 @@ from overiva.errors import (
     DegenerateBlock,
     InvalidK,
     NotPositiveDefinite,
+    NumericalError,
     SingularMatrix,
 )
 from overiva.model import cost_jw, stationarity_residual
@@ -20,7 +21,6 @@ from overiva.optimizer import (
     auxiva_sweep,
     ip0_update_row,
     ip1_sweep,
-    ip2_complete_wz,
     ip2_update,
     ip3_sweep,
     projection_back,
@@ -28,7 +28,9 @@ from overiva.optimizer import (
     update_wz_fast,
     update_wz_full,
 )
-from overiva import linalg
+from overiva import linalg, model
+
+from oracles import ip1_full_sweep, with_full_background
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -190,7 +192,7 @@ class TestSweeps:
         w = eye_stack(4)
         prev = cost_jw(w, covs, gz)
         for _ in range(30):
-            w = ip1_sweep(w, covs, gz, wz_mode="full")
+            w = ip1_full_sweep(w, covs, gz)
             cur = cost_jw(w, covs, gz)
             assert cur <= prev + 1e-12
             prev = cur
@@ -200,22 +202,23 @@ class TestSweeps:
         covs, gz = random_instance(rng, 3, 1)
         w = eye_stack(3)
         for _ in range(400):
-            w = ip1_sweep(w, covs, gz, wz_mode="full")
+            w = ip1_full_sweep(w, covs, gz)
         res = stationarity_residual(w, covs, gz)
         assert res.combined < 1e-10
-        w2 = ip1_sweep(w, covs, gz, wz_mode="full")
+        w2 = ip1_full_sweep(w, covs, gz)
         assert np.abs(w2 - w).max() < 1e-9
 
     def test_fast_and_full_produce_same_target_filters(self):
-        """The target-filter sequences agree between background modes,
-        because the row update only sees the background subspace."""
+        """The target-filter sequences agree between the orthogonal-
+        complement and the fully normalized background, because the row
+        update only sees the background subspace."""
         rng = np.random.default_rng(9)
         covs, gz = random_instance(rng, 4, 2)
         wa = eye_stack(4)
         wb = eye_stack(4)
         for _ in range(10):
-            wa = ip1_sweep(wa, covs, gz, wz_mode="fast")
-            wb = ip1_sweep(wb, covs, gz, wz_mode="full")
+            wa = ip1_sweep(wa, covs, gz)
+            wb = ip1_full_sweep(wb, covs, gz)
             assert np.abs(wa[:, :2] - wb[:, :2]).max() < 1e-8
 
     def test_ip1_full_equals_auxiva_with_one_noise_channel(self):
@@ -226,7 +229,7 @@ class TestSweeps:
         wa = eye_stack(3)
         wb = eye_stack(3)
         for _ in range(10):
-            wa = ip1_sweep(wa, covs, gz, wz_mode="full")
+            wa = ip1_full_sweep(wa, covs, gz)
             wb = auxiva_sweep(wb, covs, gz)
             np.testing.assert_allclose(wa, wb, atol=1e-12)
 
@@ -236,7 +239,7 @@ class TestSweeps:
         wa = eye_stack(4)
         wb = eye_stack(4)
         for _ in range(5):
-            wa = ip1_sweep(wa, covs, gz, wz_mode="fast")
+            wa = ip1_sweep(wa, covs, gz)
             wb = ip3_sweep(wb, covs, gz)
             np.testing.assert_array_equal(wa, wb)
 
@@ -301,12 +304,10 @@ class TestIp2:
             for _ in range(7):
                 covs, gz = random_instance(rng, m, 1)
                 w1 = ip2_update(covs[0], gz)
-                w_eig = np.concatenate(
-                    [w1[:, None], ip2_complete_wz(w1, gz)], axis=1
-                )
+                w_eig = with_full_background(w1, gz)
                 w_it = eye_stack(m)
                 for _ in range(100):
-                    w_it = ip1_sweep(w_it, covs, gz, wz_mode="full")
+                    w_it = ip1_full_sweep(w_it, covs, gz)
                 assert cost_jw(w_eig, covs, gz) <= cost_jw(w_it, covs, gz) + 1e-8
 
     def test_determinant_identity(self):
@@ -317,26 +318,11 @@ class TestIp2:
             g1 = random_hpd(rng, m)
             gz = random_hpd(rng, m)
             w1 = ip2_update(g1, gz)
-            w = np.concatenate([w1[:, None], ip2_complete_wz(w1, gz)], axis=1)
+            w = with_full_background(w1, gz)
             lam, _ = linalg.gev_largest(gz, g1)
             lhs = linalg.logabsdet(w)
             rhs = 0.5 * np.log(lam) - 0.5 * np.linalg.slogdet(gz)[1]
             np.testing.assert_allclose(lhs, rhs, atol=1e-8)
-
-    def test_complete_wz_identity_case(self):
-        wz = ip2_complete_wz(np.array([1.0 + 0j, 0.0]), np.eye(2, dtype=complex))
-        assert np.abs(wz[0, 0]) < 1e-14 and np.abs(np.abs(wz[1, 0]) - 1) < 1e-12
-
-    def test_complete_wz_whitened_and_orthogonal(self):
-        rng = np.random.default_rng(17)
-        for m in (2, 3, 6):
-            gz = random_hpd(rng, m)
-            u1 = random_complex(rng, m)
-            wz = ip2_complete_wz(u1, gz)
-            np.testing.assert_allclose(
-                wz.conj().T @ gz @ wz, np.eye(m - 1), atol=1e-9
-            )
-            assert np.abs(wz.conj().T @ gz @ u1).max() < 1e-10
 
     def test_indefinite_target_raises(self):
         gz = np.eye(2, dtype=complex)
@@ -418,6 +404,37 @@ def planted_scene(rng, n_bins, n_frames, m, flat_mixing=True):
     return x, ref
 
 
+def reference_trace(x, n_targets, method, iterations, relative_ridge=False):
+    """cost_total after each iteration of a plain run() loop: variances,
+    sweep, the fully normalized background (ip1 only), rescale."""
+    n_bins, _, m = x.shape
+    gz = model.noise_covariance(x)
+    w = eye_stack(m, (n_bins,))
+    trace = []
+    for _ in range(iterations):
+        lam = model.update_variances(
+            (x @ np.conj(w[..., :n_targets])).transpose(2, 0, 1)
+        )
+        covs = np.stack(
+            [
+                model.weighted_covariance(
+                    x, lam[k], relative_ridge=relative_ridge
+                )
+                for k in range(n_targets)
+            ]
+        )
+        if method == "ip1":
+            w = ip1_sweep(w, covs, gz)
+            w[..., n_targets:] = update_wz_full(w, gz, n_targets)
+        else:
+            w = auxiva_sweep(w, covs, gz)
+        scale = lam.mean(axis=1)
+        lam = lam / scale[:, None]
+        w[..., :n_targets] *= scale**-0.5
+        trace.append(model.cost_total(w, lam, x))
+    return np.array(trace)
+
+
 def image_sdr(est, ref):
     alpha = np.vdot(est, ref) / np.vdot(est, est)
     err = ref - alpha * est
@@ -439,12 +456,16 @@ class TestRun:
         np.testing.assert_array_equal(r1.cost_trace, r2.cost_trace)
 
     def test_threads_bit_identical(self):
+        """Also with silent bins, whose sweeps and cost terms are masked."""
         x, _ = self.make_x()
-        for method in ("auxiva", "ip1", "ip2", "ip3"):
-            seq = run(x, 1, RunConfig(method=method, iterations=8, threads=1))
-            par = run(x, 1, RunConfig(method=method, iterations=8, threads=3))
-            np.testing.assert_array_equal(seq.images, par.images)
-            np.testing.assert_array_equal(seq.cost_trace, par.cost_trace)
+        quiet = x.copy()
+        quiet[[0, 1, 2, 10]] = 0
+        for data in (x, quiet):
+            for method in ("auxiva", "ip1", "ip2", "ip3"):
+                seq = run(data, 1, RunConfig(method=method, iterations=8, threads=1))
+                par = run(data, 1, RunConfig(method=method, iterations=8, threads=3))
+                np.testing.assert_array_equal(seq.images, par.images)
+                np.testing.assert_array_equal(seq.cost_trace, par.cost_trace)
 
     def test_shapes_and_trace_length(self):
         x, _ = self.make_x(m=4)
@@ -483,11 +504,12 @@ class TestRun:
         assert len(res.cost_trace) < 50
 
     def test_cost_monotone_auxiva_and_ip1_full(self):
-        """The two schedules with exact-majorization guarantees descend at
-        every recorded iteration."""
+        """Every schedule descends the recorded objective at every
+        iteration at the default settings (for ip1, ip2 and ip3 the trace
+        profiles the background, which is what the full block attains)."""
         x, _ = self.make_x(seed=3)
-        for method, mode in (("auxiva", "fast"), ("ip1", "full")):
-            res = run(x, 1, RunConfig(method=method, iterations=30, wz_mode=mode))
+        for method in ("auxiva", "ip1", "ip2", "ip3"):
+            res = run(x, 1, RunConfig(method=method, iterations=30))
             trace = np.asarray(res.cost_trace)
             diffs = np.diff(trace)
             assert np.all(diffs <= 1e-8 * np.abs(trace[:-1])), method
@@ -505,7 +527,7 @@ class TestRun:
 
     def test_ip3_matches_ip1_single_target(self):
         x, _ = self.make_x(seed=5)
-        r1 = run(x, 1, RunConfig(method="ip1", iterations=20, wz_mode="fast"))
+        r1 = run(x, 1, RunConfig(method="ip1", iterations=20))
         r3 = run(x, 1, RunConfig(method="ip3", iterations=20))
         np.testing.assert_array_equal(r1.images, r3.images)
 
@@ -522,6 +544,39 @@ class TestRun:
         x = np.concatenate([x, x[:, :, :1]], axis=2)
         with pytest.raises(SingularMatrix, match="frequency bin 0"):
             run(x, 1, RunConfig(method="auxiva", iterations=3))
+
+    def test_cost_trace_matches_reference_loop(self):
+        """The trace run() computes from the sweep's covariances is the
+        full objective at the fully normalized background (ip1) and at
+        the stack itself (auxiva), with either kind of ridge."""
+        x, _ = self.make_x(seed=6, m=4)
+        for method, relative in (("ip1", False), ("auxiva", False), ("ip1", True)):
+            cfg = RunConfig(method=method, iterations=12, relative_ridge=relative)
+            got = run(x, 2, cfg).cost_trace
+            ref = reference_trace(x, 2, method, 12, relative)
+            rel = np.abs(got - ref) / np.abs(ref)
+            assert rel.max() <= 1e-10, (method, relative, rel.max())
+
+    def test_auxiva_error_behind_silent_bins_names_bin(self):
+        """Bins 0-2 are silent and skipped by the background rows; the
+        copied microphone makes bin 3 the first singular one."""
+        x, _ = self.make_x(n_bins=16, m=3)
+        x[:3] = 0
+        x = np.concatenate([x, x[:, :, :1]], axis=2)
+        with pytest.raises(SingularMatrix, match="frequency bin 3") as info:
+            run(x, 1, RunConfig(method="auxiva", iterations=3))
+        assert info.value.batch_index == 3
+
+    def test_ip2_cost_error_names_bin(self):
+        """A dead microphone makes the noise covariance singular, so the
+        cost keeps the explicit background; its failure at bin 3 (behind
+        three silent bins) carries the bin."""
+        x, _ = self.make_x(n_bins=16, m=3)
+        x[:, :, 0] = 0
+        x[:3] = 0
+        with pytest.raises(NumericalError, match="frequency bin 3") as info:
+            run(x, 1, RunConfig(method="ip2"))
+        assert info.value.batch_index == 3
 
     def test_accepts_string_and_enum_methods(self):
         x, _ = self.make_x()

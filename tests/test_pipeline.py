@@ -90,7 +90,7 @@ class TestSeparateFile:
         report = separate_file(
             wav,
             1,
-            RunConfig(method="ip1", iterations=12, wz_mode="full"),
+            RunConfig(method="ip1", iterations=12),
             STFT,
             out_dir=tmp_path / "out",
             verify_monotone=True,
