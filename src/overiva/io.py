@@ -5,8 +5,9 @@ with the usual [-1, 1] nominal range. PCM16 data maps to floats by
 division by 32768; the inverse quantization clamps to [-1, 1] and rounds
 half away from zero. The RIFF parser accepts standard and extended fmt
 chunks and skips unrelated chunks; anything that is not a parseable
-RIFF/WAVE container raises CorruptFile, while well-formed files in other
-encodings raise UnsupportedFormat.
+RIFF/WAVE container, or float data holding a NaN or infinite sample,
+raises CorruptFile, while well-formed files in other encodings raise
+UnsupportedFormat.
 """
 
 from __future__ import annotations
@@ -68,7 +69,11 @@ def quantize_pcm16(samples):
 
 
 def read_wav(path):
-    """Read a PCM16 or IEEE float32 RIFF/WAVE file into an AudioBuffer."""
+    """Read a PCM16 or IEEE float32 RIFF/WAVE file into an AudioBuffer.
+
+    A NaN or infinite float sample raises CorruptFile naming the first
+    one by frame index and channel.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -115,6 +120,13 @@ def read_wav(path):
     if block_align not in (0, frame_bytes) or len(data) % frame_bytes != 0:
         raise CorruptFile(f"{path}: sample data does not align with frames")
     flat = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
+    if not np.isfinite(flat).all():
+        first = int(np.flatnonzero(~np.isfinite(flat))[0])
+        frame, channel = divmod(first, n_channels)
+        raise CorruptFile(
+            f"{path}: non-finite sample {flat[first]} at frame {frame}, "
+            f"channel {channel}"
+        )
     return AudioBuffer(sample_rate, flat.reshape(-1, n_channels))
 
 

@@ -32,10 +32,15 @@ EPS_RIDGE = 1e-1
 
 
 def _spec_data(x):
+    """The (F, T, M) data of x, bin-major and complex128.
+
+    A Spectrogram is already in that form and is not copied; any other
+    array is copied into it once.
+    """
     data = x.data if isinstance(x, Spectrogram) else np.asarray(x)
     if data.ndim != 3:
         raise ShapeMismatch(f"expected (F, T, M) spectrogram, got {data.shape}")
-    return data
+    return np.ascontiguousarray(data, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,9 @@ def demix(x, w, n_outputs=None):
 def noise_covariance(x):
     """Sample covariance of the mixture per bin, (F, M, M).
 
-    Averages x x^H over frames and symmetrizes. Warns when there are
-    fewer frames than channels (the estimate is then rank deficient).
+    Averages x x^H over frames and symmetrizes: weighted_covariance with
+    unit weights and no ridge. Warns when there are fewer frames than
+    channels (the estimate is then rank deficient).
     """
     data = _spec_data(x)
     n_frames, n_chan = data.shape[1], data.shape[2]
@@ -120,9 +126,7 @@ def noise_covariance(x):
             "rank deficient",
             stacklevel=2,
         )
-    xt = data.transpose(0, 2, 1)
-    g = (xt @ np.conj(data)) / n_frames
-    return 0.5 * (g + linalg.hermitian_transpose(g))
+    return weighted_covariance(data, np.ones(n_frames), 0.0)
 
 
 def weighted_covariance(x, lam_k, eps2=EPS_RIDGE, relative_ridge=False):
@@ -131,29 +135,40 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE, relative_ridge=False):
     Averages x x^H / lam_k(t) over frames, symmetrizes, and adds a ridge
     eps2 * I. With relative_ridge the ridge is additionally scaled by the
     mean diagonal magnitude of the unridged estimate per bin, so eps2
-    acts relative to the local channel power.
+    acts relative to the local channel power. The result is exactly
+    Hermitian.
+
+    One pass forms conj(x) / lam_k on the float64 view of the bin-major
+    data; a batched (M, T) @ (T, M) matmul then reads both operands in
+    place, and the symmetrization and the ridge work in place on the
+    result.
 
     lam_k : (T,) positive frame variances of the target
     """
     data = _spec_data(x)
     lam_k = np.asarray(lam_k, dtype=np.float64)
-    n_frames = data.shape[1]
+    n_bins, n_frames, m = data.shape
     if lam_k.shape != (n_frames,):
         raise ShapeMismatch(
             f"lam_k must be ({n_frames},), got {lam_k.shape}"
         )
     if np.any(lam_k <= 0):
         raise ValueError("lam_k must be strictly positive")
-    xt = data.transpose(0, 2, 1)
-    g = (xt * (1.0 / lam_k)) @ np.conj(data) / n_frames
-    g = 0.5 * (g + linalg.hermitian_transpose(g))
-    m = data.shape[2]
+    # (T, 2M) row (w, -w, w, -w, ...) with w = 1 / lam_k: applied to the
+    # interleaved (re, im) pairs it conjugates and weights at once.
+    weights = np.repeat(1.0 / lam_k, 2 * m).reshape(n_frames, 2 * m)
+    weights[:, 1::2] *= -1.0
+    scaled = (data.view(np.float64) * weights).view(np.complex128)
+    g = data.transpose(0, 2, 1) @ scaled
+    g /= n_frames
+    g += linalg.hermitian_transpose(g)
+    g *= 0.5
+    diag = g.reshape(n_bins, m * m)[:, :: m + 1]
     if relative_ridge:
-        scale = np.einsum("fmm->f", g).real / m
-        ridge = eps2 * scale[:, None, None] * np.eye(m)
+        diag += (eps2 * (np.einsum("fmm->f", g).real / m))[:, None]
     else:
-        ridge = eps2 * np.eye(m)
-    return g + ridge
+        diag += eps2
+    return g
 
 
 def update_variances(s, eps1=EPS_VARIANCE):

@@ -114,6 +114,12 @@ class SeparationResult:
     wall_time: float
 
 
+def _quad(u, cov):
+    """Real part of the quadratic forms u^H G u, (...,), for u (..., M)."""
+    gu = cov @ u[..., None]
+    return (np.conj(u[..., None, :]) @ gu)[..., 0, 0].real
+
+
 def ip0_update_row(w_stack, cov, k):
     """Iterative-projection update of filter column k.
 
@@ -125,7 +131,7 @@ def ip0_update_row(w_stack, cov, k):
     """
     m = w_stack.shape[-1]
     u = linalg.lu_solve(hermitian_transpose(w_stack) @ cov, np.eye(m)[:, k])
-    q = np.einsum("...i,...ij,...j->...", np.conj(u), cov, u).real
+    q = _quad(u, cov)
     if np.any(q <= 0):
         idx = int(np.flatnonzero((q <= 0).ravel())[0])
         raise NotPositiveDefinite(
@@ -234,7 +240,7 @@ def ip2_update(target_cov, noise_cov):
     surrogate, and coincides with a maximum-SNR beamformer up to scale.
     """
     _, u = linalg.gev_largest(noise_cov, target_cov)
-    q = np.einsum("...i,...ij,...j->...", np.conj(u), target_cov, u).real
+    q = _quad(u, target_cov)
     if np.any(q <= 0):
         idx = int(np.flatnonzero((q <= 0).ravel())[0])
         raise NotPositiveDefinite(
@@ -352,7 +358,7 @@ def _bin_cost(w, target_covs, ridge, noise_cov, profiled, logdet_gz):
     """
     n_targets = target_covs.shape[0]
     ws = w[..., :, :n_targets]
-    cost = np.einsum("fik,kfij,fjk->f", np.conj(ws), target_covs, ws).real
+    cost = _quad(np.moveaxis(ws, -1, 0), target_covs).sum(axis=0)
     cost -= np.sum(ridge * np.sum(np.abs(ws) ** 2, axis=-2).T, axis=0)
     if np.any(profiled):
         wp = ws[profiled]
@@ -366,7 +372,7 @@ def _bin_cost(w, target_covs, ridge, noise_cov, profiled, logdet_gz):
     if np.any(explicit):
         we = w[explicit]
         wz = we[..., :, n_targets:]
-        tr = np.einsum("fik,fij,fjk->f", np.conj(wz), noise_cov[explicit], wz)
+        tr = np.sum(np.conj(wz) * (noise_cov[explicit] @ wz), axis=(-2, -1))
         cost[explicit] += tr.real - 2.0 * _masked_logabsdet(we, explicit)
     return cost
 
@@ -440,7 +446,9 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                 list(pool.map(fn, chunks))
 
         def stage_demix(sl):
-            targets_buf[sl] = data[sl] @ np.conj(w[sl, :, :n_targets])
+            # np.conj allocates a fresh, C-contiguous conj(W_s).
+            ws = np.conj(w[sl, :, :n_targets])
+            np.matmul(data[sl], ws, out=targets_buf[sl])
 
         for _ in range(config.iterations):
             map_chunks(stage_demix)
@@ -494,12 +502,13 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                 )
             except NumericalError as exc:
                 raise _shift_bin(_unmask(exc, live), 0) from None
+        # Filled in place: stacking a list of K images would hold 2K.
+        images = np.empty((n_targets,) + data.shape, dtype=np.complex128)
         if method is Method.AUXIVA:
-            w, images = _auxiva_images(w, data, n_targets)
+            w = _auxiva_images(w, data, images)
         else:
-            images = np.stack(
-                [projection_back(w, data, k) for k in range(n_targets)]
-            )
+            for k in range(n_targets):
+                images[k] = projection_back(w, data, k)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -512,20 +521,17 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
     )
 
 
-def _auxiva_images(w, data, n_targets):
-    """Project back all M outputs, keep the strongest, reorder the stack."""
+def _auxiva_images(w, data, images):
+    """Project back all M outputs, write the strongest len(images) into
+    images, and return the stack reordered so their filters come first."""
     n_chan = w.shape[-1]
     mixing = linalg.lu_solve(hermitian_transpose(w), np.eye(n_chan))
     outputs = data @ np.conj(w)
     filter_pow = np.sum(np.abs(mixing) ** 2, axis=-2)
     output_pow = np.sum(np.abs(outputs) ** 2, axis=1)
     powers = np.sum(filter_pow * output_pow, axis=0)
-    picked = _top_indices(powers, n_targets)
-    images = np.stack(
-        [
-            outputs[:, :, j, None] * mixing[:, None, :, j]
-            for j in picked
-        ]
-    )
+    picked = _top_indices(powers, len(images))
+    for image, j in zip(images, picked):
+        np.multiply(outputs[:, :, j, None], mixing[:, None, :, j], out=image)
     rest = [j for j in range(n_chan) if j not in picked]
-    return w[:, :, list(picked) + rest], images
+    return w[:, :, list(picked) + rest]

@@ -1,7 +1,9 @@
 """STFT analysis and synthesis with exact overlap-add reconstruction.
 
 Spectrograms are complex arrays of shape (n_bins, n_frames, n_channels),
-written (F, T, M) throughout the package. Analysis and synthesis both use
+written (F, T, M) throughout the package, and stored bin-major: each
+bin's (T, M) block is one contiguous stretch of memory, which is what
+the per-bin covariances and demixing read. Analysis and synthesis both use
 a periodic square-root Hann window; the signal is zero-padded by
 frame_len - hop on each end so that every original sample is covered by
 enough frames for the windowed overlap-add to invert exactly (synthesis
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatch, SignalTooShort
 
@@ -51,7 +54,11 @@ class StftConfig:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Complex STFT data of shape (n_bins, n_frames, n_channels)."""
+    """Complex STFT data of shape (n_bins, n_frames, n_channels).
+
+    data is stored as a C-contiguous complex128 array (bin-major); other
+    layouts and dtypes are copied into that form on construction.
+    """
 
     data: np.ndarray
 
@@ -63,7 +70,9 @@ class Spectrogram:
             )
         if not np.all(np.isfinite(data)):
             raise ValueError("spectrogram contains non-finite values")
-        object.__setattr__(self, "data", data.astype(np.complex128, copy=False))
+        object.__setattr__(
+            self, "data", np.ascontiguousarray(data, dtype=np.complex128)
+        )
 
     @property
     def n_bins(self):
@@ -100,7 +109,11 @@ def n_frames_for(n_samples, config):
 
 
 def windowed_frames(signal, config):
-    """Slice the padded signal into windowed frames of shape (T, frame_len, M)."""
+    """Slice the padded signal into windowed frames of shape (T, frame_len, M).
+
+    The result is a view of a (T, M, frame_len) array, so each channel's
+    frame is one contiguous row for the FFT.
+    """
     x = _as_multichannel(signal)
     if x.shape[0] < config.frame_len:
         raise SignalTooShort(
@@ -109,9 +122,8 @@ def windowed_frames(signal, config):
         )
     pad = config.pad
     x = np.pad(x, ((pad, pad), (0, 0)))
-    n_frames = (x.shape[0] - config.frame_len) // config.hop + 1
-    idx = config.hop * np.arange(n_frames)[:, None] + np.arange(config.frame_len)
-    return x[idx] * sqrt_hann_window(config.frame_len)[None, :, None]
+    frames = sliding_window_view(x, config.frame_len, axis=0)[:: config.hop]
+    return (frames * sqrt_hann_window(config.frame_len)).transpose(0, 2, 1)
 
 
 def stft(signal, config=StftConfig()):
@@ -120,7 +132,10 @@ def stft(signal, config=StftConfig()):
     Raises SignalTooShort when the signal does not fill one frame.
     """
     frames = windowed_frames(signal, config)
-    return Spectrogram(np.fft.rfft(frames, axis=1).transpose(1, 0, 2))
+    # One copy of the (T, F, M) transform into the bin-major layout.
+    return Spectrogram(
+        np.ascontiguousarray(np.fft.rfft(frames, axis=1).transpose(1, 0, 2))
+    )
 
 
 def istft(spec, config=StftConfig(), length=None):
@@ -145,15 +160,21 @@ def istft(spec, config=StftConfig(), length=None):
     n, hop = config.frame_len, config.hop
     n_frames, n_chan = data.shape[1], data.shape[2]
     win = sqrt_hann_window(n)
-    frames = np.fft.irfft(data.transpose(1, 0, 2), n=n, axis=1) * win[None, :, None]
+    # One (T, M, F) copy, so that every inverse transform reads and writes
+    # a contiguous row whatever the layout of data; channel-major from here.
+    frames = np.fft.irfft(
+        np.ascontiguousarray(data.transpose(1, 2, 0)), n=n, axis=-1
+    )
+    frames *= win
     total = (n_frames - 1) * hop + n
-    buf = np.zeros((total, n_chan))
+    buf = np.zeros((n_chan, total))
     wsum = np.zeros(total)
+    win2 = win**2
     for t in range(n_frames):
-        buf[t * hop : t * hop + n] += frames[t]
-        wsum[t * hop : t * hop + n] += win**2
+        buf[:, t * hop : t * hop + n] += frames[t]
+        wsum[t * hop : t * hop + n] += win2
     covered = wsum > 1e-12
-    buf[covered] /= wsum[covered, None]
+    buf[:, covered] /= wsum[covered]
     pad = config.pad
     default_len = total - 2 * pad
     if length is None:
@@ -161,5 +182,5 @@ def istft(spec, config=StftConfig(), length=None):
     out = np.zeros((length, n_chan))
     avail = min(length, total - pad)
     if avail > 0:
-        out[:avail] = buf[pad : pad + avail]
+        out[:avail] = buf[:, pad : pad + avail].T
     return out

@@ -179,6 +179,24 @@ class TestSeparate:
         )
         assert code == EXIT_IO
 
+    def test_nonfinite_samples_are_io_error(self, tmp_path, capsys):
+        """A NaN in a float WAV is a data error naming the file and the
+        first bad sample, not a usage error."""
+        samples = np.zeros((4096, 2))
+        samples[1234, 1] = np.nan
+        samples[2000, 0] = np.inf
+        wav = tmp_path / "nan.wav"
+        write_wav(wav, AudioBuffer(8000, samples))
+        code = main(
+            ["separate", "--input", str(wav), "--sources", "1",
+             "--frame-len", "512", "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(wav) in err
+        assert "frame 1234, channel 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_singular_mixture_is_numerical_error(self, tmp_path, capsys):
         """Identical channels with no ridge make the per-bin systems
         singular; the failure names the frequency bin."""

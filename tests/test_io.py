@@ -178,6 +178,16 @@ class TestErrors:
         with pytest.raises(UnsupportedFormat):
             read_wav(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_float_sample(self, tmp_path, value):
+        samples = np.zeros((10, 3))
+        samples[7, 2] = value
+        samples[9, 0] = np.nan
+        path = tmp_path / "bad.wav"
+        write_wav(path, AudioBuffer(16000, samples))
+        with pytest.raises(CorruptFile, match=r"bad\.wav.*frame 7, channel 2"):
+            read_wav(path)
+
     def test_write_failure_is_io_error(self, tmp_path):
         buf = AudioBuffer(8000, np.zeros((4, 1)))
         with pytest.raises(IoFailure):

@@ -172,6 +172,33 @@ class TestCholesky:
             linalg.cholesky(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+class TestFirstNonPd:
+    def test_one_bad_matrix_in_a_long_batch(self):
+        rng = np.random.default_rng(30)
+        a = np.stack([random_hpd(rng, 4) for _ in range(2049)])
+        a[1500] = -a[1500]
+        assert linalg._first_non_pd(a) == 1500
+        with pytest.raises(NotPositiveDefinite, match="batch index 1500") as info:
+            linalg.cholesky(a)
+        assert info.value.batch_index == 1500
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65])
+    def test_first_bad_at_every_position(self, n):
+        rng = np.random.default_rng(31 + n)
+        base = np.stack([random_hpd(rng, 3) for _ in range(n)])
+        assert linalg._first_non_pd(base) is None
+        for bad in range(n):
+            a = base.copy()
+            a[bad] = np.diag([1.0, -1.0, 1.0])
+            a[rng.integers(bad, n)] = np.diag([1.0, 1.0, -1.0])
+            assert linalg._first_non_pd(a) == bad
+
+    def test_batch_axes_are_flattened(self):
+        a = np.tile(np.eye(2), (3, 4, 1, 1))
+        a[2, 1] = np.diag([1.0, 0.0])
+        assert linalg._first_non_pd(a) == 9
+
+
 class TestHermitianEig:
     def test_diagonal(self):
         res = linalg.hermitian_eig(np.diag([5.0, 1.0]))

@@ -4,6 +4,8 @@ a pure-Python oracle or a hand-derived closed form."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overiva.errors import InvalidK, ShapeMismatch
 from overiva.model import (
@@ -160,6 +162,53 @@ class TestCovariances:
         x = make_spec(rng, 2, 3, 4)  # rank deficient: T < M
         g = weighted_covariance(x, np.ones(3), 0.1)
         np.linalg.cholesky(g)
+
+
+def weighted_covariance_oracle(data, lam, eps2, relative_ridge):
+    """Explicit frame sum, one outer product at a time, in complex128."""
+    data = np.asarray(data, dtype=np.complex128)
+    n_bins, n_frames, m = data.shape
+    out = np.zeros((n_bins, m, m), complex)
+    for f in range(n_bins):
+        for t in range(n_frames):
+            out[f] += np.outer(data[f, t], data[f, t].conj()) / lam[t]
+    out /= n_frames
+    ridge = np.full(n_bins, eps2)
+    if relative_ridge:
+        ridge = ridge * np.trace(out, axis1=1, axis2=2).real / m
+    return out + ridge[:, None, None] * np.eye(m)
+
+
+class TestWeightedCovarianceProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_bins=st.integers(1, 5),
+        n_frames=st.integers(1, 20),
+        m=st.integers(1, 8),
+        layout=st.sampled_from(["contiguous", "transposed", "float64", "complex64"]),
+        relative_ridge=st.booleans(),
+        eps2=st.sampled_from([0.0, 1e-3, 0.1, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_frame_sum_and_is_hermitian(
+        self, n_bins, n_frames, m, layout, relative_ridge, eps2, seed
+    ):
+        rng = np.random.default_rng(seed)
+        shape = (n_bins, n_frames, m)
+        if layout == "float64":
+            data = rng.standard_normal(shape)
+        elif layout == "transposed":
+            data = random_complex(rng, (n_frames, n_bins, m)).transpose(1, 0, 2)
+        else:
+            data = random_complex(rng, shape)
+            if layout == "complex64":
+                data = data.astype(np.complex64)
+        lam = rng.uniform(0.05, 20.0, n_frames)
+        g = weighted_covariance(data, lam, eps2, relative_ridge)
+        ref = weighted_covariance_oracle(data, lam, eps2, relative_ridge)
+        assert g.shape == (n_bins, m, m) and g.dtype == np.complex128
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+        np.testing.assert_array_equal(g, g.conj().transpose(0, 2, 1))
 
 
 class TestVarianceUpdate:

@@ -460,12 +460,30 @@ class TestRun:
         x, _ = self.make_x()
         quiet = x.copy()
         quiet[[0, 1, 2, 10]] = 0
+        cases = [(1, m) for m in ("auxiva", "ip1", "ip2", "ip3")]
+        cases += [(2, m) for m in ("auxiva", "ip1", "ip3")]
         for data in (x, quiet):
-            for method in ("auxiva", "ip1", "ip2", "ip3"):
-                seq = run(data, 1, RunConfig(method=method, iterations=8, threads=1))
-                par = run(data, 1, RunConfig(method=method, iterations=8, threads=3))
-                np.testing.assert_array_equal(seq.images, par.images)
-                np.testing.assert_array_equal(seq.cost_trace, par.cost_trace)
+            for k, method in cases:
+                seq = run(data, k, RunConfig(method=method, iterations=8, threads=1))
+                for threads in (2, 3):
+                    par = run(
+                        data, k,
+                        RunConfig(method=method, iterations=8, threads=threads),
+                    )
+                    np.testing.assert_array_equal(seq.images, par.images)
+                    np.testing.assert_array_equal(seq.cost_trace, par.cost_trace)
+
+    def test_non_contiguous_input_bit_identical(self):
+        """A strided (F, T, M) view runs exactly like its contiguous copy."""
+        x, _ = self.make_x()
+        view = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert not view.flags.c_contiguous
+        for k, method in ((1, "ip2"), (2, "ip1"), (2, "auxiva")):
+            cfg = RunConfig(method=method, iterations=5)
+            ref = run(np.ascontiguousarray(x), k, cfg)
+            res = run(view, k, cfg)
+            np.testing.assert_array_equal(res.images, ref.images)
+            np.testing.assert_array_equal(res.cost_trace, ref.cost_trace)
 
     def test_shapes_and_trace_length(self):
         x, _ = self.make_x(m=4)

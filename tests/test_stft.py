@@ -132,6 +132,17 @@ class TestAnalysis:
         with pytest.raises(SignalTooShort):
             stft(np.zeros(255), StftConfig(256, 64))
 
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_bin_major_and_bit_identical_to_frame_major_fft(self, m):
+        """The bins are stored contiguously, and writing the FFT into that
+        layout changes no bit of it."""
+        cfg = StftConfig(512, 128)
+        x = np.random.default_rng(10).standard_normal((5000, m))
+        data = stft(x, cfg).data
+        assert data.flags.c_contiguous and data.dtype == np.complex128
+        ref = np.fft.rfft(windowed_frames(x, cfg), axis=1).transpose(1, 0, 2)
+        np.testing.assert_array_equal(data, ref)
+
 
 class TestSynthesis:
     @pytest.mark.parametrize(
@@ -175,6 +186,15 @@ class TestSynthesis:
     def test_bin_count_mismatch_raises(self):
         with pytest.raises(ShapeMismatch):
             istft(Spectrogram(np.zeros((100, 5, 1), complex)), StftConfig(256, 64))
+
+    def test_spectrogram_is_contiguous_complex128(self):
+        base = np.arange(2 * 3 * 4, dtype=np.complex64).reshape(3, 2, 4)
+        view = base.transpose(1, 0, 2)
+        spec = Spectrogram(view)
+        assert spec.data.flags.c_contiguous and spec.data.dtype == np.complex128
+        np.testing.assert_array_equal(spec.data, view)
+        same = np.ones((2, 3, 4), complex)
+        assert Spectrogram(same).data is same
 
     def test_spectrogram_validation(self):
         with pytest.raises(ShapeMismatch):
