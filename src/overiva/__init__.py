@@ -24,8 +24,6 @@ from .errors import (
 from .io import AudioBuffer, read_wav, write_wav
 from .model import (
     DemixingStack,
-    cost_jw,
-    cost_total,
     noise_covariance,
     stationarity_residual,
     update_variances,
@@ -72,8 +70,6 @@ __all__ = [
     "TooManySources",
     "UnsupportedFormat",
     "ZeroReference",
-    "cost_jw",
-    "cost_total",
     "istft",
     "load_scene",
     "noise_covariance",

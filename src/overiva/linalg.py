@@ -34,17 +34,6 @@ SINGULARITY_RTOL = 1e-13
 HERMITIAN_RTOL = 1e-12
 
 
-class HermitianEig(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix batch.
-
-    values : (..., M) real, ascending per matrix
-    vectors : (..., M, M) with orthonormal eigenvector columns
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 class GevResult(NamedTuple):
     """Largest generalized eigenpair of the pencil (A, B).
 
@@ -95,13 +84,14 @@ def lu_solve(a, b):
     ----------
     a : (..., M, M) array_like
     b : array_like
-        Right-hand side. A 1-D array of length M, or a batch of vectors
-        with shape (..., M) matching a's batch, or a matrix right-hand
-        side with shape (..., M, R). Batch axes broadcast against a's.
+        Right-hand side, in one of two forms: a vector of shape (M,)
+        shared by every matrix in the batch, or a matrix right-hand side
+        of shape (..., M, R) whose batch axes broadcast against a's.
 
     Returns
     -------
-    x : ndarray, same logical shape as b after broadcasting.
+    x : ndarray, (..., M) for a vector b, else (..., M, R), over the
+        broadcast batch axes.
 
     Raises SingularMatrix for the first matrix in the batch that is
     singular by the module's rule: an exactly zero pivot, or
@@ -111,20 +101,13 @@ def lu_solve(a, b):
     b = np.asarray(b, dtype=np.complex128)
     m = a.shape[-1]
     vector = b.ndim == 1
-    if not vector and b.ndim == a.ndim - 1 and b.shape[-1] == m:
-        # Could be a batch of vectors or a matrix rhs missing batch axes;
-        # it is a vector batch only if its leading axes align with a's.
-        try:
-            np.broadcast_shapes(b.shape[:-1], a.shape[:-2])
-            vector = True
-        except ValueError:
-            vector = False
+    if b.ndim == 0 or b.shape[0 if vector else -2] != m:
+        raise ValueError(
+            f"rhs shape {b.shape} is neither a shared vector ({m},) nor "
+            f"a matrix (..., {m}, R)"
+        )
     if vector:
-        if b.shape[-1] != m:
-            raise ValueError(f"rhs length {b.shape[-1]} does not match M={m}")
-        b = b[..., None]
-    elif b.ndim < 2 or b.shape[-2] != m:
-        raise ValueError(f"rhs shape {b.shape} does not match M={m}")
+        b = b[:, None]
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     r = b.shape[-1]
     a = np.broadcast_to(a, batch + (m, m)).reshape(-1, m, m)
@@ -189,12 +172,8 @@ def _first_non_pd(a):
     return None
 
 
-def hermitian_eig(a):
-    """Full eigendecomposition of batched Hermitian A.
-
-    Returns HermitianEig(values, vectors) with real ascending values and
-    orthonormal eigenvector columns (A v_i = values_i v_i).
-    """
+def inv_sqrt_hermitian(a):
+    """Inverse principal square root A^(-1/2) of batched Hermitian PD A."""
     a = _as_matrix_batch(a, "a")
     _check_hermitian(a, "a")
     a = 0.5 * (a + hermitian_transpose(a))
@@ -202,12 +181,6 @@ def hermitian_eig(a):
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition failed: {exc}") from None
-    return HermitianEig(values, vectors)
-
-
-def inv_sqrt_hermitian(a):
-    """Inverse principal square root A^(-1/2) of batched Hermitian PD A."""
-    values, vectors = hermitian_eig(a)
     if np.any(values <= 0):
         idx = int(np.flatnonzero(np.any(values <= 0, axis=-1).ravel())[0])
         raise NotPositiveDefinite(

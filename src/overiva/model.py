@@ -79,11 +79,6 @@ class DemixingStack:
         """View of the K target filter columns, (F, M, K)."""
         return self.matrices[:, :, : self.n_targets]
 
-    @property
-    def noise_basis(self):
-        """View of the M - K background columns, (F, M, M - K)."""
-        return self.matrices[:, :, self.n_targets :]
-
 
 class StationarityResidual(NamedTuple):
     """Per-bin deviations from the stationarity conditions.
@@ -129,14 +124,11 @@ def noise_covariance(x):
     return weighted_covariance(data, np.ones(n_frames), 0.0)
 
 
-def weighted_covariance(x, lam_k, eps2=EPS_RIDGE, relative_ridge=False):
+def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
     """Variance-weighted covariance for one target, (F, M, M).
 
     Averages x x^H / lam_k(t) over frames, symmetrizes, and adds a ridge
-    eps2 * I. With relative_ridge the ridge is additionally scaled by the
-    mean diagonal magnitude of the unridged estimate per bin, so eps2
-    acts relative to the local channel power. The result is exactly
-    Hermitian.
+    eps2 * I. The result is exactly Hermitian.
 
     One pass forms conj(x) / lam_k on the float64 view of the bin-major
     data; a batched (M, T) @ (T, M) matmul then reads both operands in
@@ -163,11 +155,7 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE, relative_ridge=False):
     g /= n_frames
     g += linalg.hermitian_transpose(g)
     g *= 0.5
-    diag = g.reshape(n_bins, m * m)[:, :: m + 1]
-    if relative_ridge:
-        diag += (eps2 * (np.einsum("fmm->f", g).real / m))[:, None]
-    else:
-        diag += eps2
+    g.reshape(n_bins, m * m)[:, :: m + 1] += eps2
     return g
 
 
@@ -216,52 +204,6 @@ def cost_total(w, lam, x):
     noise_term = np.sum(np.abs(y[..., n_targets:]) ** 2)
     det_term = -2.0 * n_frames * np.sum(linalg.logabsdet(mats))
     return float(target_term + penalty_term + noise_term + det_term)
-
-
-def cost_jw(w, target_covs, noise_cov):
-    """Per-bin surrogate objective at fixed covariances.
-
-        J_W = sum_k w_k^H G_k w_k + trace(W_z^H G_z W_z) - 2 log|det W|
-
-    w : (..., M, M); target_covs : (K, ..., M, M); noise_cov : (..., M, M)
-    Returns a float for a single matrix, else an array over batch dims.
-    """
-    mats = np.asarray(w)
-    target_covs = np.asarray(target_covs)
-    n_targets = target_covs.shape[0]
-    quad = 0.0
-    for k in range(n_targets):
-        wk = mats[..., :, k]
-        quad = quad + np.einsum(
-            "...i,...ij,...j->...", np.conj(wk), target_covs[k], wk
-        ).real
-    wz = mats[..., :, n_targets:]
-    tr = np.einsum(
-        "...ik,...ij,...jk->...", np.conj(wz), np.asarray(noise_cov), wz
-    ).real
-    out = quad + tr - 2.0 * linalg.logabsdet(mats)
-    return float(out) if mats.ndim == 2 else out
-
-
-def gradient_jw_row(w, target_covs, noise_cov, k):
-    """Wirtinger gradient of the per-bin surrogate with respect to
-    conj(w_k), holding the other columns fixed:
-
-        G_k w_k - W^{-H} e_k
-
-    where G_k is the target covariance for k < K and the noise
-    covariance otherwise. Against real perturbations the objective moves
-    as dJ/dRe(w_i) = 2 Re(g_i) and dJ/dIm(w_i) = 2 Im(g_i).
-    """
-    mats = np.asarray(w)
-    target_covs = np.asarray(target_covs)
-    n_targets = target_covs.shape[0]
-    cov = target_covs[k] if k < n_targets else np.asarray(noise_cov)
-    wk = mats[..., :, k]
-    quad = np.einsum("...ij,...j->...i", cov, wk)
-    m = mats.shape[-1]
-    back = linalg.lu_solve(linalg.hermitian_transpose(mats), np.eye(m)[:, k])
-    return quad - back
 
 
 def stationarity_residual(w, target_covs, noise_cov):

@@ -75,7 +75,6 @@ class RunConfig:
     eps1: float = model.EPS_VARIANCE
     eps2: float = model.EPS_RIDGE
     convergence_delta: float = None
-    relative_ridge: bool = False
     threads: int = 1
 
     def __post_init__(self):
@@ -87,10 +86,20 @@ class RunConfig:
             object.__setattr__(self, "iterations", DEFAULT_ITERATIONS[method])
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.eps1 <= 0:
-            raise ValueError("eps1 must be positive")
-        if self.eps2 < 0:
-            raise ValueError("eps2 must be nonnegative")
+        # Each check is written so that NaN fails it.
+        if not 0 < self.eps1 < np.inf:
+            raise ValueError(
+                f"eps1 must be positive and finite, got {self.eps1}"
+            )
+        if not 0 <= self.eps2 < np.inf:
+            raise ValueError(
+                f"eps2 must be nonnegative and finite, got {self.eps2}"
+            )
+        delta = self.convergence_delta
+        if delta is not None and not 0 <= delta < np.inf:
+            raise ValueError(
+                f"convergence_delta must be nonnegative and finite, got {delta}"
+            )
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -354,7 +363,7 @@ def _bin_cost(w, target_covs, ridge, noise_cov, profiled, logdet_gz):
     regular), the background term minimized over the block at fixed span,
     (M - K) + log det G_z - log det(W_s^H G_z W_s) (what update_wz_full
     attains); elsewhere the explicit tr(W_z^H G_z W_z) - 2 log|det W|.
-    ridge : scalar or (K, F), the ridge weighted_covariance added to G_k.
+    ridge : the scalar ridge weighted_covariance added to G_k.
     """
     n_targets = target_covs.shape[0]
     ws = w[..., :, :n_targets]
@@ -459,25 +468,17 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
             def stage_sweep(sl, lam=lam):
                 covs = np.stack(
                     [
-                        model.weighted_covariance(
-                            data[sl], lam[k], config.eps2,
-                            config.relative_ridge,
-                        )
+                        model.weighted_covariance(data[sl], lam[k], config.eps2)
                         for k in range(n_targets)
                     ]
                 )
-                ridge = config.eps2
-                if config.relative_ridge:  # eps2 * unridged tr(G_k) / M
-                    ridge = ridge * np.einsum("kfmm->kf", covs).real / (
-                        n_chan * (1.0 + config.eps2)
-                    )
                 try:
                     w[sl] = _sweep_bins(
                         method, w[sl], covs, noise_cov[sl], live[sl],
                         on_wz_update,
                     )
                     bin_cost[sl] = _bin_cost(
-                        w[sl], covs, ridge, noise_cov[sl], profiled[sl],
+                        w[sl], covs, config.eps2, noise_cov[sl], profiled[sl],
                         logdet_gz[sl],
                     )
                 except NumericalError as exc:

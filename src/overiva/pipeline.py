@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -87,13 +88,8 @@ def separate_file(
         "rtf": rtf(result.wall_time, buffer.duration),
         "verify_monotone": bool(verify_monotone),
         "config": {
+            **asdict(run_config),
             "method": run_config.method.value,
-            "iterations": run_config.iterations,
-            "eps1": run_config.eps1,
-            "eps2": run_config.eps2,
-            "convergence_delta": run_config.convergence_delta,
-            "relative_ridge": run_config.relative_ridge,
-            "threads": run_config.threads,
             "frame_len": stft_config.frame_len,
             "hop": stft_config.hop,
         },

@@ -1,14 +1,17 @@
-"""Test-side reference constructions shared by the optimizer and
-acceptance tests.
+"""Test-side reference constructions shared by the model, optimizer
+and acceptance tests.
 
 run() keeps the orthogonal-complement background of ip1_sweep and
 profiles the background out of its cost trace; these helpers build the
 fully normalized background explicitly (update_wz_full), so tests can
 check the objective and the stationarity conditions on the whole stack.
+cost_jw and gradient_jw_row are the per-bin surrogate objective and its
+gradient, which no run path evaluates.
 """
 
 import numpy as np
 
+from overiva import linalg
 from overiva.optimizer import ip1_sweep, update_wz_full
 
 
@@ -36,3 +39,49 @@ def with_full_background(u1, noise_cov):
     w[:, 0] = u1
     w[:, 1:] = update_wz_full(w, noise_cov, 1)
     return w
+
+
+def cost_jw(w, target_covs, noise_cov):
+    """Per-bin surrogate objective at fixed covariances.
+
+        J_W = sum_k w_k^H G_k w_k + trace(W_z^H G_z W_z) - 2 log|det W|
+
+    w : (..., M, M); target_covs : (K, ..., M, M); noise_cov : (..., M, M)
+    Returns a float for a single matrix, else an array over batch dims.
+    """
+    mats = np.asarray(w)
+    target_covs = np.asarray(target_covs)
+    n_targets = target_covs.shape[0]
+    quad = 0.0
+    for k in range(n_targets):
+        wk = mats[..., :, k]
+        quad = quad + np.einsum(
+            "...i,...ij,...j->...", np.conj(wk), target_covs[k], wk
+        ).real
+    wz = mats[..., :, n_targets:]
+    tr = np.einsum(
+        "...ik,...ij,...jk->...", np.conj(wz), np.asarray(noise_cov), wz
+    ).real
+    out = quad + tr - 2.0 * linalg.logabsdet(mats)
+    return float(out) if mats.ndim == 2 else out
+
+
+def gradient_jw_row(w, target_covs, noise_cov, k):
+    """Wirtinger gradient of the per-bin surrogate with respect to
+    conj(w_k), holding the other columns fixed:
+
+        G_k w_k - W^{-H} e_k
+
+    where G_k is the target covariance for k < K and the noise
+    covariance otherwise. Against real perturbations the objective moves
+    as dJ/dRe(w_i) = 2 Re(g_i) and dJ/dIm(w_i) = 2 Im(g_i).
+    """
+    mats = np.asarray(w)
+    target_covs = np.asarray(target_covs)
+    n_targets = target_covs.shape[0]
+    cov = target_covs[k] if k < n_targets else np.asarray(noise_cov)
+    wk = mats[..., :, k]
+    quad = np.einsum("...ij,...j->...i", cov, wk)
+    m = mats.shape[-1]
+    back = linalg.lu_solve(linalg.hermitian_transpose(mats), np.eye(m)[:, k])
+    return quad - back

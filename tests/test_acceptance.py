@@ -18,13 +18,7 @@ from overiva import linalg
 from overiva.cli import EXIT_OK, main
 from overiva.io import AudioBuffer
 from overiva.linalg import hermitian_transpose
-from overiva.model import (
-    DemixingStack,
-    cost_jw,
-    cost_total,
-    gradient_jw_row,
-    stationarity_residual,
-)
+from overiva.model import DemixingStack, cost_total, stationarity_residual
 from overiva.optimizer import (
     RunConfig,
     ip2_update,
@@ -36,7 +30,12 @@ from overiva.pipeline import separate_buffer
 from overiva.simulate import SceneSpec, rtf, sdr, synthesize
 from overiva.stft import Spectrogram, StftConfig, istft, stft, windowed_frames
 
-from oracles import ip1_full_sweep, with_full_background
+from oracles import (
+    cost_jw,
+    gradient_jw_row,
+    ip1_full_sweep,
+    with_full_background,
+)
 
 
 def random_complex(rng, shape, scale=1.0):

@@ -47,7 +47,6 @@ REPORT_SCHEMA = {
                 "eps1",
                 "eps2",
                 "convergence_delta",
-                "relative_ridge",
                 "threads",
                 "frame_len",
                 "hop",
@@ -217,6 +216,43 @@ class TestSeparate:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "frequency bin" in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--eps2", "nan"), ("--eps1", "nan"), ("--eps2", "inf")]
+    )
+    def test_nonfinite_regularizer_is_usage_error(
+        self, scene_dir, tmp_path, capsys, flag, value
+    ):
+        """A NaN or infinite eps is rejected before the run, not reported
+        as a singular bin."""
+        code = main(separate_args(scene_dir, tmp_path / "out", flag, value))
+        assert code == EXIT_USAGE
+        assert flag[2:] + " must be" in capsys.readouterr().err
+
+    def test_auxiva_with_as_many_bins_as_mics(self, tmp_path):
+        """frame_len 8 gives F = 5 bins on a 5-mic scene."""
+        scene = tmp_path / "scene"
+        code = main(
+            [
+                "make-mix",
+                "--speakers", "1", "--noises", "2", "--mics", "5",
+                "--rt60", "100", "--dur", "0.5", "--rate", "8000",
+                "--out", str(scene),
+            ]
+        )
+        assert code == EXIT_OK
+        code = main(
+            [
+                "separate",
+                "--input", str(scene / "mixture.wav"),
+                "--sources", "1",
+                "--method", "auxiva",
+                "--frame-len", "8",
+                "--iters", "3",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_OK
 
     def test_threads_env_applies(self, scene_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("OVERIVA_THREADS", "2")

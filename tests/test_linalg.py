@@ -39,7 +39,7 @@ class TestLuSolve:
         rng = np.random.default_rng(42 + m)
         a = random_complex(rng, (50, m, m))
         b = random_complex(rng, (50, m))
-        x = linalg.lu_solve(a, b)
+        x = linalg.lu_solve(a, b[..., None])[..., 0]
         resid = np.abs(np.einsum("bij,bj->bi", a, x) - b).max()
         assert resid < 1e-10
 
@@ -62,9 +62,30 @@ class TestLuSolve:
         a = random_complex(rng, (20, 5, 5))
         b = random_complex(rng, (20, 5))
         np.testing.assert_allclose(
-            linalg.lu_solve(a, b), np.linalg.solve(a, b[..., None])[..., 0],
+            linalg.lu_solve(a, b[..., None])[..., 0],
+            np.linalg.solve(a, b[..., None])[..., 0],
             rtol=1e-11, atol=1e-11,
         )
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_identity_rhs_on_m_matrices(self, m):
+        """np.eye(M) against a batch of M matrices is one matrix
+        right-hand side per matrix, not a batch of M vectors."""
+        rng = np.random.default_rng(3 + m)
+        a = random_complex(rng, (m, m, m))
+        x = linalg.lu_solve(a, np.eye(m))
+        assert x.shape == (m, m, m)
+        np.testing.assert_allclose(
+            a @ x, np.broadcast_to(np.eye(m), a.shape), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("shape", [(6, 3), (2,), (6, 2, 1), ()])
+    def test_rhs_outside_both_forms_is_rejected(self, shape):
+        """A batch of vectors (6, 3) is neither accepted form."""
+        a = np.tile(np.eye(3), (6, 1, 1))
+        forms = r"shared vector \(3,\) nor a matrix \(\.\.\., 3, R\)"
+        with pytest.raises(ValueError, match=forms):
+            linalg.lu_solve(a, np.ones(shape))
 
     def test_singular_raises_with_index(self):
         a = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])])
@@ -199,29 +220,6 @@ class TestFirstNonPd:
         assert linalg._first_non_pd(a) == 9
 
 
-class TestHermitianEig:
-    def test_diagonal(self):
-        res = linalg.hermitian_eig(np.diag([5.0, 1.0]))
-        np.testing.assert_allclose(res.values, [1.0, 5.0], atol=0)
-
-    def test_antisymmetric_imaginary(self):
-        """[[0, -i], [i, 0]] has spectrum (-1, +1)."""
-        a = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        res = linalg.hermitian_eig(a)
-        np.testing.assert_allclose(res.values, [-1.0, 1.0], atol=1e-15)
-
-    @pytest.mark.parametrize("m", [2, 3, 6])
-    def test_reconstruction_and_orthonormality(self, m):
-        rng = np.random.default_rng(20 + m)
-        a = np.stack([random_hermitian(rng, m) for _ in range(6)])
-        values, vectors = linalg.hermitian_eig(a)
-        rebuilt = (vectors * values[..., None, :]) @ linalg.hermitian_transpose(vectors)
-        np.testing.assert_allclose(rebuilt, a, rtol=1e-9, atol=1e-9)
-        gram = linalg.hermitian_transpose(vectors) @ vectors
-        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(m), gram.shape), atol=1e-9)
-        assert np.all(np.diff(values, axis=-1) >= -1e-12)
-
-
 class TestInvSqrtHermitian:
     def test_identity(self):
         np.testing.assert_allclose(linalg.inv_sqrt_hermitian(np.eye(3)), np.eye(3), atol=1e-15)
@@ -246,6 +244,10 @@ class TestInvSqrtHermitian:
     def test_semidefinite_raises(self):
         with pytest.raises(NotPositiveDefinite):
             linalg.inv_sqrt_hermitian(np.diag([1.0, 0.0]))
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.inv_sqrt_hermitian(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
 class TestGevLargest:

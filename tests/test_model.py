@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from overiva.errors import InvalidK, ShapeMismatch
 from overiva.model import (
     DemixingStack,
-    cost_jw,
     cost_total,
     demix,
-    gradient_jw_row,
     noise_covariance,
     stationarity_residual,
     update_variances,
     weighted_covariance,
 )
 from overiva.stft import Spectrogram
+
+from oracles import cost_jw, gradient_jw_row
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -57,7 +57,6 @@ class TestDemixingStack:
         w = np.tile(np.eye(4, dtype=complex), (5, 1, 1))
         stack = DemixingStack(w, 2)
         assert stack.targets.shape == (5, 4, 2)
-        assert stack.noise_basis.shape == (5, 4, 2)
 
     def test_invalid_counts(self):
         w = np.tile(np.eye(3, dtype=complex), (2, 1, 1))
@@ -140,18 +139,6 @@ class TestCovariances:
         g = weighted_covariance(x, np.ones(30), 0.0)
         np.testing.assert_allclose(g, noise_covariance(x), atol=1e-13)
 
-    def test_relative_ridge_scales_with_power(self):
-        rng = np.random.default_rng(6)
-        x = make_spec(rng, 2, 30, 3)
-        lam = rng.uniform(0.5, 2.0, 30)
-        base = weighted_covariance(x, lam, 0.0)
-        g = weighted_covariance(x, lam, 0.5, relative_ridge=True)
-        for f in range(2):
-            level = np.trace(base[f]).real / 3
-            np.testing.assert_allclose(
-                g[f], base[f] + 0.5 * level * np.eye(3), atol=1e-12
-            )
-
     def test_weighted_cov_rejects_bad_weights(self):
         x = Spectrogram(np.zeros((1, 4, 2), complex))
         with pytest.raises(ValueError):
@@ -164,7 +151,7 @@ class TestCovariances:
         np.linalg.cholesky(g)
 
 
-def weighted_covariance_oracle(data, lam, eps2, relative_ridge):
+def weighted_covariance_oracle(data, lam, eps2):
     """Explicit frame sum, one outer product at a time, in complex128."""
     data = np.asarray(data, dtype=np.complex128)
     n_bins, n_frames, m = data.shape
@@ -173,10 +160,7 @@ def weighted_covariance_oracle(data, lam, eps2, relative_ridge):
         for t in range(n_frames):
             out[f] += np.outer(data[f, t], data[f, t].conj()) / lam[t]
     out /= n_frames
-    ridge = np.full(n_bins, eps2)
-    if relative_ridge:
-        ridge = ridge * np.trace(out, axis1=1, axis2=2).real / m
-    return out + ridge[:, None, None] * np.eye(m)
+    return out + eps2 * np.eye(m)
 
 
 class TestWeightedCovarianceProperty:
@@ -186,12 +170,11 @@ class TestWeightedCovarianceProperty:
         n_frames=st.integers(1, 20),
         m=st.integers(1, 8),
         layout=st.sampled_from(["contiguous", "transposed", "float64", "complex64"]),
-        relative_ridge=st.booleans(),
         eps2=st.sampled_from([0.0, 1e-3, 0.1, 2.0]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_frame_sum_and_is_hermitian(
-        self, n_bins, n_frames, m, layout, relative_ridge, eps2, seed
+        self, n_bins, n_frames, m, layout, eps2, seed
     ):
         rng = np.random.default_rng(seed)
         shape = (n_bins, n_frames, m)
@@ -204,8 +187,8 @@ class TestWeightedCovarianceProperty:
             if layout == "complex64":
                 data = data.astype(np.complex64)
         lam = rng.uniform(0.05, 20.0, n_frames)
-        g = weighted_covariance(data, lam, eps2, relative_ridge)
-        ref = weighted_covariance_oracle(data, lam, eps2, relative_ridge)
+        g = weighted_covariance(data, lam, eps2)
+        ref = weighted_covariance_oracle(data, lam, eps2)
         assert g.shape == (n_bins, m, m) and g.dtype == np.complex128
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
         np.testing.assert_array_equal(g, g.conj().transpose(0, 2, 1))

@@ -13,7 +13,7 @@ from overiva.errors import (
     NumericalError,
     SingularMatrix,
 )
-from overiva.model import cost_jw, stationarity_residual
+from overiva.model import stationarity_residual
 from overiva.optimizer import (
     Method,
     RunConfig,
@@ -30,7 +30,7 @@ from overiva.optimizer import (
 )
 from overiva import linalg, model
 
-from oracles import ip1_full_sweep, with_full_background
+from oracles import cost_jw, ip1_full_sweep, with_full_background
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -404,7 +404,7 @@ def planted_scene(rng, n_bins, n_frames, m, flat_mixing=True):
     return x, ref
 
 
-def reference_trace(x, n_targets, method, iterations, relative_ridge=False):
+def reference_trace(x, n_targets, method, iterations):
     """cost_total after each iteration of a plain run() loop: variances,
     sweep, the fully normalized background (ip1 only), rescale."""
     n_bins, _, m = x.shape
@@ -416,12 +416,7 @@ def reference_trace(x, n_targets, method, iterations, relative_ridge=False):
             (x @ np.conj(w[..., :n_targets])).transpose(2, 0, 1)
         )
         covs = np.stack(
-            [
-                model.weighted_covariance(
-                    x, lam[k], relative_ridge=relative_ridge
-                )
-                for k in range(n_targets)
-            ]
+            [model.weighted_covariance(x, lam[k]) for k in range(n_targets)]
         )
         if method == "ip1":
             w = ip1_sweep(w, covs, gz)
@@ -566,14 +561,14 @@ class TestRun:
     def test_cost_trace_matches_reference_loop(self):
         """The trace run() computes from the sweep's covariances is the
         full objective at the fully normalized background (ip1) and at
-        the stack itself (auxiva), with either kind of ridge."""
+        the stack itself (auxiva)."""
         x, _ = self.make_x(seed=6, m=4)
-        for method, relative in (("ip1", False), ("auxiva", False), ("ip1", True)):
-            cfg = RunConfig(method=method, iterations=12, relative_ridge=relative)
+        for method in ("ip1", "auxiva"):
+            cfg = RunConfig(method=method, iterations=12)
             got = run(x, 2, cfg).cost_trace
-            ref = reference_trace(x, 2, method, 12, relative)
+            ref = reference_trace(x, 2, method, 12)
             rel = np.abs(got - ref) / np.abs(ref)
-            assert rel.max() <= 1e-10, (method, relative, rel.max())
+            assert rel.max() <= 1e-10, (method, rel.max())
 
     def test_auxiva_error_behind_silent_bins_names_bin(self):
         """Bins 0-2 are silent and skipped by the background rows; the
@@ -601,3 +596,40 @@ class TestRun:
         r1 = run(x, 1, RunConfig(method="ip2"))
         r2 = run(x, 1, RunConfig(method=Method.IP2))
         np.testing.assert_array_equal(r1.images, r2.images)
+
+    @pytest.mark.parametrize("n_bins", [1, 4])
+    def test_auxiva_with_one_bin_or_as_many_bins_as_mics(self, n_bins):
+        """F = 1 and F = M make the mixing-matrix solve's identity
+        right-hand side the same shape as a batch of vectors; it is
+        still one matrix right-hand side."""
+        rng = np.random.default_rng(8)
+        x = random_complex(rng, (n_bins, 200, 4))
+        for k in (1, 2):
+            res = run(x, k, RunConfig(method="auxiva", iterations=5))
+            assert res.images.shape == (k, n_bins, 200, 4)
+            assert np.all(np.isfinite(res.images))
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"eps1": np.nan},
+            {"eps1": np.inf},
+            {"eps1": 0.0},
+            {"eps2": np.nan},
+            {"eps2": np.inf},
+            {"eps2": -1.0},
+            {"convergence_delta": np.nan},
+            {"convergence_delta": np.inf},
+            {"convergence_delta": -1e-3},
+        ],
+    )
+    def test_rejects_bad_regularizers(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            RunConfig(**kwargs)
+
+    def test_accepts_boundary_values(self):
+        cfg = RunConfig(eps2=0.0, convergence_delta=0.0)
+        assert cfg.eps2 == 0.0 and cfg.convergence_delta == 0.0
