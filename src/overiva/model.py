@@ -30,6 +30,15 @@ from .stft import Spectrogram
 EPS_VARIANCE = 1e-5
 EPS_RIDGE = 1e-1
 
+# Size of weighted_covariance's per-block scratch buffer. The weighted
+# copy of a block is read back by the matmul while it is still in L2.
+# On a 2-core Xeon with one BLAS thread, 256 KiB took one call from
+# 35 to 20 ms at F=2049, T=159, M=7, from 8.9 to 5.8 ms at F=1025,
+# T=96, M=8 and from 11.9 to 7.7 ms at F=2049, T=81, M=6, against
+# weighting all bins at once; block sizes from 128 to 512 KiB timed
+# within 8 % of each other.
+COVARIANCE_BLOCK_BYTES = 256 * 1024
+
 
 def _spec_data(x):
     """The (F, T, M) data of x, bin-major and complex128.
@@ -130,10 +139,16 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
     Averages x x^H / lam_k(t) over frames, symmetrizes, and adds a ridge
     eps2 * I. The result is exactly Hermitian.
 
-    One pass forms conj(x) / lam_k on the float64 view of the bin-major
-    data; a batched (M, T) @ (T, M) matmul then reads both operands in
-    place, and the symmetrization and the ridge work in place on the
-    result.
+    The bins are processed in blocks whose weighted data fills at most
+    COVARIANCE_BLOCK_BYTES (256 KiB), or one bin if a bin is larger. For
+    each block, one pass forms conj(x) / lam_k on the float64 view of
+    the bin-major data into a buffer reused across blocks, and a batched
+    (M, T) @ (T, M) matmul reads it back while it is still in cache. The
+    symmetrization and the ridge then work in place on the result. Each
+    bin's matmul is the same as in one unblocked call, so the result
+    does not depend on the block size. Against weighting all bins at
+    once this took a call from 35 to 20 ms at F=2049, T=159, M=7 (2-core
+    Xeon, one BLAS thread); see COVARIANCE_BLOCK_BYTES.
 
     lam_k : (T,) positive frame variances of the target
     """
@@ -144,14 +159,29 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
         raise ShapeMismatch(
             f"lam_k must be ({n_frames},), got {lam_k.shape}"
         )
-    if np.any(lam_k <= 0):
+    # Written so that NaN fails it.
+    if not np.all(lam_k > 0):
         raise ValueError("lam_k must be strictly positive")
     # (T, 2M) row (w, -w, w, -w, ...) with w = 1 / lam_k: applied to the
     # interleaved (re, im) pairs it conjugates and weights at once.
     weights = np.repeat(1.0 / lam_k, 2 * m).reshape(n_frames, 2 * m)
     weights[:, 1::2] *= -1.0
-    scaled = (data.view(np.float64) * weights).view(np.complex128)
-    g = data.transpose(0, 2, 1) @ scaled
+    # Bins per block; one block holds every bin when T or M is 0.
+    bin_bytes = 16 * n_frames * m
+    fit = COVARIANCE_BLOCK_BYTES // bin_bytes if bin_bytes else n_bins
+    block = max(1, min(n_bins, fit))
+    buf = np.empty((block, n_frames, 2 * m))
+    g = np.empty((n_bins, m, m), dtype=np.complex128)
+    real = data.view(np.float64)
+    for start in range(0, n_bins, block):
+        stop = min(start + block, n_bins)
+        scaled = buf[: stop - start]
+        np.multiply(real[start:stop], weights, out=scaled)
+        np.matmul(
+            data[start:stop].transpose(0, 2, 1),
+            scaled.view(np.complex128),
+            out=g[start:stop],
+        )
     g /= n_frames
     g += linalg.hermitian_transpose(g)
     g *= 0.5

@@ -4,7 +4,13 @@ Four schedules share the same per-bin building blocks:
 
 - ``auxiva``: iterative-projection row updates cycled over all M outputs,
   with the unweighted mixture covariance standing in for the background
-  rows. The determined-IVA baseline run on the full array.
+  rows. W^{-H} is inverted once per sweep and kept current by a rank-one
+  update after each row, so a sweep costs K + 2 batched LU solves (one of
+  W^H, one of the mixture covariance, one per target) plus O(M^2) work
+  per row and bin. All M - K background rows share that covariance, so
+  for K < M the iterates equal ip1's up to rounding: this is ip1 reached
+  by M - K row updates instead of one block update, not a determined-IVA
+  baseline.
 - ``ip1``: row updates for the K targets followed by one orthogonal-
   complement background update per sweep.
 - ``ip2``: single-target extraction (K = 1) via a generalized eigenvalue
@@ -40,6 +46,7 @@ from .errors import (
 )
 from .linalg import hermitian_transpose
 from .model import DemixingStack
+from .stft import Spectrogram
 
 
 class Method(Enum):
@@ -129,6 +136,15 @@ def _quad(u, cov):
     return (np.conj(u[..., None, :]) @ gu)[..., 0, 0].real
 
 
+def _require_positive(q, what):
+    """Raise NotPositiveDefinite at the first batch entry with q <= 0."""
+    if np.any(q <= 0):
+        idx = int(np.flatnonzero((q <= 0).ravel())[0])
+        raise NotPositiveDefinite(
+            f"{what} at batch index {idx}", batch_index=idx
+        )
+
+
 def ip0_update_row(w_stack, cov, k):
     """Iterative-projection update of filter column k.
 
@@ -141,12 +157,7 @@ def ip0_update_row(w_stack, cov, k):
     m = w_stack.shape[-1]
     u = linalg.lu_solve(hermitian_transpose(w_stack) @ cov, np.eye(m)[:, k])
     q = _quad(u, cov)
-    if np.any(q <= 0):
-        idx = int(np.flatnonzero((q <= 0).ravel())[0])
-        raise NotPositiveDefinite(
-            f"normalization quadratic is not positive at batch index {idx}",
-            batch_index=idx,
-        )
+    _require_positive(q, "normalization quadratic is not positive")
     return u / np.sqrt(q)[..., None]
 
 
@@ -231,12 +242,36 @@ def auxiva_sweep(w_stack, target_covs, noise_cov):
 
     Rows past the targets use the unweighted mixture covariance as their
     auxiliary matrix, matching the stationary unit-variance model.
+
+    Each row takes ip0_update_row's update, w_k = u / sqrt(q) with
+    u = G^{-1} a_k, a_k = W^{-H} e_k and q = a_k^H u, without its LU
+    solve of W^H G. A = W^{-H} comes from one LU solve at the start of
+    the sweep and follows each new column by a rank-one (Sherman-Morrison)
+    update; the noise rows share one inverse of G_z. Per sweep that is
+    K + 2 batched LU solves (K + 1 when K = M) instead of M.
     """
     w = np.array(w_stack, copy=True)
+    m = w.shape[-1]
     n_targets = target_covs.shape[0]
-    for k in range(w.shape[-1]):
-        cov = target_covs[k] if k < n_targets else noise_cov
-        w[..., :, k] = ip0_update_row(w, cov, k)
+    eye = np.eye(m)
+    a = linalg.lu_solve(hermitian_transpose(w), eye)
+    if n_targets < m:
+        gz_inv = linalg.lu_solve(noise_cov, eye)
+    for k in range(m):
+        ak = a[..., :, k, None]
+        if k < n_targets:
+            u = linalg.lu_solve(target_covs[k], ak)
+        else:
+            u = gz_inv @ ak
+        q = (hermitian_transpose(ak) @ u)[..., 0, 0].real
+        _require_positive(q, "normalization quadratic is not positive")
+        root = np.sqrt(q)[..., None, None]
+        new = u / root
+        if k < m - 1:
+            # W^H changes by e_k d^H, and w_k,new^H a_k = sqrt(q).
+            d = new - w[..., :, k, None]
+            a -= (ak / root) @ (hermitian_transpose(d) @ a)
+        w[..., :, k] = new[..., 0]
     return w
 
 
@@ -250,13 +285,9 @@ def ip2_update(target_cov, noise_cov):
     """
     _, u = linalg.gev_largest(noise_cov, target_cov)
     q = _quad(u, target_cov)
-    if np.any(q <= 0):
-        idx = int(np.flatnonzero((q <= 0).ravel())[0])
-        raise NotPositiveDefinite(
-            f"target covariance is not positive along the extracted "
-            f"direction at batch index {idx}",
-            batch_index=idx,
-        )
+    _require_positive(
+        q, "target covariance is not positive along the extracted direction"
+    )
     return u / np.sqrt(q)[..., None]
 
 
@@ -417,9 +448,20 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
     Returns
     -------
     SeparationResult
+
+    Raises ValueError naming the first non-finite entry of an array x.
     """
     data = model._spec_data(x)
     n_bins, n_frames, n_chan = data.shape
+    # A Spectrogram was checked when it was built.
+    if not isinstance(x, Spectrogram):
+        bad = ~np.isfinite(data)
+        if np.any(bad):
+            f, t, c = np.unravel_index(np.argmax(bad), data.shape)
+            raise ValueError(
+                f"input is not finite at frequency bin {f}, frame {t}, "
+                f"channel {c}"
+            )
     method = config.method
     if n_targets < 1:
         raise InvalidK(f"n_targets must be >= 1, got {n_targets}")

@@ -6,13 +6,17 @@ profiles the background out of its cost trace; these helpers build the
 fully normalized background explicitly (update_wz_full), so tests can
 check the objective and the stationarity conditions on the whole stack.
 cost_jw and gradient_jw_row are the per-bin surrogate objective and its
-gradient, which no run path evaluates.
+gradient, which no run path evaluates. weighted_covariance_unblocked and
+auxiva_sweep_ip0 are the earlier, plainer forms of two run-path kernels,
+which the faster forms must reproduce.
 """
 
 import numpy as np
 
 from overiva import linalg
-from overiva.optimizer import ip1_sweep, update_wz_full
+from overiva.errors import ShapeMismatch
+from overiva.model import _spec_data
+from overiva.optimizer import ip0_update_row, ip1_sweep, update_wz_full
 
 
 def ip1_full_sweep(w, target_covs, noise_cov):
@@ -85,3 +89,39 @@ def gradient_jw_row(w, target_covs, noise_cov, k):
     m = mats.shape[-1]
     back = linalg.lu_solve(linalg.hermitian_transpose(mats), np.eye(m)[:, k])
     return quad - back
+
+
+def weighted_covariance_unblocked(x, lam_k, eps2):
+    """weighted_covariance weighting every bin in one pass, then one
+    batched matmul over all bins."""
+    data = _spec_data(x)
+    lam_k = np.asarray(lam_k, dtype=np.float64)
+    n_bins, n_frames, m = data.shape
+    if lam_k.shape != (n_frames,):
+        raise ShapeMismatch(
+            f"lam_k must be ({n_frames},), got {lam_k.shape}"
+        )
+    if np.any(lam_k <= 0):
+        raise ValueError("lam_k must be strictly positive")
+    # (T, 2M) row (w, -w, w, -w, ...) with w = 1 / lam_k: applied to the
+    # interleaved (re, im) pairs it conjugates and weights at once.
+    weights = np.repeat(1.0 / lam_k, 2 * m).reshape(n_frames, 2 * m)
+    weights[:, 1::2] *= -1.0
+    scaled = (data.view(np.float64) * weights).view(np.complex128)
+    g = data.transpose(0, 2, 1) @ scaled
+    g /= n_frames
+    g += linalg.hermitian_transpose(g)
+    g *= 0.5
+    g.reshape(n_bins, m * m)[:, :: m + 1] += eps2
+    return g
+
+
+def auxiva_sweep_ip0(w_stack, target_covs, noise_cov):
+    """auxiva_sweep as M calls of ip0_update_row, each with its own LU
+    solve of W^H G."""
+    w = np.array(w_stack, copy=True)
+    n_targets = target_covs.shape[0]
+    for k in range(w.shape[-1]):
+        cov = target_covs[k] if k < n_targets else noise_cov
+        w[..., :, k] = ip0_update_row(w, cov, k)
+    return w

@@ -111,6 +111,7 @@ def oc_worst(two_target_mix):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_01_cost_monotone_on_synthetic_scenes():
     cfg = StftConfig(4096, 1024)
     shapes = [(1, 3), (2, 3), (1, 4), (2, 4)]
@@ -253,6 +254,7 @@ def test_criterion_08_gradient_matches_finite_differences():
     assert worst <= 1e-5, f"worst relative gradient error {worst:.3e}"
 
 
+@pytest.mark.slow
 def test_criterion_09_separation_quality_trend():
     cfg = StftConfig(4096, 1024)
     methods = {"ip1": 50, "ip2": 3, "ip3": 50}
@@ -276,6 +278,7 @@ def test_criterion_09_separation_quality_trend():
     assert max(means.values()) - means["ip2"] <= 2.0, f"means: {means}"
 
 
+@pytest.mark.slow
 def test_criterion_10_runtime_ordering_trend():
     spec = SceneSpec(n_sources=1, n_noises=6, n_mics=7, sinr_db=0.0, seed=7)
     x = stft(synthesize(spec).mixture, StftConfig(4096, 1024))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overiva import model
 from overiva.errors import InvalidK, ShapeMismatch
 from overiva.model import (
     DemixingStack,
@@ -19,7 +20,7 @@ from overiva.model import (
 )
 from overiva.stft import Spectrogram
 
-from oracles import cost_jw, gradient_jw_row
+from oracles import cost_jw, gradient_jw_row, weighted_covariance_unblocked
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -144,6 +145,11 @@ class TestCovariances:
         with pytest.raises(ValueError):
             weighted_covariance(x, np.array([1.0, 0.0, 1.0, 1.0]), 0.1)
 
+    def test_weighted_cov_rejects_nan_weights(self):
+        x = Spectrogram(np.ones((1, 4, 2), complex))
+        with pytest.raises(ValueError, match="strictly positive"):
+            weighted_covariance(x, np.array([1.0, np.nan, 1.0, 1.0]), 0.1)
+
     def test_ridge_makes_cholesky_work(self):
         rng = np.random.default_rng(7)
         x = make_spec(rng, 2, 3, 4)  # rank deficient: T < M
@@ -163,35 +169,87 @@ def weighted_covariance_oracle(data, lam, eps2):
     return out + eps2 * np.eye(m)
 
 
+LAYOUTS = ["contiguous", "transposed", "float64", "complex64"]
+RIDGES = [0.0, 1e-3, 0.1, 2.0]
+
+
+def random_data(rng, shape, layout):
+    """(F, T, M) input in one of the LAYOUTS."""
+    n_bins, n_frames, m = shape
+    if layout == "float64":
+        return rng.standard_normal(shape)
+    if layout == "transposed":
+        return random_complex(rng, (n_frames, n_bins, m)).transpose(1, 0, 2)
+    data = random_complex(rng, shape)
+    return data.astype(np.complex64) if layout == "complex64" else data
+
+
 class TestWeightedCovarianceProperty:
     @settings(max_examples=150, deadline=None)
     @given(
         n_bins=st.integers(1, 5),
         n_frames=st.integers(1, 20),
         m=st.integers(1, 8),
-        layout=st.sampled_from(["contiguous", "transposed", "float64", "complex64"]),
-        eps2=st.sampled_from([0.0, 1e-3, 0.1, 2.0]),
+        layout=st.sampled_from(LAYOUTS),
+        eps2=st.sampled_from(RIDGES),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_frame_sum_and_is_hermitian(
         self, n_bins, n_frames, m, layout, eps2, seed
     ):
         rng = np.random.default_rng(seed)
-        shape = (n_bins, n_frames, m)
-        if layout == "float64":
-            data = rng.standard_normal(shape)
-        elif layout == "transposed":
-            data = random_complex(rng, (n_frames, n_bins, m)).transpose(1, 0, 2)
-        else:
-            data = random_complex(rng, shape)
-            if layout == "complex64":
-                data = data.astype(np.complex64)
+        data = random_data(rng, (n_bins, n_frames, m), layout)
         lam = rng.uniform(0.05, 20.0, n_frames)
         g = weighted_covariance(data, lam, eps2)
         ref = weighted_covariance_oracle(data, lam, eps2)
         assert g.shape == (n_bins, m, m) and g.dtype == np.complex128
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
         np.testing.assert_array_equal(g, g.conj().transpose(0, 2, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        block=st.integers(2, 5),
+        spill=st.floats(0.0, 0.99),
+        edge=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 1)]),
+        n_frames=st.integers(1, 20),
+        m=st.integers(1, 8),
+        layout=st.sampled_from(LAYOUTS),
+        eps2=st.sampled_from(RIDGES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_bit_identical_to_unblocked(
+        self, block, spill, edge, n_frames, m, layout, eps2, seed
+    ):
+        """With a buffer of B = `block` bins (plus a part of one more,
+        which the block count rounds away), F = a B + b for each edge
+        (a, b) gives 1, B - 1, B, B + 1 and 3B + 1 bins, which cross
+        every kind of block boundary."""
+        bin_bytes = 16 * n_frames * m
+        n_bins = edge[0] * block + edge[1]
+        rng = np.random.default_rng(seed)
+        data = random_data(rng, (n_bins, n_frames, m), layout)
+        lam = rng.uniform(0.05, 20.0, n_frames)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                model, "COVARIANCE_BLOCK_BYTES",
+                block * bin_bytes + int(spill * bin_bytes),
+            )
+            g = weighted_covariance(data, lam, eps2)
+        np.testing.assert_array_equal(
+            g, weighted_covariance_unblocked(data, lam, eps2)
+        )
+
+    @pytest.mark.parametrize("shape", [(3, 0, 2), (3, 4, 0), (0, 4, 2)])
+    def test_empty_axes_match_unblocked(self, shape):
+        """T = 0 (0 / 0 covariances), M = 0 and F = 0 go through the
+        block arithmetic without dividing by the bin size."""
+        data = np.zeros(shape, complex)
+        lam = np.ones(shape[1])
+        with np.errstate(invalid="ignore"):
+            g = weighted_covariance(data, lam, 0.1)
+            ref = weighted_covariance_unblocked(data, lam, 0.1)
+        assert g.shape == (shape[0], shape[2], shape[2])
+        np.testing.assert_array_equal(g, ref)
 
 
 class TestVarianceUpdate:
