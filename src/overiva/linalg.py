@@ -110,24 +110,29 @@ def lu_solve(a, b):
         b = b[:, None]
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     r = b.shape[-1]
-    a = np.broadcast_to(a, batch + (m, m)).reshape(-1, m, m)
-    b = np.broadcast_to(b, batch + (m, r)).reshape(-1, m, r)
-    n_ok = len(a)
+    # max|A| and each column's max|b| are taken before broadcasting, and
+    # the gufunc broadcasts b itself, so a shared b is never copied per
+    # matrix.
+    a_max = np.broadcast_to(np.abs(a).max(axis=(-2, -1)), batch).reshape(-1)
+    b_max = np.broadcast_to(np.abs(b).max(axis=-2), batch + (r,)).reshape(-1, r)
+    n_ok = len(a_max)
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         # Matrix n_ok has a zero pivot, but one before it may have lost a
         # pivot to rounding: solve those and check them as well.
+        a = np.broadcast_to(a, batch + (m, m)).reshape(-1, m, m)
+        b = np.broadcast_to(b, batch + (m, r)).reshape(-1, m, r)
         n_ok = _first(np.linalg.slogdet(a)[0] == 0)
         x = np.linalg.solve(a[:n_ok], b[:n_ok])
     # Written so that a NaN anywhere in the solution fails the check.
     ok = (
-        np.abs(x).max(axis=1)
-        * (SINGULARITY_RTOL * np.abs(a[:n_ok]).max(axis=(1, 2)))[:, None]
-        <= np.abs(b[:n_ok]).max(axis=1)
+        np.abs(x).max(axis=-2).reshape(-1, r)
+        * (SINGULARITY_RTOL * a_max[:n_ok])[:, None]
+        <= b_max[:n_ok]
     )
     bad = _first(~np.all(ok, axis=1))
-    if bad is not None or n_ok < len(a):
+    if bad is not None or n_ok < len(a_max):
         raise _singular(n_ok if bad is None else bad)
     x = x.reshape(batch + (m, r))
     return x[..., 0] if vector else x
@@ -215,15 +220,76 @@ def gev_largest(a, b):
     y = np.linalg.solve(ell, a)
     c = hermitian_transpose(np.linalg.solve(ell, hermitian_transpose(y)))
     c = 0.5 * (c + hermitian_transpose(c))
+    value, v = _largest_eigpair(c)
+    u = np.linalg.solve(hermitian_transpose(ell), v)[..., 0]
+    return _gev_result(value, u)
+
+
+def psd_factor(a):
+    """A factor R with A = R R^H of batched Hermitian positive semidefinite A.
+
+    R is the lower Cholesky factor when every matrix in the batch is
+    positive definite, else V diag(sqrt(max(lambda, 0))) from A's
+    eigendecomposition, which factors singular and zero matrices too.
+    """
+    a = _as_matrix_batch(a, "a")
+    _check_hermitian(a, "a")
+    a = 0.5 * (a + hermitian_transpose(a))
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigendecomposition failed: {exc}") from None
+    return vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]
+
+
+def gev_largest_factored(root, b):
+    """gev_largest for A = R R^H given by a factor R (psd_factor).
+
+    Parameters
+    ----------
+    root : (..., M, N) array_like, a factor of the positive semidefinite A
+    b : (..., M, M) array_like, Hermitian positive definite
+
+    Returns
+    -------
+    GevResult, as gev_largest(R R^H, b). The reduced matrix L^{-1} A L^{-H}
+    (B = L L^H) is formed as C C^H with C = L^{-1} R, from one inverse of
+    L, and u = L^{-H} v. Ties resolve as in gev_largest: the lowest index
+    in the reduced problem's ascending ordering. A = 0 ties every
+    eigenvalue at 0 and gives u along L^{-H} e_1, which is e_1.
+
+    The largest eigenpair keeps the error of u at rounding level whatever
+    the condition of A; the smallest eigenpair of the pencil whitened by
+    R, R^{-1} B R^{-H}, would lose accuracy in proportion to cond(A).
+    """
+    root = np.asarray(root, dtype=np.complex128)
+    ell_inv = np.linalg.inv(cholesky(b))
+    c = ell_inv @ root
+    value, v = _largest_eigpair(c @ hermitian_transpose(c))
+    u = (hermitian_transpose(ell_inv) @ v)[..., 0]
+    return _gev_result(value, u)
+
+
+def _largest_eigpair(c):
+    """Largest eigenvalue (...) and its eigenvector (..., M, 1) of batched
+    Hermitian c; among tied maximal eigenvalues the lowest index of the
+    ascending ordering is taken."""
     try:
         values, vectors = np.linalg.eigh(c)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"reduced eigenproblem failed: {exc}") from None
     top = np.argmax(values == values[..., -1:], axis=-1)
-    v = np.take_along_axis(vectors, top[..., None, None], axis=-1)[..., 0]
-    u = np.linalg.solve(hermitian_transpose(ell), v[..., None])[..., 0]
-    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    v = np.take_along_axis(vectors, top[..., None, None], axis=-1)
     value = np.take_along_axis(values, top[..., None], axis=-1)[..., 0]
-    if a.ndim == 2:
+    return value, v
+
+
+def _gev_result(value, u):
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    if u.ndim == 1:
         return GevResult(float(value), u)
     return GevResult(value, u)

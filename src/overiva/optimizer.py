@@ -5,21 +5,29 @@ Four schedules share the same per-bin building blocks:
 - ``auxiva``: iterative-projection row updates cycled over all M outputs,
   with the unweighted mixture covariance standing in for the background
   rows. W^{-H} is inverted once per sweep and kept current by a rank-one
-  update after each row, so a sweep costs K + 2 batched LU solves (one of
-  W^H, one of the mixture covariance, one per target) plus O(M^2) work
-  per row and bin. All M - K background rows share that covariance, so
-  for K < M the iterates equal ip1's up to rounding: this is ip1 reached
-  by M - K row updates instead of one block update, not a determined-IVA
-  baseline.
+  update after each row, so a sweep costs K + 1 batched LU solves (one of
+  W^H, one per target) plus O(M^2) work per row and bin; the inverse of
+  the mixture covariance is formed once per run. All M - K background
+  rows share that covariance, so for K < M the iterates equal ip1's up
+  to rounding: this is ip1 reached by M - K row updates instead of one
+  block update, not a determined-IVA baseline.
 - ``ip1``: row updates for the K targets followed by one orthogonal-
   complement background update per sweep.
-- ``ip2``: single-target extraction (K = 1) via a generalized eigenvalue
-  problem; the background block is materialized once after the loop.
+- ``ip2``: single-target extraction (K = 1) via the largest eigenpair of
+  the pencil (G_z, G_1). G_z = R R^H is factored once per run, so a step
+  costs one Cholesky factorization of G_1, one inverse of that factor
+  and one eigh; the background block is materialized once after the
+  loop.
 - ``ip3``: row updates interleaved with a background refresh after every
   target, keeping the background orthogonally constrained throughout.
 
 All update functions are pure: they take stacked arrays with leading
 batch axes (one entry per frequency bin) and return new arrays.
+
+The mixture covariance G_z does not change during a run, so run() forms
+what a sweep reads of it (_noise_operand: G_z, its factor or its
+inverse) once, before the iteration loop, and hands each frequency
+chunk its slice.
 
 run() records the negative log-likelihood once per iteration, from the
 covariances the sweep has formed. For ip1, ip2 and ip3 it profiles out
@@ -237,7 +245,7 @@ def ip3_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
     return w
 
 
-def auxiva_sweep(w_stack, target_covs, noise_cov):
+def auxiva_sweep(w_stack, target_covs, noise_cov, noise_inv=None):
     """One determined-style sweep over all M rows.
 
     Rows past the targets use the unweighted mixture covariance as their
@@ -247,22 +255,25 @@ def auxiva_sweep(w_stack, target_covs, noise_cov):
     u = G^{-1} a_k, a_k = W^{-H} e_k and q = a_k^H u, without its LU
     solve of W^H G. A = W^{-H} comes from one LU solve at the start of
     the sweep and follows each new column by a rank-one (Sherman-Morrison)
-    update; the noise rows share one inverse of G_z. Per sweep that is
-    K + 2 batched LU solves (K + 1 when K = M) instead of M.
+    update; the noise rows share one inverse of G_z. noise_inv is that
+    inverse, (..., M, M), which run() forms once per run; when it is
+    omitted the sweep forms it from noise_cov. Per sweep that is K + 1
+    batched LU solves given noise_inv or when K = M, else K + 2, instead
+    of M.
     """
     w = np.array(w_stack, copy=True)
     m = w.shape[-1]
     n_targets = target_covs.shape[0]
     eye = np.eye(m)
     a = linalg.lu_solve(hermitian_transpose(w), eye)
-    if n_targets < m:
-        gz_inv = linalg.lu_solve(noise_cov, eye)
+    if n_targets < m and noise_inv is None:
+        noise_inv = linalg.lu_solve(noise_cov, eye)
     for k in range(m):
         ak = a[..., :, k, None]
         if k < n_targets:
             u = linalg.lu_solve(target_covs[k], ak)
         else:
-            u = gz_inv @ ak
+            u = noise_inv @ ak
         q = (hermitian_transpose(ak) @ u)[..., 0, 0].real
         _require_positive(q, "normalization quadratic is not positive")
         root = np.sqrt(q)[..., None, None]
@@ -282,8 +293,25 @@ def ip2_update(target_cov, noise_cov):
     u^H G_z u / u^H G_1 u, rescaled so w^H G_1 w = 1. Jointly with the
     completed background this is the global per-bin minimizer of the
     surrogate, and coincides with a maximum-SNR beamformer up to scale.
+
+    This call factors G_z (linalg.psd_factor) and takes ip2_filter's
+    step; run() factors G_z once per run and calls ip2_filter. Tie rule:
+    among exactly tied largest eigenvalues the lowest index of the
+    reduced problem's ascending ordering wins, as in linalg.gev_largest,
+    so a zero G_z, where every eigenvalue is 0, gives w along e_1.
     """
-    _, u = linalg.gev_largest(noise_cov, target_cov)
+    return ip2_filter(target_cov, linalg.psd_factor(noise_cov))
+
+
+def ip2_filter(target_cov, noise_root):
+    """ip2_update's filter from a factor R of G_z = R R^H.
+
+    One step costs a Cholesky factorization of G_1 (with its Hermitian
+    and positive-definiteness checks), one inverse of that factor and
+    one eigh (linalg.gev_largest_factored); nothing is formed from G_z.
+    Ties resolve as in ip2_update.
+    """
+    _, u = linalg.gev_largest_factored(noise_root, target_cov)
     q = _quad(u, target_cov)
     _require_positive(
         q, "target covariance is not positive along the extracted direction"
@@ -346,24 +374,53 @@ def _unmask(exc, mask):
     return type(exc)(str(exc), batch_index=idx)
 
 
-def _sweep_bins(method, w, target_covs, noise_cov, ok, on_wz_update):
+def _noise_operand(method, noise_cov, live, n_targets):
+    """What a method's sweep reads of the fixed G_z, formed once per run.
+
+    G_z itself for ip1 and ip3; a factor R of G_z = R R^H for ip2
+    (linalg.psd_factor); G_z^{-1} for auxiva's background rows. ip2's and
+    auxiva's operands are formed on live bins only and are zero on the
+    rest: R = 0 is the factor of a silent bin's G_z = 0, and auxiva never
+    reads G_z^{-1} there (nor at all when K = M).
+    """
+    if method is Method.IP1 or method is Method.IP3:
+        return noise_cov
+    n_chan = noise_cov.shape[-1]
+    out = np.zeros_like(noise_cov)
+    if method is Method.IP2:
+        form = linalg.psd_factor
+    elif n_targets < n_chan:
+        def form(g):
+            return linalg.lu_solve(g, np.eye(n_chan))
+    else:
+        return out
+    if np.any(live):
+        try:
+            out[live] = form(noise_cov[live])
+        except NumericalError as exc:
+            raise _shift_bin(_unmask(exc, live), 0) from None
+    return out
+
+
+def _sweep_bins(method, w, target_covs, noise, ok, on_wz_update):
     """Dispatch one sweep on a chunk, skipping background updates on
-    bins whose mixture covariance is identically zero."""
+    bins whose mixture covariance is identically zero. noise is the
+    chunk's slice of _noise_operand."""
     if not np.any(ok):
-        return _rows_only(method, w, target_covs, noise_cov)
+        return _rows_only(method, w, target_covs, noise)
     if np.all(ok):
         if method is Method.AUXIVA:
-            return auxiva_sweep(w, target_covs, noise_cov)
+            return auxiva_sweep(w, target_covs, None, noise_inv=noise)
         if method is Method.IP1:
-            return ip1_sweep(w, target_covs, noise_cov, on_wz_update)
+            return ip1_sweep(w, target_covs, noise, on_wz_update)
         if method is Method.IP3:
-            return ip3_sweep(w, target_covs, noise_cov, on_wz_update)
-        return _ip2_rows(w, target_covs, noise_cov)
+            return ip3_sweep(w, target_covs, noise, on_wz_update)
+        return _ip2_rows(w, target_covs, noise)
     out = np.array(w, copy=True)
     for mask in (ok, ~ok):
         try:
             out[mask] = _sweep_bins(
-                method, w[mask], target_covs[:, mask], noise_cov[mask],
+                method, w[mask], target_covs[:, mask], noise[mask],
                 ok[mask], on_wz_update,
             )
         except NumericalError as exc:
@@ -371,16 +428,16 @@ def _sweep_bins(method, w, target_covs, noise_cov, ok, on_wz_update):
     return out
 
 
-def _ip2_rows(w, target_covs, noise_cov):
+def _ip2_rows(w, target_covs, noise_root):
     out = np.array(w, copy=True)
-    out[..., :, 0] = ip2_update(target_covs[0], noise_cov)
+    out[..., :, 0] = ip2_filter(target_covs[0], noise_root)
     return out
 
 
-def _rows_only(method, w, target_covs, noise_cov):
+def _rows_only(method, w, target_covs, noise):
     """Target-row updates only, for degenerate (zero-power) bins."""
     if method is Method.IP2:
-        return _ip2_rows(w, target_covs, noise_cov)
+        return _ip2_rows(w, target_covs, noise)
     out = np.array(w, copy=True)
     for k in range(target_covs.shape[0]):
         out[..., :, k] = ip0_update_row(out, target_covs[k], k)
@@ -483,6 +540,7 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
         live = np.einsum("fmm->f", noise_cov).real > 0.0
         sign, logdet_gz = np.linalg.slogdet(noise_cov)
         profiled = (sign != 0) & (method is not Method.AUXIVA)
+        noise = _noise_operand(method, noise_cov, live, n_targets)
         bin_cost = np.empty(n_bins)
         w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
         chunks = _bin_chunks(n_bins, config.threads)
@@ -516,8 +574,7 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                 )
                 try:
                     w[sl] = _sweep_bins(
-                        method, w[sl], covs, noise_cov[sl], live[sl],
-                        on_wz_update,
+                        method, w[sl], covs, noise[sl], live[sl], on_wz_update
                     )
                     bin_cost[sl] = _bin_cost(
                         w[sl], covs, config.eps2, noise_cov[sl], profiled[sl],

@@ -24,8 +24,9 @@ def separate_buffer(buffer, n_targets, run_config=RunConfig(), stft_config=StftC
     Each image is the target's multichannel spatial image on the array,
     synthesized back to the input length.
     """
-    spec = stft(buffer.samples, stft_config)
-    result = run(spec, n_targets, run_config)
+    result = run(stft(buffer.samples, stft_config), n_targets, run_config)
+    # No reference to the spectrogram outlives run(), so synthesis does
+    # not hold it next to the images.
     images = [
         AudioBuffer(
             buffer.sample_rate,

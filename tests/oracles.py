@@ -6,9 +6,9 @@ profiles the background out of its cost trace; these helpers build the
 fully normalized background explicitly (update_wz_full), so tests can
 check the objective and the stationarity conditions on the whole stack.
 cost_jw and gradient_jw_row are the per-bin surrogate objective and its
-gradient, which no run path evaluates. weighted_covariance_unblocked and
-auxiva_sweep_ip0 are the earlier, plainer forms of two run-path kernels,
-which the faster forms must reproduce.
+gradient, which no run path evaluates. weighted_covariance_unblocked,
+auxiva_sweep_ip0 and ip2_update_gev are the earlier, plainer forms of
+run-path kernels, which the faster forms must reproduce.
 """
 
 import numpy as np
@@ -16,7 +16,13 @@ import numpy as np
 from overiva import linalg
 from overiva.errors import ShapeMismatch
 from overiva.model import _spec_data
-from overiva.optimizer import ip0_update_row, ip1_sweep, update_wz_full
+from overiva.optimizer import (
+    _quad,
+    _require_positive,
+    ip0_update_row,
+    ip1_sweep,
+    update_wz_full,
+)
 
 
 def ip1_full_sweep(w, target_covs, noise_cov):
@@ -125,3 +131,14 @@ def auxiva_sweep_ip0(w_stack, target_covs, noise_cov):
         cov = target_covs[k] if k < n_targets else noise_cov
         w[..., :, k] = ip0_update_row(w, cov, k)
     return w
+
+
+def ip2_update_gev(target_cov, noise_cov):
+    """ip2_update reducing the pencil (G_z, G_1) from G_z itself on every
+    call, through linalg.gev_largest."""
+    _, u = linalg.gev_largest(noise_cov, target_cov)
+    q = _quad(u, target_cov)
+    _require_positive(
+        q, "target covariance is not positive along the extracted direction"
+    )
+    return u / np.sqrt(q)[..., None]

@@ -79,6 +79,24 @@ class TestLuSolve:
             a @ x, np.broadcast_to(np.eye(m), a.shape), atol=1e-12
         )
 
+    def test_shared_rhs_is_not_copied_per_matrix(self, monkeypatch):
+        """A shared identity reaches the gufunc unbroadcast, and gives the
+        same bits as the identity stacked per matrix."""
+        rng = np.random.default_rng(9)
+        a = random_complex(rng, (12, 4, 4))
+        shapes = []
+        real = np.linalg.solve
+
+        def spy(a, b):
+            shapes.append(np.shape(b))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        x = linalg.lu_solve(a, np.eye(4))
+        assert shapes == [(4, 4)]
+        stacked = linalg.lu_solve(a, np.tile(np.eye(4), (12, 1, 1)))
+        np.testing.assert_array_equal(x, stacked)
+
     @pytest.mark.parametrize("shape", [(6, 3), (2,), (6, 2, 1), ()])
     def test_rhs_outside_both_forms_is_rejected(self, shape):
         """A batch of vectors (6, 3) is neither accepted form."""
@@ -191,6 +209,68 @@ class TestCholesky:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             linalg.cholesky(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestPsdFactor:
+    @pytest.mark.parametrize("m", [2, 4, 7])
+    def test_positive_definite_is_the_cholesky_factor(self, m):
+        rng = np.random.default_rng(80 + m)
+        a = np.stack([random_hpd(rng, m) for _ in range(5)])
+        np.testing.assert_array_equal(linalg.psd_factor(a), linalg.cholesky(a))
+
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_singular_batch_factors_through_eigh(self, rank):
+        """One singular matrix sends the batch to the eigendecomposition;
+        R R^H still rebuilds every matrix, the zero one included."""
+        rng = np.random.default_rng(90 + rank)
+        a = np.stack([random_hpd(rng, 4) for _ in range(3)])
+        v = random_complex(rng, (4, rank))
+        a[1] = v @ v.conj().T
+        r = linalg.psd_factor(a)
+        rebuilt = r @ linalg.hermitian_transpose(r)
+        np.testing.assert_allclose(rebuilt, a, rtol=0, atol=1e-12 * np.abs(a).max())
+        if rank == 0:
+            assert np.abs(r[1]).max() == 0.0
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError):
+            linalg.psd_factor(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestGevLargestFactored:
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_matches_gev_largest(self, m):
+        rng = np.random.default_rng(100 + m)
+        root = random_complex(rng, (20, m, m))
+        a = root @ linalg.hermitian_transpose(root)
+        b = np.stack([random_hpd(rng, m) for _ in range(20)])
+        value, vector = linalg.gev_largest_factored(root, b)
+        ref_value, ref_vector = linalg.gev_largest(a, b)
+        np.testing.assert_allclose(value, ref_value, rtol=1e-12)
+        inner = np.sum(vector.conj() * ref_vector, axis=-1)
+        np.testing.assert_allclose(np.abs(inner), 1.0, rtol=1e-10)
+
+    def test_batched_matches_loop(self):
+        rng = np.random.default_rng(61)
+        root = random_complex(rng, (12, 3, 2))
+        b = np.stack([random_hpd(rng, 3) for _ in range(12)])
+        values, vectors = linalg.gev_largest_factored(root, b)
+        for i in range(12):
+            vi, ui = linalg.gev_largest_factored(root[i], b[i])
+            assert isinstance(vi, float)
+            np.testing.assert_array_equal(values[i], vi)
+            np.testing.assert_array_equal(vectors[i], ui)
+
+    def test_zero_a_gives_the_first_axis(self):
+        value, vector = linalg.gev_largest_factored(
+            np.zeros((3, 3)), np.diag([4.0, 1.0, 9.0])
+        )
+        assert value == 0.0
+        np.testing.assert_array_equal(vector, [1.0, 0.0, 0.0])
+
+    def test_indefinite_b_raises(self):
+        with pytest.raises(NotPositiveDefinite):
+            linalg.gev_largest_factored(np.eye(2), np.diag([1.0, -1.0]))
 
 
 class TestFirstNonPd:

@@ -5,6 +5,9 @@ end-to-end run() driver on planted scenes."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from overiva.errors import (
     DegenerateBlock,
@@ -21,6 +24,7 @@ from overiva.optimizer import (
     auxiva_sweep,
     ip0_update_row,
     ip1_sweep,
+    ip2_filter,
     ip2_update,
     ip3_sweep,
     projection_back,
@@ -34,6 +38,7 @@ from oracles import (
     auxiva_sweep_ip0,
     cost_jw,
     ip1_full_sweep,
+    ip2_update_gev,
     with_full_background,
 )
 
@@ -372,6 +377,96 @@ class TestIp2:
             ip2_update(g_bad, gz)
 
 
+def planted_noise_cov(rng, m, log_cond, rank):
+    """G_z = Q diag(s) Q^H with s falling log-evenly from 1 to
+    10^-log_cond over its first `rank` entries and zero after them."""
+    q, _ = np.linalg.qr(random_complex(rng, (m, m)))
+    s = np.zeros(m)
+    s[:rank] = np.logspace(0.0, -log_cond, rank)
+    g = (q * s) @ q.conj().T
+    return 0.5 * (g + g.conj().T)
+
+
+def phase_aligned_error(w, ref):
+    """Largest relative distance between w and ref, (..., M), after
+    rotating each of w's vectors by the phase that best aligns it."""
+    inner = np.sum(np.conj(w) * ref, axis=-1)
+    aligned = w * (inner / np.abs(inner))[..., None]
+    err = np.linalg.norm(aligned - ref, axis=-1)
+    return float(np.max(err / np.linalg.norm(ref, axis=-1)))
+
+
+class TestIp2FactoredProperty:
+    """ip2_update against the pencil oracle that reduces (G_z, G_1) from
+    G_z on every call, over the conditioning and rank of G_z."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(2, 8),
+        log_cond=st.floats(0.0, 10.0),
+        rank=st.integers(1, 8),
+        n_bins=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_pencil_oracle(self, m, log_cond, rank, n_bins, seed):
+        """cond(G_z) from 1 to 1e10, and rank-deficient G_z, on which the
+        factor comes from the eigendecomposition instead of Cholesky. The
+        smallest eigenpair of the pencil whitened by G_z's factor would
+        miss 1e-10 here once cond(G_z) passes about 1e5."""
+        rng = np.random.default_rng(seed)
+        rank = min(rank, m)
+        gz = np.stack(
+            [planted_noise_cov(rng, m, log_cond, rank) for _ in range(n_bins)]
+        )
+        g1 = random_hpd_batch(rng, n_bins, m)
+        # The filter is defined up to phase only where the top is simple.
+        top2 = np.stack(
+            [scipy.linalg.eigh(a, b, eigvals_only=True)[-2:] for a, b in zip(gz, g1)]
+        )
+        assume(np.all(top2[:, 1] - top2[:, 0] > 1e-3 * top2[:, 1]))
+        w = ip2_update(g1, gz)
+        assert phase_aligned_error(w, ip2_update_gev(g1, gz)) <= 1e-10
+        np.testing.assert_array_equal(w, ip2_filter(g1, linalg.psd_factor(gz)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 8),
+        log_cond=st.floats(0.0, 4.0),
+        c=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_proportional_pencil_gives_a_maximizer(self, m, log_cond, c, seed):
+        """G_1 = c G_z ties every eigenvalue at 1/c, up to rounding, so the
+        tie rule (lowest index among exactly equal eigenvalues) meets no
+        exact tie and any direction is a maximizer: the filter must attain
+        the quotient 1/c with w^H G_1 w = 1, and repeat bit for bit.
+        (Any direction may come back, so cond(G_z) stays at 1e4 or below:
+        the check's own rounding grows with it.)"""
+        rng = np.random.default_rng(seed)
+        gz = planted_noise_cov(rng, m, log_cond, m)
+        g1 = c * gz
+        w = ip2_update(g1, gz)
+        np.testing.assert_array_equal(w, ip2_update(g1, gz))
+        np.testing.assert_allclose((w.conj() @ g1 @ w).real, 1.0, rtol=1e-10)
+        np.testing.assert_allclose((w.conj() @ gz @ w).real, 1.0 / c, rtol=1e-10)
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_zero_noise_cov_ties_to_the_first_axis(self, m):
+        """G_z = 0 (a silent bin) ties every eigenvalue at exactly 0; the
+        lowest index of the reduced problem's ordering gives w along e_1,
+        as the pencil oracle does."""
+        rng = np.random.default_rng(70 + m)
+        g1 = random_hpd_batch(rng, 4, m)
+        gz = np.zeros_like(g1)
+        w = ip2_update(g1, gz)
+        expected = np.zeros((4, m), dtype=complex)
+        expected[:, 0] = g1[:, 0, 0].real ** -0.5
+        np.testing.assert_allclose(w, expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(
+            w, ip2_update_gev(g1, gz), rtol=1e-14, atol=1e-14
+        )
+
+
 class TestProjectionBack:
     def test_identity_demixing(self):
         rng = np.random.default_rng(18)
@@ -475,6 +570,76 @@ def image_sdr(est, ref):
     alpha = np.vdot(est, ref) / np.vdot(est, est)
     err = ref - alpha * est
     return 10 * np.log10(np.sum(np.abs(ref) ** 2) / np.sum(np.abs(err) ** 2))
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's
+    positional arguments; returns the list they are appended to."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestRunCallCounts:
+    """G_z is fixed for a run, so run() factors or inverts it once,
+    before the iteration loop."""
+
+    def make_x(self, n_bins=16, m=4):
+        rng = np.random.default_rng(30)
+        return planted_scene(rng, n_bins, 60, m)[0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ip2_factors_the_mixture_covariance_once(self, monkeypatch, threads):
+        """One Cholesky of G_z before the loop, then one of G_1 per
+        iteration and chunk; no LU solve until the background completion
+        and projection back after the loop."""
+        x = self.make_x()
+        gz = model.noise_covariance(x)
+        chol = count_calls(monkeypatch, np.linalg, "cholesky")
+        lu = count_calls(monkeypatch, linalg, "lu_solve")
+        run(x, 1, RunConfig(method="ip2", iterations=3, threads=threads))
+        assert len(chol) == 1 + 3 * threads
+        np.testing.assert_array_equal(chol[0][0], gz)
+        for (g1,) in chol[1:]:
+            gap = np.abs(g1[:, None] - gz[None]).max(axis=(-2, -1))
+            assert gap.min() > 0
+        assert len(lu) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_auxiva_lu_solves(self, monkeypatch, k):
+        """K + 1 batched LU solves per sweep (W^H and one per target), one
+        for G_z^{-1} when there are background rows, and one for the
+        mixing matrix in _auxiva_images."""
+        x = self.make_x()
+        lu = count_calls(monkeypatch, linalg, "lu_solve")
+        run(x, k, RunConfig(method="auxiva", iterations=5))
+        assert len(lu) == 5 * (k + 1) + (k < 4) + 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_auxiva_singular_noise_cov_at_live_bin_names_bin(self, threads):
+        """Bins 0-1 are silent and bin 5 has a copied microphone: the one
+        G_z inverse of the run fails there, with that bin's index."""
+        x = self.make_x()
+        x[:2] = 0
+        x[5, :, 3] = x[5, :, 0]
+        with pytest.raises(SingularMatrix, match="frequency bin 5") as info:
+            run(x, 1, RunConfig(method="auxiva", iterations=3, threads=threads))
+        assert info.value.batch_index == 5
+
+    def test_ip2_error_on_silent_bins_names_bin(self):
+        """With no ridge, the silent bins' G_1 = 0 has no Cholesky factor;
+        the error names the first of them, not a live bin."""
+        x = self.make_x()
+        x[[3, 7]] = 0
+        with pytest.raises(NotPositiveDefinite, match="frequency bin 3") as info:
+            run(x, 1, RunConfig(method="ip2", eps2=0.0))
+        assert info.value.batch_index == 3
 
 
 class TestRun:

@@ -2,9 +2,12 @@
 and the separate_file report contract."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
+
+from overiva import pipeline
 
 from overiva.errors import NoConvergence
 from overiva.io import AudioBuffer, read_wav, write_wav
@@ -45,6 +48,28 @@ class TestSeparateBuffer:
         a, _ = separate_buffer(buf, 1, RunConfig(method="ip2"), STFT)
         b, _ = separate_buffer(buf, 1, RunConfig(method="ip2"), STFT)
         np.testing.assert_array_equal(a[0].samples, b[0].samples)
+
+    def test_spectrogram_released_before_synthesis(self, scene, monkeypatch):
+        """Synthesis does not hold the spectrogram next to the images:
+        nothing refers to it once run() has returned."""
+        refs = []
+        alive = []
+        real_stft, real_istft = pipeline.stft, pipeline.istft
+
+        def stft_spy(*args, **kwargs):
+            spec = real_stft(*args, **kwargs)
+            refs.append(weakref.ref(spec))
+            return spec
+
+        def istft_spy(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return real_istft(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "stft", stft_spy)
+        monkeypatch.setattr(pipeline, "istft", istft_spy)
+        buf = AudioBuffer(16000, scene.mixture)
+        separate_buffer(buf, 1, RunConfig(method="ip2"), STFT)
+        assert len(refs) == 1 and alive == [False]
 
 
 class TestVerifyMonotoneTrace:
