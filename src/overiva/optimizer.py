@@ -245,7 +245,7 @@ def ip3_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
     return w
 
 
-def auxiva_sweep(w_stack, target_covs, noise_cov, noise_inv=None):
+def auxiva_sweep(w_stack, target_covs, noise_inv):
     """One determined-style sweep over all M rows.
 
     Rows past the targets use the unweighted mixture covariance as their
@@ -255,19 +255,14 @@ def auxiva_sweep(w_stack, target_covs, noise_cov, noise_inv=None):
     u = G^{-1} a_k, a_k = W^{-H} e_k and q = a_k^H u, without its LU
     solve of W^H G. A = W^{-H} comes from one LU solve at the start of
     the sweep and follows each new column by a rank-one (Sherman-Morrison)
-    update; the noise rows share one inverse of G_z. noise_inv is that
-    inverse, (..., M, M), which run() forms once per run; when it is
-    omitted the sweep forms it from noise_cov. Per sweep that is K + 1
-    batched LU solves given noise_inv or when K = M, else K + 2, instead
-    of M.
+    update; the noise rows share noise_inv, the inverse of G_z,
+    (..., M, M), which run() forms once per run (it is not read when
+    K = M). Per sweep that is K + 1 batched LU solves instead of M.
     """
     w = np.array(w_stack, copy=True)
     m = w.shape[-1]
     n_targets = target_covs.shape[0]
-    eye = np.eye(m)
-    a = linalg.lu_solve(hermitian_transpose(w), eye)
-    if n_targets < m and noise_inv is None:
-        noise_inv = linalg.lu_solve(noise_cov, eye)
+    a = linalg.lu_solve(hermitian_transpose(w), np.eye(m))
     for k in range(m):
         ak = a[..., :, k, None]
         if k < n_targets:
@@ -410,7 +405,7 @@ def _sweep_bins(method, w, target_covs, noise, ok, on_wz_update):
         return _rows_only(method, w, target_covs, noise)
     if np.all(ok):
         if method is Method.AUXIVA:
-            return auxiva_sweep(w, target_covs, None, noise_inv=noise)
+            return auxiva_sweep(w, target_covs, noise)
         if method is Method.IP1:
             return ip1_sweep(w, target_covs, noise, on_wz_update)
         if method is Method.IP3:

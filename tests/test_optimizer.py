@@ -68,6 +68,11 @@ def eye_stack(m, batch=()):
     return np.broadcast_to(np.eye(m, dtype=complex), batch + (m, m)).copy()
 
 
+def inverse(g):
+    """G_z^{-1}, the operand auxiva_sweep takes for its noise rows."""
+    return linalg.lu_solve(g, np.eye(g.shape[-1]))
+
+
 def span_projector(u):
     """Column-space projector via QR, independent of the code under test."""
     q, _ = np.linalg.qr(u)
@@ -245,7 +250,7 @@ class TestSweeps:
         wb = eye_stack(3)
         for _ in range(10):
             wa = ip1_full_sweep(wa, covs, gz)
-            wb = auxiva_sweep(wb, covs, gz)
+            wb = auxiva_sweep(wb, covs, inverse(gz))
             np.testing.assert_allclose(wa, wb, atol=1e-12)
 
     def test_ip3_equals_ip1_fast_single_target(self):
@@ -289,7 +294,7 @@ class TestSweeps:
                 wa = eye_stack(m, (n_bins,))
                 wb = eye_stack(m, (n_bins,))
                 for _ in range(25):
-                    wa = auxiva_sweep(wa, covs, gz)
+                    wa = auxiva_sweep(wa, covs, inverse(gz))
                     wb = auxiva_sweep_ip0(wb, covs, gz)
                 rel = np.abs(wa - wb).max() / np.abs(wb).max()
                 assert rel <= 1e-12, (m, k, n_bins, rel)
@@ -302,7 +307,7 @@ class TestSweeps:
         w = eye_stack(4, (5,)) + 0.1 * random_complex(rng, (5, 4, 4))
         w[2, :, 3] = w[2, :, 1] + 1e-17 * random_complex(rng, 4)
         with pytest.raises(SingularMatrix) as info:
-            auxiva_sweep(w, covs, gz)
+            auxiva_sweep(w, covs, inverse(gz))
         assert info.value.batch_index == 2
 
     def test_auxiva_sweep_monotone(self):
@@ -311,7 +316,7 @@ class TestSweeps:
         w = eye_stack(4)
         prev = cost_jw(w, covs, gz)
         for _ in range(30):
-            w = auxiva_sweep(w, covs, gz)
+            w = auxiva_sweep(w, covs, inverse(gz))
             cur = cost_jw(w, covs, gz)
             assert cur <= prev + 1e-12
             prev = cur
@@ -558,7 +563,7 @@ def reference_trace(x, n_targets, method, iterations):
             w = ip1_sweep(w, covs, gz)
             w[..., n_targets:] = update_wz_full(w, gz, n_targets)
         else:
-            w = auxiva_sweep(w, covs, gz)
+            w = auxiva_sweep(w, covs, inverse(gz))
         scale = lam.mean(axis=1)
         lam = lam / scale[:, None]
         w[..., :n_targets] *= scale**-0.5
@@ -631,6 +636,24 @@ class TestRunCallCounts:
         with pytest.raises(SingularMatrix, match="frequency bin 5") as info:
             run(x, 1, RunConfig(method="auxiva", iterations=3, threads=threads))
         assert info.value.batch_index == 5
+
+    @pytest.mark.parametrize("method", ["ip1", "ip2", "ip3", "auxiva"])
+    def test_solves_pass_b_with_the_rank_of_a(self, monkeypatch, method):
+        """numpy < 2 reads a right-hand side one axis short of A as a stack
+        of vectors, so every solve of a run, silent bins' row updates and
+        projection back included, hands the gufunc b with A's axes."""
+        x = self.make_x()
+        x[:2] = 0
+        ranks = []
+        real = np.linalg.solve
+
+        def spy(a, b):
+            ranks.append((np.ndim(a), np.ndim(b)))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        run(x, 2 if method != "ip2" else 1, RunConfig(method=method, iterations=2))
+        assert ranks and all(nb >= na for na, nb in ranks), ranks
 
     def test_ip2_error_on_silent_bins_names_bin(self):
         """With no ridge, the silent bins' G_1 = 0 has no Cholesky factor;
