@@ -50,6 +50,18 @@ def _threads(text):
     return value
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _resolve_threads(value):
     if value is not None:
         return value
@@ -78,7 +90,7 @@ def _build_parser():
     sep.add_argument("--iters", type=int, default=None,
                      help="iteration count (default 50; 3 for ip2)")
     sep.add_argument("--frame-len", type=int, default=4096, help="STFT frame length")
-    sep.add_argument("--hop-div", type=int, default=4,
+    sep.add_argument("--hop-div", type=_positive_int, default=4,
                      help="hop = frame_len / hop_div (default 4)")
     sep.add_argument("--eps1", type=float, default=EPS_VARIANCE,
                      help="variance floor")
@@ -111,7 +123,8 @@ def _build_parser():
     bench = sub.add_parser("bench", help="run a benchmark grid")
     bench.add_argument("--grid", required=True,
                        help="JSON file: list of cells {K, L, M, sinr}")
-    bench.add_argument("--trials", type=int, default=10, help="scenes per cell")
+    bench.add_argument("--trials", type=_positive_int, default=10,
+                       help="scenes per cell")
     bench.add_argument("--methods", default=",".join(DEFAULT_METHODS),
                        help="comma list of methods (plus 'mixture')")
     bench.add_argument("--out", required=True, help="CSV output path")
@@ -123,7 +136,7 @@ def _build_parser():
                        help="override every method's iteration count")
     bench.add_argument("--frame-len", type=int, default=4096,
                        help="STFT frame length")
-    bench.add_argument("--hop-div", type=int, default=4,
+    bench.add_argument("--hop-div", type=_positive_int, default=4,
                        help="hop = frame_len / hop_div (default 4)")
     bench.add_argument("--threads", type=_threads, default=None,
                        help="worker threads or 'auto'")

@@ -108,9 +108,6 @@ def lu_solve(a, b):
         )
     if vector:
         b = b[:, None]
-    # Leading length-1 axes up to a's rank, as a view: numpy < 2 reads a b
-    # with one axis fewer than a as a stack of vectors.
-    b = b.reshape((1,) * (a.ndim - b.ndim) + b.shape)
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     r = b.shape[-1]
     # max|A| and each column's max|b| are taken before broadcasting, and

@@ -27,7 +27,9 @@ batch axes (one entry per frequency bin) and return new arrays.
 The mixture covariance G_z does not change during a run, so run() forms
 what a sweep reads of it (_noise_operand: G_z, its factor or its
 inverse) once, before the iteration loop, and hands each frequency
-chunk its slice.
+chunk its slice. Silent bins (all-zero input, G_z = 0) take the same
+sweep as every other bin, with G_z read as the identity there; their
+images are zero whatever the filters.
 
 run() records the negative log-likelihood once per iteration, from the
 covariances the sweep has formed. For ip1, ip2 and ip3 it profiles out
@@ -369,73 +371,36 @@ def _unmask(exc, mask):
     return type(exc)(str(exc), batch_index=idx)
 
 
-def _noise_operand(method, noise_cov, live, n_targets):
+def _noise_operand(method, sweep_cov, n_targets):
     """What a method's sweep reads of the fixed G_z, formed once per run.
 
-    G_z itself for ip1 and ip3; a factor R of G_z = R R^H for ip2
-    (linalg.psd_factor); G_z^{-1} for auxiva's background rows. ip2's and
-    auxiva's operands are formed on live bins only and are zero on the
-    rest: R = 0 is the factor of a silent bin's G_z = 0, and auxiva never
-    reads G_z^{-1} there (nor at all when K = M).
+    sweep_cov is G_z with the identity on silent bins (see run()). The
+    operand is sweep_cov itself for ip1 and ip3, a factor R of
+    sweep_cov = R R^H for ip2 (linalg.psd_factor), and its inverse for
+    auxiva's background rows (sweep_cov, unread, when K = M).
     """
-    if method is Method.IP1 or method is Method.IP3:
-        return noise_cov
-    n_chan = noise_cov.shape[-1]
-    out = np.zeros_like(noise_cov)
-    if method is Method.IP2:
-        form = linalg.psd_factor
-    elif n_targets < n_chan:
-        def form(g):
-            return linalg.lu_solve(g, np.eye(n_chan))
-    else:
-        return out
-    if np.any(live):
-        try:
-            out[live] = form(noise_cov[live])
-        except NumericalError as exc:
-            raise _shift_bin(_unmask(exc, live), 0) from None
-    return out
+    n_chan = sweep_cov.shape[-1]
+    if method is Method.IP1 or method is Method.IP3 or n_targets == n_chan:
+        return sweep_cov
+    try:
+        if method is Method.IP2:
+            return linalg.psd_factor(sweep_cov)
+        return linalg.lu_solve(sweep_cov, np.eye(n_chan))
+    except NumericalError as exc:
+        raise _shift_bin(exc, 0) from None
 
 
-def _sweep_bins(method, w, target_covs, noise, ok, on_wz_update):
-    """Dispatch one sweep on a chunk, skipping background updates on
-    bins whose mixture covariance is identically zero. noise is the
-    chunk's slice of _noise_operand."""
-    if not np.any(ok):
-        return _rows_only(method, w, target_covs, noise)
-    if np.all(ok):
-        if method is Method.AUXIVA:
-            return auxiva_sweep(w, target_covs, noise)
-        if method is Method.IP1:
-            return ip1_sweep(w, target_covs, noise, on_wz_update)
-        if method is Method.IP3:
-            return ip3_sweep(w, target_covs, noise, on_wz_update)
-        return _ip2_rows(w, target_covs, noise)
+def _sweep_bins(method, w, target_covs, noise, on_wz_update):
+    """Dispatch one sweep on a chunk; noise is the chunk's slice of
+    _noise_operand."""
+    if method is Method.AUXIVA:
+        return auxiva_sweep(w, target_covs, noise)
+    if method is Method.IP1:
+        return ip1_sweep(w, target_covs, noise, on_wz_update)
+    if method is Method.IP3:
+        return ip3_sweep(w, target_covs, noise, on_wz_update)
     out = np.array(w, copy=True)
-    for mask in (ok, ~ok):
-        try:
-            out[mask] = _sweep_bins(
-                method, w[mask], target_covs[:, mask], noise[mask],
-                ok[mask], on_wz_update,
-            )
-        except NumericalError as exc:
-            raise _unmask(exc, mask) from None
-    return out
-
-
-def _ip2_rows(w, target_covs, noise_root):
-    out = np.array(w, copy=True)
-    out[..., :, 0] = ip2_filter(target_covs[0], noise_root)
-    return out
-
-
-def _rows_only(method, w, target_covs, noise):
-    """Target-row updates only, for degenerate (zero-power) bins."""
-    if method is Method.IP2:
-        return _ip2_rows(w, target_covs, noise)
-    out = np.array(w, copy=True)
-    for k in range(target_covs.shape[0]):
-        out[..., :, k] = ip0_update_row(out, target_covs[k], k)
+    out[..., :, 0] = ip2_filter(target_covs[0], noise)
     return out
 
 
@@ -495,7 +460,9 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
     on_wz_update : callable, optional
         Diagnostic hook forwarded to the sweeps, called as
         on_wz_update(w_chunk, noise_cov_chunk) after every background
-        update (per frequency chunk when threads > 1). Read-only.
+        update (per frequency chunk when threads > 1), with the whole
+        chunk: noise_cov_chunk holds the identity on silent bins, as the
+        sweep reads it. Read-only.
 
     Returns
     -------
@@ -532,10 +499,17 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
     pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
     try:
         noise_cov = model.noise_covariance(data)
-        live = np.einsum("fmm->f", noise_cov).real > 0.0
         sign, logdet_gz = np.linalg.slogdet(noise_cov)
         profiled = (sign != 0) & (method is not Method.AUXIVA)
-        noise = _noise_operand(method, noise_cov, live, n_targets)
+        # On a silent bin x = 0 and every G_k = eps2 I, so its images are
+        # zero whatever its filters: the sweeps may read I for its G_z = 0
+        # (the cost reads the true G_z).
+        silent = np.einsum("fmm->f", noise_cov).real == 0.0
+        sweep_cov = noise_cov
+        if np.any(silent):
+            sweep_cov = noise_cov.copy()
+            sweep_cov[silent] = np.eye(n_chan)
+        noise = _noise_operand(method, sweep_cov, n_targets)
         bin_cost = np.empty(n_bins)
         w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
         chunks = _bin_chunks(n_bins, config.threads)
@@ -568,9 +542,7 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                     ]
                 )
                 try:
-                    w[sl] = _sweep_bins(
-                        method, w[sl], covs, noise[sl], live[sl], on_wz_update
-                    )
+                    w[sl] = _sweep_bins(method, w[sl], covs, noise[sl], on_wz_update)
                     bin_cost[sl] = _bin_cost(
                         w[sl], covs, config.eps2, noise_cov[sl], profiled[sl],
                         logdet_gz[sl],
@@ -590,13 +562,11 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                 if abs(prev - cur) <= config.convergence_delta * abs(prev):
                     break
 
-        if method is Method.IP2 and n_targets < n_chan and np.any(live):
+        if method is Method.IP2:
             try:
-                w[live, :, n_targets:] = update_wz_fast(
-                    w[live, :, :n_targets], noise_cov[live]
-                )
+                w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
             except NumericalError as exc:
-                raise _shift_bin(_unmask(exc, live), 0) from None
+                raise _shift_bin(exc, 0) from None
         # Filled in place: stacking a list of K images would hold 2K.
         images = np.empty((n_targets,) + data.shape, dtype=np.complex128)
         if method is Method.AUXIVA:

@@ -229,6 +229,19 @@ class TestSeparate:
         assert code == EXIT_USAGE
         assert flag[2:] + " must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_nonpositive_hop_div_is_usage_error(
+        self, scene_dir, tmp_path, capsys, value
+    ):
+        """The parser rejects a hop divisor below 1; it never reaches the
+        division that forms the hop."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(separate_args(scene_dir, out, "--hop-div", value))
+        assert info.value.code == EXIT_USAGE
+        assert "--hop-div" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_auxiva_with_as_many_bins_as_mics(self, tmp_path):
         """frame_len 8 gives F = 5 bins on a 5-mic scene."""
         scene = tmp_path / "scene"
@@ -425,6 +438,17 @@ class TestBench:
         )
         assert code == EXIT_USAGE
         assert "warp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--hop-div", "--trials"])
+    def test_nonpositive_count_is_usage_error(self, grid, tmp_path, capsys, flag):
+        """--hop-div 0 would divide by zero and --trials 0 would average
+        no trials; the parser rejects both."""
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            main(bench_args(grid, out, flag, "0"))
+        assert info.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_json(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

