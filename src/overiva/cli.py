@@ -37,16 +37,18 @@ THREADS_ENV = "OVERIVA_THREADS"
 
 
 def _threads(text):
+    """Thread count of --threads, or of $OVERIVA_THREADS as its default."""
     if text == "auto":
         return os.cpu_count() or 1
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--threads takes a positive integer or 'auto', got {text!r}"
-        ) from None
+        value = 0  # rejected below, with the same message
     if value < 1:
-        raise argparse.ArgumentTypeError("--threads must be >= 1")
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer or 'auto' (from the flag or "
+            f"${THREADS_ENV}), got {text!r}"
+        )
     return value
 
 
@@ -62,21 +64,15 @@ def _positive_int(text):
     return value
 
 
-def _resolve_threads(value):
-    if value is not None:
-        return value
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return _threads(env)
-    return 1
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="overiva",
         description="Extract K sources from an M-channel mixture (K < M).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A string default goes through _threads, so a bad value in the
+    # environment is a usage error like a bad --threads.
+    threads = os.environ.get(THREADS_ENV) or 1
 
     sep = sub.add_parser("separate", help="separate a WAV mixture")
     sep.add_argument("--input", required=True, help="mixture WAV file")
@@ -98,7 +94,7 @@ def _build_parser():
                      help="covariance ridge")
     sep.add_argument("--out", default=".", help="output directory")
     sep.add_argument("--json", default=None, help="write a JSON report here")
-    sep.add_argument("--threads", type=_threads, default=None,
+    sep.add_argument("--threads", type=_threads, default=threads,
                      help=f"worker threads or 'auto' (default ${THREADS_ENV} or 1)")
     sep.add_argument("--verify-monotone", action="store_true",
                      help="fail if the cost trace increases")
@@ -138,10 +134,19 @@ def _build_parser():
                        help="STFT frame length")
     bench.add_argument("--hop-div", type=_positive_int, default=4,
                        help="hop = frame_len / hop_div (default 4)")
-    bench.add_argument("--threads", type=_threads, default=None,
-                       help="worker threads or 'auto'")
+    bench.add_argument("--threads", type=_threads, default=threads,
+                       help=f"worker threads or 'auto' (default ${THREADS_ENV} or 1)")
     bench.set_defaults(func=_cmd_bench)
     return parser
+
+
+def _stft_config(args):
+    """The StftConfig of --frame-len and --hop-div."""
+    if args.frame_len % args.hop_div:
+        raise InvalidSpec(
+            f"--hop-div {args.hop_div} must divide --frame-len {args.frame_len}"
+        )
+    return StftConfig(args.frame_len, args.frame_len // args.hop_div)
 
 
 def _cmd_separate(args):
@@ -150,14 +155,13 @@ def _cmd_separate(args):
         iterations=args.iters,
         eps1=args.eps1,
         eps2=args.eps2,
-        threads=_resolve_threads(args.threads),
+        threads=args.threads,
     )
-    stft_config = StftConfig(args.frame_len, args.frame_len // args.hop_div)
     report = separate_file(
         args.input,
         args.sources,
         config,
-        stft_config,
+        _stft_config(args),
         out_dir=args.out,
         json_path=args.json,
         verify_monotone=args.verify_monotone,
@@ -249,6 +253,8 @@ def _parse_grid(path):
 def _cmd_bench(args):
     cells = _parse_grid(args.grid)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise InvalidSpec(f"--methods names no method: {args.methods!r}")
     known = {m.value for m in Method} | {MIXTURE_METHOD}
     unknown = [m for m in methods if m not in known]
     if unknown:
@@ -261,9 +267,9 @@ def _cmd_bench(args):
         duration_s=args.dur,
         rt60_ms=args.rt60,
         sample_rate=args.rate,
-        stft_config=StftConfig(args.frame_len, args.frame_len // args.hop_div),
+        stft_config=_stft_config(args),
         iterations=args.iters,
-        threads=_resolve_threads(args.threads),
+        threads=args.threads,
         log=sys.stderr,
     )
     write_csv(rows, args.out)

@@ -14,10 +14,10 @@ Four schedules share the same per-bin building blocks:
 - ``ip1``: row updates for the K targets followed by one orthogonal-
   complement background update per sweep.
 - ``ip2``: single-target extraction (K = 1) via the largest eigenpair of
-  the pencil (G_z, G_1). G_z = R R^H is factored once per run, so a step
-  costs one Cholesky factorization of G_1, one inverse of that factor
-  and one eigh; the background block is materialized once after the
-  loop.
+  the pencil (G_z, G_1). G_z = R R^H is factored once per run and each
+  step is one ip2_update(G_1, R): one Cholesky factorization of G_1, one
+  inverse of that factor and one eigh; the background block is
+  materialized once after the loop.
 - ``ip3``: row updates interleaved with a background refresh after every
   target, keeping the background orthogonally constrained throughout.
 
@@ -34,6 +34,10 @@ images are zero whatever the filters.
 run() records the negative log-likelihood once per iteration, from the
 covariances the sweep has formed. For ip1, ip2 and ip3 it profiles out
 the background block, which only matters through its span (_bin_cost).
+
+After the loop every method writes its K images with projection_back,
+one call per target. auxiva first reorders the stack's columns so the
+K outputs with the most powerful images lead (_auxiva_order).
 """
 
 from __future__ import annotations
@@ -283,7 +287,7 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
     return w
 
 
-def ip2_update(target_cov, noise_cov):
+def ip2_update(target_cov, noise_root):
     """Single-target filter from the largest eigenpair of (G_z, G_1).
 
     The maximizing direction u of the generalized Rayleigh quotient
@@ -291,22 +295,14 @@ def ip2_update(target_cov, noise_cov):
     completed background this is the global per-bin minimizer of the
     surrogate, and coincides with a maximum-SNR beamformer up to scale.
 
-    This call factors G_z (linalg.psd_factor) and takes ip2_filter's
-    step; run() factors G_z once per run and calls ip2_filter. Tie rule:
-    among exactly tied largest eigenvalues the lowest index of the
-    reduced problem's ascending ordering wins, as in linalg.gev_largest,
-    so a zero G_z, where every eigenvalue is 0, gives w along e_1.
-    """
-    return ip2_filter(target_cov, linalg.psd_factor(noise_cov))
-
-
-def ip2_filter(target_cov, noise_root):
-    """ip2_update's filter from a factor R of G_z = R R^H.
-
-    One step costs a Cholesky factorization of G_1 (with its Hermitian
-    and positive-definiteness checks), one inverse of that factor and
-    one eigh (linalg.gev_largest_factored); nothing is formed from G_z.
-    Ties resolve as in ip2_update.
+    noise_root : a factor R of G_z = R R^H (linalg.psd_factor), which
+    run() forms once per run. One step costs a Cholesky factorization of
+    G_1 (with its Hermitian and positive-definiteness checks), one
+    inverse of that factor and one eigh (linalg.gev_largest_factored);
+    nothing is formed from G_z. Tie rule: among exactly tied largest
+    eigenvalues the lowest index of the reduced problem's ascending
+    ordering wins, as in linalg.gev_largest, so a zero G_z, where every
+    eigenvalue is 0, gives w along e_1.
     """
     _, u = linalg.gev_largest_factored(noise_root, target_cov)
     q = _quad(u, target_cov)
@@ -400,7 +396,7 @@ def _sweep_bins(method, w, target_covs, noise, on_wz_update):
     if method is Method.IP3:
         return ip3_sweep(w, target_covs, noise, on_wz_update)
     out = np.array(w, copy=True)
-    out[..., :, 0] = ip2_filter(target_covs[0], noise)
+    out[..., :, 0] = ip2_update(target_covs[0], noise)
     return out
 
 
@@ -567,13 +563,12 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                 w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
             except NumericalError as exc:
                 raise _shift_bin(exc, 0) from None
+        if method is Method.AUXIVA:
+            w = w[:, :, _auxiva_order(w, data, n_targets)]
         # Filled in place: stacking a list of K images would hold 2K.
         images = np.empty((n_targets,) + data.shape, dtype=np.complex128)
-        if method is Method.AUXIVA:
-            w = _auxiva_images(w, data, images)
-        else:
-            for k in range(n_targets):
-                images[k] = projection_back(w, data, k)
+        for k in range(n_targets):
+            images[k] = projection_back(w, data, k)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -586,17 +581,13 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
     )
 
 
-def _auxiva_images(w, data, images):
-    """Project back all M outputs, write the strongest len(images) into
-    images, and return the stack reordered so their filters come first."""
+def _auxiva_order(w, data, n_targets):
+    """Column order that puts the n_targets outputs with the most powerful
+    images first (ties to the lowest index), then the rest in order."""
     n_chan = w.shape[-1]
     mixing = linalg.lu_solve(hermitian_transpose(w), np.eye(n_chan))
-    outputs = data @ np.conj(w)
     filter_pow = np.sum(np.abs(mixing) ** 2, axis=-2)
-    output_pow = np.sum(np.abs(outputs) ** 2, axis=1)
+    output_pow = np.sum(np.abs(data @ np.conj(w)) ** 2, axis=1)
     powers = np.sum(filter_pow * output_pow, axis=0)
-    picked = _top_indices(powers, len(images))
-    for image, j in zip(images, picked):
-        np.multiply(outputs[:, :, j, None], mixing[:, None, :, j], out=image)
-    rest = [j for j in range(n_chan) if j not in picked]
-    return w[:, :, list(picked) + rest]
+    picked = _top_indices(powers, n_targets)
+    return list(picked) + [j for j in range(n_chan) if j not in picked]

@@ -242,6 +242,37 @@ class TestSeparate:
         assert "--hop-div" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1024", "3"])
+    def test_hop_div_not_dividing_frame_len_is_usage_error(
+        self, scene_dir, tmp_path, capsys, value
+    ):
+        """The message names both flags and the divisor given, not the
+        hop formed from them."""
+        out = tmp_path / "out"
+        code = main(separate_args(scene_dir, out, "--hop-div", value))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--hop-div {value} must divide --frame-len 512" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_threads_env_is_usage_error(
+        self, scene_dir, tmp_path, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("OVERIVA_THREADS", value)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(separate_args(scene_dir, out))
+        assert info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "OVERIVA_THREADS" in err and repr(value) in err
+        assert not out.exists()
+
+    def test_threads_flag_overrides_bad_env(self, scene_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("OVERIVA_THREADS", "abc")
+        code = main(separate_args(scene_dir, tmp_path / "out", "--threads", "2"))
+        assert code == EXIT_OK
+
     def test_auxiva_with_as_many_bins_as_mics(self, tmp_path):
         """frame_len 8 gives F = 5 bins on a 5-mic scene."""
         scene = tmp_path / "scene"
@@ -448,6 +479,33 @@ class TestBench:
             main(bench_args(grid, out, flag, "0"))
         assert info.value.code == EXIT_USAGE
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_method_list_is_usage_error(self, grid, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(bench_args(grid, out)[:-1] + [","])
+        assert code == EXIT_USAGE
+        assert "--methods" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hop_div_not_dividing_frame_len_is_usage_error(
+        self, grid, tmp_path, capsys
+    ):
+        out = tmp_path / "out.csv"
+        code = main(bench_args(grid, out, "--hop-div", "3"))
+        assert code == EXIT_USAGE
+        assert "--hop-div 3 must divide --frame-len 512" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_threads_env_is_usage_error(
+        self, grid, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("OVERIVA_THREADS", "0")
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            main(bench_args(grid, out))
+        assert info.value.code == EXIT_USAGE
+        assert "OVERIVA_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_grid_json(self, tmp_path, capsys):

@@ -24,7 +24,6 @@ from overiva.optimizer import (
     auxiva_sweep,
     ip0_update_row,
     ip1_sweep,
-    ip2_filter,
     ip2_update,
     ip3_sweep,
     projection_back,
@@ -328,7 +327,7 @@ class TestIp2:
         eigenvalue is 4 along e_2, scaled to w^H G_1 w = 1."""
         gz = np.diag([2.0, 8.0]).astype(complex)
         g1 = np.diag([1.0, 2.0]).astype(complex)
-        w = ip2_update(g1, gz)
+        w = ip2_update(g1, linalg.psd_factor(gz))
         np.testing.assert_allclose(np.abs(w), [0.0, 2.0**-0.5], atol=1e-12)
         np.testing.assert_allclose((w.conj() @ g1 @ w).real, 1.0, rtol=1e-12)
 
@@ -336,7 +335,7 @@ class TestIp2:
         rng = np.random.default_rng(14)
         g1 = random_hpd(rng, 3)
         gz = random_hpd(rng, 3)
-        w = ip2_update(g1, gz)
+        w = ip2_update(g1, linalg.psd_factor(gz))
         lam, _ = linalg.gev_largest(gz, g1)
 
         def quotient(u):
@@ -354,7 +353,7 @@ class TestIp2:
         for m in (2, 3, 4):
             for _ in range(7):
                 covs, gz = random_instance(rng, m, 1)
-                w1 = ip2_update(covs[0], gz)
+                w1 = ip2_update(covs[0], linalg.psd_factor(gz))
                 w_eig = with_full_background(w1, gz)
                 w_it = eye_stack(m)
                 for _ in range(100):
@@ -368,7 +367,7 @@ class TestIp2:
         for m in (2, 3, 5):
             g1 = random_hpd(rng, m)
             gz = random_hpd(rng, m)
-            w1 = ip2_update(g1, gz)
+            w1 = ip2_update(g1, linalg.psd_factor(gz))
             w = with_full_background(w1, gz)
             lam, _ = linalg.gev_largest(gz, g1)
             lhs = linalg.logabsdet(w)
@@ -379,7 +378,7 @@ class TestIp2:
         gz = np.eye(2, dtype=complex)
         g_bad = np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises((NotPositiveDefinite, Exception)):
-            ip2_update(g_bad, gz)
+            ip2_update(g_bad, linalg.psd_factor(gz))
 
 
 def planted_noise_cov(rng, m, log_cond, rank):
@@ -429,9 +428,8 @@ class TestIp2FactoredProperty:
             [scipy.linalg.eigh(a, b, eigvals_only=True)[-2:] for a, b in zip(gz, g1)]
         )
         assume(np.all(top2[:, 1] - top2[:, 0] > 1e-3 * top2[:, 1]))
-        w = ip2_update(g1, gz)
+        w = ip2_update(g1, linalg.psd_factor(gz))
         assert phase_aligned_error(w, ip2_update_gev(g1, gz)) <= 1e-10
-        np.testing.assert_array_equal(w, ip2_filter(g1, linalg.psd_factor(gz)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -450,8 +448,8 @@ class TestIp2FactoredProperty:
         rng = np.random.default_rng(seed)
         gz = planted_noise_cov(rng, m, log_cond, m)
         g1 = c * gz
-        w = ip2_update(g1, gz)
-        np.testing.assert_array_equal(w, ip2_update(g1, gz))
+        w = ip2_update(g1, linalg.psd_factor(gz))
+        np.testing.assert_array_equal(w, ip2_update(g1, linalg.psd_factor(gz)))
         np.testing.assert_allclose((w.conj() @ g1 @ w).real, 1.0, rtol=1e-10)
         np.testing.assert_allclose((w.conj() @ gz @ w).real, 1.0 / c, rtol=1e-10)
 
@@ -463,7 +461,7 @@ class TestIp2FactoredProperty:
         rng = np.random.default_rng(70 + m)
         g1 = random_hpd_batch(rng, 4, m)
         gz = np.zeros_like(g1)
-        w = ip2_update(g1, gz)
+        w = ip2_update(g1, linalg.psd_factor(gz))
         expected = np.zeros((4, m), dtype=complex)
         expected[:, 0] = g1[:, 0, 0].real ** -0.5
         np.testing.assert_allclose(w, expected, rtol=1e-14, atol=1e-14)
@@ -616,12 +614,62 @@ class TestRunCallCounts:
             assert gap.min() > 0
         assert len(lu) == 2
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ip2_steps_through_ip2_update(self, monkeypatch, threads):
+        """Each iteration takes ip2's step with one ip2_update call per
+        frequency chunk, over that chunk's slice of G_z's factor."""
+        x = self.make_x()
+        root = linalg.psd_factor(model.noise_covariance(x))
+        steps = count_calls(monkeypatch, optimizer, "ip2_update")
+        run(x, 1, RunConfig(method="ip2", iterations=3, threads=threads))
+        chunks = optimizer._bin_chunks(len(x), threads)
+        used = sorted(
+            next(i for i, sl in enumerate(chunks) if np.array_equal(r, root[sl]))
+            for _, r in steps
+        )
+        assert used == sorted(3 * list(range(threads)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_auxiva_images_come_from_projection_back(self, monkeypatch, k):
+        """auxiva writes its K images with one projection_back call each.
+        The kept columns are the outputs with the most powerful images,
+        strongest first; the others keep their order. Microphone 3 is
+        boosted so that the order is not the identity."""
+        x = self.make_x()
+        x[..., 3] *= 10
+        sweeps = []
+        real_sweep = optimizer.auxiva_sweep
+
+        def last_sweep(*args):
+            sweeps[:] = [real_sweep(*args)]
+            return sweeps[0]
+
+        monkeypatch.setattr(optimizer, "auxiva_sweep", last_sweep)
+        backs = count_calls(monkeypatch, optimizer, "projection_back")
+        result = run(x, k, RunConfig(method="auxiva", iterations=5))
+        w = result.demixing.matrices
+        assert [args[2] for args in backs] == list(range(k))
+        for img, args in zip(result.images, backs):
+            np.testing.assert_array_equal(img, projection_back(*args))
+        # Each returned column is a rescaled column of the last sweep's
+        # stack (the rescale is per target, shared by all bins).
+        m = x.shape[-1]
+        last = sweeps[0].reshape(-1, m)
+        corr = np.abs(last.conj().T @ w.reshape(-1, m))
+        order = list(np.argmax(corr / np.linalg.norm(last, axis=0)[:, None], axis=0))
+        assert sorted(order) == list(range(m)) != order
+        assert order[k:] == sorted(order[k:])
+        powers = [np.sum(np.abs(projection_back(w, x, j)) ** 2) for j in range(m)]
+        assert powers[:k] == sorted(powers[:k], reverse=True)
+        assert min(powers[:k]) >= max(powers[k:])
+
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_auxiva_lu_solves(self, monkeypatch, k):
         """K + 1 batched LU solves per sweep (W^H and one per target), one
-        for G_z^{-1} when there are background rows, and one for the
-        mixing matrix in _auxiva_images; silent bins (0-1 in the second
-        input) take the same sweep and add none."""
+        for G_z^{-1} when there are background rows, one for the mixing
+        matrix that ranks the outputs (_auxiva_order), and one per kept
+        image in projection_back; silent bins (0-1 in the second input)
+        take the same sweep and add none."""
         x = self.make_x()
         quiet = x.copy()
         quiet[:2] = 0
@@ -629,7 +677,7 @@ class TestRunCallCounts:
         for data in (x, quiet):
             lu.clear()
             run(data, k, RunConfig(method="auxiva", iterations=5))
-            assert len(lu) == 5 * (k + 1) + (k < 4) + 1
+            assert len(lu) == 5 * (k + 1) + (k < 4) + 1 + k
 
     @pytest.mark.parametrize("method", ["ip1", "ip3"])
     @pytest.mark.parametrize("k", [1, 2])
