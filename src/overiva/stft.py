@@ -9,6 +9,14 @@ frame_len - hop on each end so that every original sample is covered by
 enough frames for the windowed overlap-add to invert exactly (synthesis
 divides by the accumulated squared window rather than assuming a constant
 overlap sum, so edges and non-aligned tails reconstruct too).
+
+Both directions work on BLOCK_FRAMES frames at a time, so no
+spectrogram-sized intermediate is made. stft windows a block of frames,
+transforms it along the contiguous sample axis and writes it straight
+into the bin-major output. istft reads each block as (frames, channels,
+bins): for an (F, T, M) view of a (T, M, F) array, the layout run()
+gives its images, every inverse transform reads a contiguous row.
+Blocking changes no bit of either result.
 """
 
 from __future__ import annotations
@@ -19,6 +27,22 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatch, SignalTooShort
+
+# Frames per block of analysis and synthesis work. Results do not depend
+# on it; at the default frame length a block's temporaries stay near a
+# few MB.
+BLOCK_FRAMES = 16
+
+
+def _require_finite(data):
+    """Raise ValueError naming the first non-finite entry of an (F, T, M)
+    array; it is located only once the whole-array test has failed."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        f, t, c = np.unravel_index(np.argmin(finite), data.shape)
+        raise ValueError(
+            f"input is not finite at frequency bin {f}, frame {t}, channel {c}"
+        )
 
 
 @dataclass(frozen=True)
@@ -57,7 +81,8 @@ class Spectrogram:
     """Complex STFT data of shape (n_bins, n_frames, n_channels).
 
     data is stored as a C-contiguous complex128 array (bin-major); other
-    layouts and dtypes are copied into that form on construction.
+    layouts and dtypes are copied into that form on construction. Raises
+    ValueError naming the first non-finite entry.
     """
 
     data: np.ndarray
@@ -68,8 +93,7 @@ class Spectrogram:
             raise ShapeMismatch(
                 f"spectrogram must be (F, T, M), got shape {data.shape}"
             )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("spectrogram contains non-finite values")
+        _require_finite(data)
         object.__setattr__(
             self, "data", np.ascontiguousarray(data, dtype=np.complex128)
         )
@@ -108,12 +132,8 @@ def n_frames_for(n_samples, config):
     return (padded - config.frame_len) // config.hop + 1
 
 
-def windowed_frames(signal, config):
-    """Slice the padded signal into windowed frames of shape (T, frame_len, M).
-
-    The result is a view of a (T, M, frame_len) array, so each channel's
-    frame is one contiguous row for the FFT.
-    """
+def _frames(signal, config):
+    """Unwindowed frames of the padded signal, a (T, M, frame_len) view."""
     x = _as_multichannel(signal)
     if x.shape[0] < config.frame_len:
         raise SignalTooShort(
@@ -122,20 +142,35 @@ def windowed_frames(signal, config):
         )
     pad = config.pad
     x = np.pad(x, ((pad, pad), (0, 0)))
-    frames = sliding_window_view(x, config.frame_len, axis=0)[:: config.hop]
+    return sliding_window_view(x, config.frame_len, axis=0)[:: config.hop]
+
+
+def windowed_frames(signal, config):
+    """Slice the padded signal into windowed frames of shape (T, frame_len, M).
+
+    The result is a view of a (T, M, frame_len) array, so each channel's
+    frame is one contiguous row for the FFT.
+    """
+    frames = _frames(signal, config)
     return (frames * sqrt_hann_window(config.frame_len)).transpose(0, 2, 1)
 
 
 def stft(signal, config=StftConfig()):
     """Analyze a (n_samples, n_channels) signal into a Spectrogram.
 
+    Each block of BLOCK_FRAMES frames is windowed, transformed along its
+    contiguous sample axis and written into the bin-major output.
     Raises SignalTooShort when the signal does not fill one frame.
     """
-    frames = windowed_frames(signal, config)
-    # One copy of the (T, F, M) transform into the bin-major layout.
-    return Spectrogram(
-        np.ascontiguousarray(np.fft.rfft(frames, axis=1).transpose(1, 0, 2))
-    )
+    frames = _frames(signal, config)
+    win = sqrt_hann_window(config.frame_len)
+    n_frames, n_chan = frames.shape[:2]
+    data = np.empty((config.n_bins, n_frames, n_chan), dtype=np.complex128)
+    for t in range(0, n_frames, BLOCK_FRAMES):
+        data[:, t : t + BLOCK_FRAMES] = np.fft.rfft(
+            frames[t : t + BLOCK_FRAMES] * win, axis=-1
+        ).transpose(2, 0, 1)
+    return Spectrogram(data)
 
 
 def istft(spec, config=StftConfig(), length=None):
@@ -143,11 +178,15 @@ def istft(spec, config=StftConfig(), length=None):
 
     Parameters
     ----------
-    spec : Spectrogram or (F, T, M) complex array
-    length : int, optional
+    spec : Spectrogram or (F, T, M) complex array, T >= 1. Blocks of
+        BLOCK_FRAMES frames are read as (frames, channels, bins), which is
+        contiguous when spec is an (F, T, M) view of a (T, M, F) array
+        (run()'s images); any other layout is gathered block by block.
+    length : int >= 0, optional
         Number of samples to return. Defaults to the length the padding
-        convention implies, (T - 1) * hop + frame_len - 2 * (frame_len - hop);
-        longer requests are zero-extended.
+        convention implies, (T - 1) * hop + frame_len - 2 * (frame_len - hop),
+        or 0 when fewer than frame_len / hop - 1 frames make that
+        negative; longer requests are zero-extended.
     """
     data = spec.data if isinstance(spec, Spectrogram) else np.asarray(spec)
     if data.ndim != 3:
@@ -157,28 +196,30 @@ def istft(spec, config=StftConfig(), length=None):
             f"spectrogram has {data.shape[0]} bins but config implies "
             f"{config.n_bins}"
         )
+    if data.shape[1] == 0:
+        raise ShapeMismatch(
+            f"spectrogram must have at least one frame, got shape {data.shape}"
+        )
+    if length is not None and length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
     n, hop = config.frame_len, config.hop
     n_frames, n_chan = data.shape[1], data.shape[2]
     win = sqrt_hann_window(n)
-    # One (T, M, F) copy, so that every inverse transform reads and writes
-    # a contiguous row whatever the layout of data; channel-major from here.
-    frames = np.fft.irfft(
-        np.ascontiguousarray(data.transpose(1, 2, 0)), n=n, axis=-1
-    )
-    frames *= win
+    win2 = win**2
     total = (n_frames - 1) * hop + n
     buf = np.zeros((n_chan, total))
     wsum = np.zeros(total)
-    win2 = win**2
-    for t in range(n_frames):
-        buf[:, t * hop : t * hop + n] += frames[t]
-        wsum[t * hop : t * hop + n] += win2
-    covered = wsum > 1e-12
-    buf[:, covered] /= wsum[covered]
+    rows = data.transpose(1, 2, 0)
+    for start in range(0, n_frames, BLOCK_FRAMES):
+        frames = np.fft.irfft(rows[start : start + BLOCK_FRAMES], n=n, axis=-1)
+        frames *= win
+        for t, frame in enumerate(frames, start):
+            buf[:, t * hop : t * hop + n] += frame
+            wsum[t * hop : t * hop + n] += win2
+    np.divide(buf, wsum, out=buf, where=wsum > 1e-12)
     pad = config.pad
-    default_len = total - 2 * pad
     if length is None:
-        length = default_len
+        length = max(total - 2 * pad, 0)
     out = np.zeros((length, n_chan))
     avail = min(length, total - pad)
     if avail > 0:

@@ -7,8 +7,9 @@ fully normalized background explicitly (update_wz_full), so tests can
 check the objective and the stationarity conditions on the whole stack.
 cost_jw and gradient_jw_row are the per-bin surrogate objective and its
 gradient, which no run path evaluates. weighted_covariance_unblocked,
-auxiva_sweep_ip0 and ip2_update_gev are the earlier, plainer forms of
-run-path kernels, which the faster forms must reproduce.
+auxiva_sweep_ip0, ip2_update_gev, stft_unblocked and istft_unblocked
+are the earlier, plainer forms of run-path kernels, which the faster
+forms must reproduce.
 """
 
 import numpy as np
@@ -22,6 +23,12 @@ from overiva.optimizer import (
     ip0_update_row,
     ip1_sweep,
     update_wz_full,
+)
+from overiva.stft import (
+    Spectrogram,
+    StftConfig,
+    sqrt_hann_window,
+    windowed_frames,
 )
 
 
@@ -142,3 +149,53 @@ def ip2_update_gev(target_cov, noise_cov):
         q, "target covariance is not positive along the extracted direction"
     )
     return u / np.sqrt(q)[..., None]
+
+
+def stft_unblocked(signal, config=StftConfig()):
+    """stft transforming all windowed frames at once, then copying the
+    (T, F, M) transform into the bin-major layout."""
+    frames = windowed_frames(signal, config)
+    # One copy of the (T, F, M) transform into the bin-major layout.
+    return Spectrogram(
+        np.ascontiguousarray(np.fft.rfft(frames, axis=1).transpose(1, 0, 2))
+    )
+
+
+def istft_unblocked(spec, config=StftConfig(), length=None):
+    """istft copying the whole spectrogram to (T, M, F) and inverting
+    every frame at once."""
+    data = spec.data if isinstance(spec, Spectrogram) else np.asarray(spec)
+    if data.ndim != 3:
+        raise ShapeMismatch(f"spectrogram must be (F, T, M), got {data.shape}")
+    if data.shape[0] != config.n_bins:
+        raise ShapeMismatch(
+            f"spectrogram has {data.shape[0]} bins but config implies "
+            f"{config.n_bins}"
+        )
+    n, hop = config.frame_len, config.hop
+    n_frames, n_chan = data.shape[1], data.shape[2]
+    win = sqrt_hann_window(n)
+    # One (T, M, F) copy, so that every inverse transform reads and writes
+    # a contiguous row whatever the layout of data; channel-major from here.
+    frames = np.fft.irfft(
+        np.ascontiguousarray(data.transpose(1, 2, 0)), n=n, axis=-1
+    )
+    frames *= win
+    total = (n_frames - 1) * hop + n
+    buf = np.zeros((n_chan, total))
+    wsum = np.zeros(total)
+    win2 = win**2
+    for t in range(n_frames):
+        buf[:, t * hop : t * hop + n] += frames[t]
+        wsum[t * hop : t * hop + n] += win2
+    covered = wsum > 1e-12
+    buf[:, covered] /= wsum[covered]
+    pad = config.pad
+    default_len = total - 2 * pad
+    if length is None:
+        length = default_len
+    out = np.zeros((length, n_chan))
+    avail = min(length, total - pad)
+    if avail > 0:
+        out[:avail] = buf[:, pad : pad + avail].T
+    return out

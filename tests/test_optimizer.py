@@ -509,6 +509,21 @@ class TestProjectionBack:
                 framed[:, j], projection_back(w, x[:, j], 2), atol=1e-13
             )
 
+    @pytest.mark.parametrize("framed", [False, True])
+    def test_out_is_written_and_returned(self, framed):
+        """out= gives the allocating call's bits, in a C-contiguous array
+        and in a bins-innermost view alike."""
+        rng = np.random.default_rng(22)
+        m, t, f = 3, 7, 5
+        x = random_complex(rng, (f, t, m) if framed else (f, m))
+        w = random_complex(rng, (f, m, m)) + 2 * np.eye(m)
+        ref = projection_back(w, x, 1)
+        c_order = np.empty(x.shape, complex)
+        bins_innermost = np.empty(x.shape[::-1], complex).T
+        for out in (c_order, bins_innermost):
+            assert projection_back(w, x, 1, out=out) is out
+            np.testing.assert_array_equal(out, ref)
+
 
 class TestPickTopK:
     """_top_indices picks the auxiva outputs that run() keeps."""
@@ -662,6 +677,20 @@ class TestRunCallCounts:
         powers = [np.sum(np.abs(projection_back(w, x, j)) ** 2) for j in range(m)]
         assert powers[:k] == sorted(powers[:k], reverse=True)
         assert min(powers[:k]) >= max(powers[k:])
+
+    @pytest.mark.parametrize("method,k", [("ip1", 2), ("ip2", 1), ("ip3", 2)])
+    def test_images_come_from_projection_back(self, method, k):
+        """Every method's images are projection_back's, stored with the
+        bins innermost for istft."""
+        x = self.make_x()
+        result = run(x, k, RunConfig(method=method, iterations=3))
+        images = result.images
+        assert images.shape == (k,) + x.shape
+        assert np.moveaxis(images, 1, -1).flags.c_contiguous
+        for j in range(k):
+            np.testing.assert_array_equal(
+                images[j], projection_back(result.demixing.matrices, x, j)
+            )
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_auxiva_lu_solves(self, monkeypatch, k):

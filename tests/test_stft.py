@@ -1,9 +1,13 @@
 """STFT front end tests: window identities, analysis oracles, exact
-reconstruction."""
+reconstruction, blocking and memory."""
+
+import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import istft_unblocked, stft_unblocked
 from overiva.errors import ShapeMismatch, SignalTooShort
 from overiva.stft import (
     Spectrogram,
@@ -14,6 +18,9 @@ from overiva.stft import (
     stft,
     windowed_frames,
 )
+
+# The package exports the stft function under the module's name.
+stft_module = importlib.import_module("overiva.stft")
 
 
 def dft_matrix(n_bins, frame_len):
@@ -201,3 +208,141 @@ class TestSynthesis:
             Spectrogram(np.zeros((4, 5), complex))
         with pytest.raises(ValueError):
             Spectrogram(np.full((2, 2, 1), np.nan, complex))
+
+    def test_non_finite_entry_is_located(self):
+        """The first non-finite entry in (F, T, M) order is named, in the
+        words run() uses for a raw array."""
+        data = np.zeros((5, 4, 3), complex)
+        data[3, 0, 0] = np.inf
+        data[2, 3, 1] = complex(0.0, np.nan)
+        with pytest.raises(
+            ValueError,
+            match=r"^input is not finite at frequency bin 2, frame 3, channel 1$",
+        ):
+            Spectrogram(data)
+
+    def test_stft_of_non_finite_signal_names_its_first_frame(self):
+        """A NaN sample reaches bin 0 of the first frame that covers it, on
+        its own channel."""
+        cfg = StftConfig(256, 64)
+        x = np.zeros((2000, 3))
+        x[700, 2] = np.nan
+        first = -(-(700 + cfg.pad - cfg.frame_len + 1) // cfg.hop)
+        with pytest.raises(
+            ValueError,
+            match=rf"frequency bin 0, frame {first}, channel 2$",
+        ):
+            stft(x, cfg)
+
+    def test_no_frames_raises(self):
+        cfg = StftConfig(256, 64)
+        with pytest.raises(ShapeMismatch, match=r"at least one frame.*\(129, 0, 2\)"):
+            istft(np.zeros((129, 0, 2), complex), cfg)
+        with pytest.raises(ShapeMismatch, match="at least one frame"):
+            istft(Spectrogram(np.zeros((129, 0, 2), complex)), cfg, length=100)
+
+    def test_negative_length_raises(self):
+        cfg = StftConfig(256, 64)
+        spec = np.zeros((129, 10, 2), complex)
+        with pytest.raises(ValueError, match="^length must be >= 0, got -1$"):
+            istft(spec, cfg, length=-1)
+        assert istft(spec, cfg, length=0).shape == (0, 2)
+
+    def test_short_spectrogram_default_length_is_empty(self):
+        """Fewer than frame_len / hop - 1 frames imply no sample of the
+        padded convention: the default length is 0, an explicit one still
+        returns what the frames cover."""
+        cfg = StftConfig(256, 64)
+        spec = np.random.default_rng(43).standard_normal((129, 2, 1)) + 0j
+        assert istft(spec, cfg).shape == (0, 1)
+        assert np.abs(istft(spec, cfg, length=2 * cfg.hop)).max() > 0
+
+
+def frame_counts(block):
+    """Frame counts on both sides of one and two blocks."""
+    return sorted({1, block - 1, block, block + 1, 2 * block + 3} - {0})
+
+
+@pytest.fixture(params=["module", 4])
+def block(request, monkeypatch):
+    """The module's block size, and a small one that splits every test
+    input into several blocks."""
+    if request.param != "module":
+        monkeypatch.setattr(stft_module, "BLOCK_FRAMES", request.param)
+    return stft_module.BLOCK_FRAMES
+
+
+class TestBlocking:
+    """stft and istft work a block of frames at a time; at every frame
+    count around the block size their results equal the unblocked
+    oracles' bit for bit."""
+
+    @pytest.mark.parametrize("hop_div", [1, 4])
+    def test_stft_matches_unblocked(self, block, hop_div):
+        cfg = StftConfig(64, 64 // hop_div)
+        rng = np.random.default_rng(40)
+        for n_frames in frame_counts(block):
+            # The shortest signal with n_frames frames, plus a ragged tail.
+            n = (n_frames - 1) * cfg.hop + cfg.frame_len - 2 * cfg.pad + 5
+            if n < cfg.frame_len:
+                continue
+            x = rng.standard_normal((n, 3))
+            data = stft(x, cfg).data
+            assert data.shape == (cfg.n_bins, n_frames, 3)
+            np.testing.assert_array_equal(data, stft_unblocked(x, cfg).data)
+
+    @pytest.mark.parametrize("layout", ["c_contiguous", "bins_innermost", "complex64"])
+    def test_istft_matches_unblocked(self, block, layout):
+        cfg = StftConfig(64, 16)
+        rng = np.random.default_rng(41)
+        for n_frames in frame_counts(block):
+            shape = (n_frames, 3, cfg.n_bins)
+            tmf = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if layout == "bins_innermost":
+                data = tmf.transpose(2, 0, 1)
+            else:
+                data = np.ascontiguousarray(tmf.transpose(2, 0, 1))
+                if layout == "complex64":
+                    data = data.astype(np.complex64)
+            length = n_frames * cfg.hop
+            np.testing.assert_array_equal(
+                istft(data, cfg, length=length),
+                istft_unblocked(data, cfg, length=length),
+            )
+            if n_frames >= cfg.frame_len // cfg.hop - 1:
+                np.testing.assert_array_equal(
+                    istft(data, cfg), istft_unblocked(data, cfg)
+                )
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestMemory:
+    """No spectrogram-sized intermediate: stft holds its output, the
+    padded signal and one block of frames (1.51x its output here; 3.0x
+    unblocked), and istft on a bins-innermost image holds the overlap-add
+    buffer, the output and one block (0.69x the image; 1.66x unblocked)."""
+
+    cfg = StftConfig(1024, 256)
+
+    def signal(self):
+        return np.random.default_rng(42).standard_normal((32000, 4))
+
+    def test_stft_peak_below_twice_its_output(self):
+        spec, peak = traced_peak(stft, self.signal(), self.cfg)
+        assert peak < 2.0 * spec.data.nbytes
+
+    def test_istft_peak_below_the_image_size(self):
+        data = stft(self.signal(), self.cfg).data
+        image = np.ascontiguousarray(data.transpose(1, 2, 0)).transpose(2, 0, 1)
+        _, peak = traced_peak(istft, image, self.cfg, length=32000)
+        assert peak < image.nbytes
