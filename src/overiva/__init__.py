@@ -42,7 +42,7 @@ from .simulate import (
     synth_rir,
     rtf,
 )
-from .stft import Spectrogram, StftConfig, istft, stft
+from .stft import RankOneImage, Spectrogram, StftConfig, istft, stft
 
 __version__ = "0.1.0"
 
@@ -58,6 +58,7 @@ __all__ = [
     "NoConvergence",
     "NotPositiveDefinite",
     "NumericalError",
+    "RankOneImage",
     "RunConfig",
     "Scene",
     "SceneSpec",

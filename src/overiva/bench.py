@@ -16,7 +16,7 @@ import numpy as np
 
 from .optimizer import RunConfig, run
 from .simulate import SceneSpec, rtf, sdr_set, synthesize
-from .stft import StftConfig, istft, stft
+from .stft import RankOneImage, StftConfig, istft, stft
 
 MIXTURE_METHOD = "mixture"
 DEFAULT_METHODS = ("auxiva", "ip1", "ip2", "ip3", MIXTURE_METHOD)
@@ -89,7 +89,10 @@ def run_benchmark(
                 )
                 result = run(mix_spec, cell.n_sources, config)
                 ests = np.stack(
-                    [istft(img, stft_config, length=n) for img in result.images]
+                    [
+                        istft(RankOneImage(a, s), stft_config, length=n)
+                        for a, s in zip(result.mixing, result.outputs)
+                    ]
                 )
                 scores[method].append(sdr_set(refs, ests).mean)
                 times[method].append(rtf(result.wall_time, spec.duration_s))

@@ -35,11 +35,16 @@ run() records the negative log-likelihood once per iteration, from the
 covariances the sweep has formed. For ip1, ip2 and ip3 it profiles out
 the background block, which only matters through its span (_bin_cost).
 
-After the loop every method writes its K images with projection_back,
-one call per target, into a (K, T, M, F) array returned as a (K, F, T, M)
-view: bins innermost, the layout istft reads. auxiva first reorders the
-stack's columns so the K outputs with the most powerful images lead
-(_auxiva_order).
+After the loop run() returns each target's image in factored form. In
+every bin the image of output k is rank one, (W^{-H} e_k)(w_k^H x): the
+mixing column times the output spectrum (_image_factors, from which
+projection_back forms its image too). run() keeps the K mixing columns
+and output spectra, bins innermost, and forms no (K, F, T, M) stack:
+stft.istft synthesizes an image from its factors (stft.RankOneImage),
+and SeparationResult.images forms the dense stack only when read.
+auxiva first reorders the stack's columns so the K outputs with the
+most powerful images lead (_auxiva_order), ranked from G_z without
+demixing all M outputs.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -132,20 +138,39 @@ class SeparationResult:
     """Outcome of a separation run.
 
     demixing : DemixingStack with the target filters in the leading columns
-    images : (K, F, T, M) spatial images of the targets on the array, a
-        view of a (K, T, M, F) array: bins are innermost in memory, so
-        istft reads each image without a copy
+    mixing : (K, M, F) mixing column W^{-H} e_k of each target per bin
+    outputs : (K, T, F) output spectrum w_k^H x of each target
+        Target k's image is outputs[k, t, f] * mixing[k, :, f] in bin f
+        and frame t; stft.RankOneImage(mixing[k], outputs[k]) hands it
+        to istft without forming it.
     cost_trace : per-iteration values of the objective with the
         background profiled (see the module docstring)
     wall_time : seconds spent in run(): covariances, sweeps, the
-        per-iteration cost trace and projection back (excludes STFT
-        and file I/O)
+        per-iteration cost trace and the image factors (excludes STFT,
+        file I/O and the dense images, formed when images is first read)
     """
 
     demixing: DemixingStack
-    images: np.ndarray
+    mixing: np.ndarray
+    outputs: np.ndarray
     cost_trace: np.ndarray
     wall_time: float
+
+    @cached_property
+    def images(self):
+        """(K, F, T, M) spatial images of the targets on the array.
+
+        Formed from the factors on first access and kept. A view of a
+        (K, T, M, F) array: bins are innermost in memory, so istft reads
+        each image without a copy.
+        """
+        n_targets, n_chan, n_bins = self.mixing.shape
+        stack = np.empty(
+            (n_targets, self.outputs.shape[1], n_chan, n_bins),
+            dtype=np.complex128,
+        )
+        np.multiply(self.outputs[:, :, None, :], self.mixing[:, None], out=stack)
+        return stack.transpose(0, 3, 1, 2)
 
 
 def _quad(u, cov):
@@ -316,7 +341,25 @@ def ip2_update(target_cov, noise_root):
     return u / np.sqrt(q)[..., None]
 
 
-def projection_back(w_stack, x, k, out=None):
+def _image_factors(w_stack, x, k):
+    """The two factors of output k's image: its mixing column
+    a = W^{-H} e_k, (..., M), and its output s = w_k^H x, (...) for
+    vectors x (..., M) or (..., T) for frames x (..., T, M)."""
+    mats = np.asarray(w_stack)
+    x = np.asarray(x)
+    if x.ndim not in (mats.ndim - 1, mats.ndim):
+        raise ShapeMismatch(
+            f"signal shape {x.shape} does not match stack shape {mats.shape}"
+        )
+    m = mats.shape[-1]
+    a = linalg.lu_solve(hermitian_transpose(mats), np.eye(m)[:, k])
+    wk = np.conj(mats[..., :, k])
+    if x.ndim == mats.ndim - 1:
+        return a, np.einsum("...m,...m->...", wk, x)
+    return a, np.einsum("...m,...tm->...t", wk, x)
+
+
+def projection_back(w_stack, x, k):
     """Spatial image of output k on the array.
 
     Undoes the arbitrary per-bin scale of the demixing filters by mapping
@@ -324,35 +367,13 @@ def projection_back(w_stack, x, k, out=None):
     (W^{-H} e_k) (w_k^H x), the rank-one component of x captured by
     output k. Summed over all M outputs the images reconstruct x.
 
-    x : (..., M) vectors or (..., T, M) frames matching w_stack's batch.
-    out : optional array of the image's shape to write into,
-        numpy-style; it is returned. Frames are written through
-        (T, M, ...) views, the memory order of run()'s images, which are
-        (F, T, M) views of (T, M, F) arrays: written through the
-        (F, T, M) order, numpy's loop ran about 4x slower there.
+    x : (..., M) vectors or (..., T, M) frames matching w_stack's batch;
+    the image has x's shape.
     """
-    mats = np.asarray(w_stack)
-    x = np.asarray(x)
-    m = mats.shape[-1]
-    a = linalg.lu_solve(hermitian_transpose(mats), np.eye(m)[:, k])
-    wk = mats[..., :, k]
-    if x.ndim == mats.ndim - 1:
-        s = np.einsum("...m,...m->...", np.conj(wk), x)
-        return np.multiply(a, s[..., None], out=out)
-    if x.ndim != mats.ndim:
-        raise ShapeMismatch(
-            f"signal shape {x.shape} does not match stack shape {mats.shape}"
-        )
-    s = np.einsum("...m,...tm->...t", np.conj(wk), x)
-    if out is None:
-        return s[..., None] * a[..., None, :]
-    frames_first = (-2, -1), (0, 1)
-    np.multiply(
-        np.moveaxis(s[..., None], *frames_first),
-        np.moveaxis(a[..., None, :], *frames_first),
-        out=np.moveaxis(out, *frames_first),
-    )
-    return out
+    a, s = _image_factors(w_stack, x, k)
+    if s.ndim < a.ndim:
+        return a * s[..., None]
+    return s[..., None] * a[..., None, :]
 
 
 def _top_indices(powers, n_pick):
@@ -460,10 +481,11 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
 
     Alternates closed-form variance updates with one demixing sweep of
     the configured schedule, normalizing the per-target scales each
-    iteration, then projects the target outputs back onto the array.
-    For the auxiva baseline all M outputs are demixed and the n_targets
-    most powerful images are kept; the returned stack's columns are
-    reordered so the kept filters come first.
+    iteration, then projects the target outputs back onto the array,
+    returning each image as its two rank-one factors (SeparationResult).
+    For the auxiva baseline all M outputs are updated and the n_targets
+    with the most powerful images are kept; the returned stack's columns
+    are reordered so the kept filters come first.
 
     Parameters
     ----------
@@ -575,33 +597,41 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
             except NumericalError as exc:
                 raise _shift_bin(exc, 0) from None
         if method is Method.AUXIVA:
-            w = w[:, :, _auxiva_order(w, data, n_targets)]
-        # Bins innermost, the layout istft reads, and written in place:
-        # stacking a list of K images would hold 2K.
-        images = np.empty(
-            (n_targets, n_frames, n_chan, n_bins), dtype=np.complex128
-        ).transpose(0, 3, 1, 2)
+            w = w[:, :, _auxiva_order(w, noise_cov, n_targets)]
+        # The factors are the last arrays of the run, so the demixed
+        # targets of the last iteration need not be held beside them.
+        del targets_buf
+        mixing = np.empty((n_targets, n_chan, n_bins), dtype=np.complex128)
+        outputs = np.empty((n_targets, n_frames, n_bins), dtype=np.complex128)
         for k in range(n_targets):
-            projection_back(w, data, k, out=images[k])
+            # Unbound once copied: one output spectrum is transient at a time.
+            mixing[k], outputs[k] = map(np.transpose, _image_factors(w, data, k))
     finally:
         if pool is not None:
             pool.shutdown()
 
     return SeparationResult(
         demixing=DemixingStack(w, n_targets),
-        images=images,
+        mixing=mixing,
+        outputs=outputs,
         cost_trace=np.array(cost_trace),
         wall_time=time.perf_counter() - t0,
     )
 
 
-def _auxiva_order(w, data, n_targets):
+def _auxiva_order(w, noise_cov, n_targets):
     """Column order that puts the n_targets outputs with the most powerful
-    images first (ties to the lowest index), then the rest in order."""
+    images first (ties to the lowest index), then the rest in order.
+
+    In bin f, output j's image has power |a_j|^2 sum_t |w_j^H x_t|^2
+    = T |a_j|^2 w_j^H G_z w_j, with a_j = W^{-H} e_j and G_z = noise_cov;
+    T is the same for every output and is left out, and no output is
+    demixed.
+    """
     n_chan = w.shape[-1]
     mixing = linalg.lu_solve(hermitian_transpose(w), np.eye(n_chan))
     filter_pow = np.sum(np.abs(mixing) ** 2, axis=-2)
-    output_pow = np.sum(np.abs(data @ np.conj(w)) ** 2, axis=1)
+    output_pow = _quad(np.moveaxis(w, -1, 0), noise_cov).T
     powers = np.sum(filter_pow * output_pow, axis=0)
     picked = _top_indices(powers, n_targets)
     return list(picked) + [j for j in range(n_chan) if j not in picked]

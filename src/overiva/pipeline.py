@@ -12,7 +12,7 @@ from .errors import NoConvergence
 from .io import AudioBuffer, read_wav, write_wav
 from .optimizer import RunConfig, run
 from .simulate import rtf
-from .stft import StftConfig, istft, stft
+from .stft import RankOneImage, StftConfig, istft, stft
 
 # Relative cost increases above this are treated as a failed descent.
 MONOTONE_RTOL = 1e-8
@@ -26,13 +26,13 @@ def separate_buffer(buffer, n_targets, run_config=RunConfig(), stft_config=StftC
     """
     result = run(stft(buffer.samples, stft_config), n_targets, run_config)
     # No reference to the spectrogram outlives run(), so synthesis does
-    # not hold it next to the images.
+    # not hold it next to the image factors; no dense image is formed.
     images = [
         AudioBuffer(
             buffer.sample_rate,
-            istft(img, stft_config, length=buffer.n_samples),
+            istft(RankOneImage(a, s), stft_config, length=buffer.n_samples),
         )
-        for img in result.images
+        for a, s in zip(result.mixing, result.outputs)
     ]
     return images, result
 

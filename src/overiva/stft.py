@@ -14,14 +14,16 @@ Both directions work on BLOCK_FRAMES frames at a time, so no
 spectrogram-sized intermediate is made. stft windows a block of frames,
 transforms it along the contiguous sample axis and writes it straight
 into the bin-major output. istft reads each block as (frames, channels,
-bins): for an (F, T, M) view of a (T, M, F) array, the layout run()
-gives its images, every inverse transform reads a contiguous row.
-Blocking changes no bit of either result.
+bins): from an (F, T, M) view of a (T, M, F) array without a copy, or,
+for a RankOneImage, as the block's outputs times the mixing column, so
+an image that run() returns in factored form is synthesized without
+ever being formed whole. Blocking changes no bit of either result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,6 +100,14 @@ class Spectrogram:
             self, "data", np.ascontiguousarray(data, dtype=np.complex128)
         )
 
+    @classmethod
+    def _of_finite(cls, data):
+        """Wrap C-contiguous complex128 (F, T, M) data already known to be
+        finite, without __post_init__'s pass over it."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "data", data)
+        return spec
+
     @property
     def n_bins(self):
         return self.data.shape[0]
@@ -124,6 +134,18 @@ def _as_multichannel(signal):
     if x.ndim != 2:
         raise ShapeMismatch(f"signal must be (n,) or (n, M), got {x.shape}")
     return x
+
+
+def _rfft_stays_finite(x, frame_len):
+    """Whether every rfft of frame_len windowed samples of x is finite.
+
+    Each transform value, and each partial sum an FFT forms on the way,
+    has real and imaginary parts of at most frame_len * max|x|, because
+    the window is at most 1; half the float64 limit leaves room for
+    rounding. A NaN fails both comparisons, an infinity one of them.
+    """
+    limit = np.finfo(np.float64).max / (2 * frame_len)
+    return bool(x.min() > -limit and x.max() < limit)
 
 
 def n_frames_for(n_samples, config):
@@ -160,9 +182,15 @@ def stft(signal, config=StftConfig()):
 
     Each block of BLOCK_FRAMES frames is windowed, transformed along its
     contiguous sample axis and written into the bin-major output.
-    Raises SignalTooShort when the signal does not fill one frame.
+    Raises SignalTooShort when the signal does not fill one frame, and
+    ValueError naming the first non-finite spectrogram entry. The
+    signal is checked rather than the spectrogram (four times its size
+    at quarter-frame hop); only when that check fails (a non-finite
+    sample, or one large enough for a transform to overflow) is the
+    spectrogram searched.
     """
-    frames = _frames(signal, config)
+    x = _as_multichannel(signal)
+    frames = _frames(x, config)
     win = sqrt_hann_window(config.frame_len)
     n_frames, n_chan = frames.shape[:2]
     data = np.empty((config.n_bins, n_frames, n_chan), dtype=np.complex128)
@@ -170,7 +198,23 @@ def stft(signal, config=StftConfig()):
         data[:, t : t + BLOCK_FRAMES] = np.fft.rfft(
             frames[t : t + BLOCK_FRAMES] * win, axis=-1
         ).transpose(2, 0, 1)
+    if _rfft_stays_finite(x, config.frame_len):
+        return Spectrogram._of_finite(data)
     return Spectrogram(data)
+
+
+class RankOneImage(NamedTuple):
+    """A spatial image in factored form, as run() returns its targets.
+
+    At bin f and frame t the image is outputs[t, f] * mixing[:, f]: the
+    output's spectrum times its mixing column (see
+    optimizer.projection_back). mixing is (M, F) and outputs (T, F),
+    bins innermost; the image they stand for is (F, T, M). istft takes
+    one and forms it a block of frames at a time, never whole.
+    """
+
+    mixing: np.ndarray
+    outputs: np.ndarray
 
 
 def istft(spec, config=StftConfig(), length=None):
@@ -178,40 +222,66 @@ def istft(spec, config=StftConfig(), length=None):
 
     Parameters
     ----------
-    spec : Spectrogram or (F, T, M) complex array, T >= 1. Blocks of
-        BLOCK_FRAMES frames are read as (frames, channels, bins), which is
-        contiguous when spec is an (F, T, M) view of a (T, M, F) array
-        (run()'s images); any other layout is gathered block by block.
+    spec : Spectrogram, (F, T, M) complex array or RankOneImage, T >= 1.
+        Blocks of BLOCK_FRAMES frames are read as (frames, channels,
+        bins), which is contiguous when spec is an (F, T, M) view of a
+        (T, M, F) array (SeparationResult.images); any other layout is
+        gathered block by block. A RankOneImage's block is formed as
+        outputs[t:t + BLOCK_FRAMES, None, :] * mixing, the values the
+        dense image holds.
     length : int >= 0, optional
         Number of samples to return. Defaults to the length the padding
         convention implies, (T - 1) * hop + frame_len - 2 * (frame_len - hop),
         or 0 when fewer than frame_len / hop - 1 frames make that
         negative; longer requests are zero-extended.
     """
-    data = spec.data if isinstance(spec, Spectrogram) else np.asarray(spec)
-    if data.ndim != 3:
-        raise ShapeMismatch(f"spectrogram must be (F, T, M), got {data.shape}")
-    if data.shape[0] != config.n_bins:
+    if isinstance(spec, RankOneImage):
+        mixing, outputs = np.asarray(spec.mixing), np.asarray(spec.outputs)
+        if (
+            mixing.ndim != 2
+            or outputs.ndim != 2
+            or mixing.shape[1] != outputs.shape[1]
+        ):
+            raise ShapeMismatch(
+                f"rank-one image must be mixing (M, F) and outputs (T, F), "
+                f"got {mixing.shape} and {outputs.shape}"
+            )
+        shape = (outputs.shape[1], outputs.shape[0], mixing.shape[0])
+
+        def block(start):
+            return outputs[start : start + BLOCK_FRAMES, None, :] * mixing
+
+    else:
+        data = spec.data if isinstance(spec, Spectrogram) else np.asarray(spec)
+        if data.ndim != 3:
+            raise ShapeMismatch(
+                f"spectrogram must be (F, T, M), got {data.shape}"
+            )
+        shape = data.shape
+        rows = data.transpose(1, 2, 0)
+
+        def block(start):
+            return rows[start : start + BLOCK_FRAMES]
+
+    n_bins, n_frames, n_chan = shape
+    if n_bins != config.n_bins:
         raise ShapeMismatch(
-            f"spectrogram has {data.shape[0]} bins but config implies "
-            f"{config.n_bins}"
+            f"spectrogram has {n_bins} bins but config implies {config.n_bins}"
         )
-    if data.shape[1] == 0:
+    if n_frames == 0:
         raise ShapeMismatch(
-            f"spectrogram must have at least one frame, got shape {data.shape}"
+            f"spectrogram must have at least one frame, got shape {shape}"
         )
     if length is not None and length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     n, hop = config.frame_len, config.hop
-    n_frames, n_chan = data.shape[1], data.shape[2]
     win = sqrt_hann_window(n)
     win2 = win**2
     total = (n_frames - 1) * hop + n
     buf = np.zeros((n_chan, total))
     wsum = np.zeros(total)
-    rows = data.transpose(1, 2, 0)
     for start in range(0, n_frames, BLOCK_FRAMES):
-        frames = np.fft.irfft(rows[start : start + BLOCK_FRAMES], n=n, axis=-1)
+        frames = np.fft.irfft(block(start), n=n, axis=-1)
         frames *= win
         for t, frame in enumerate(frames, start):
             buf[:, t * hop : t * hop + n] += frame

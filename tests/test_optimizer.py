@@ -34,6 +34,7 @@ from overiva.optimizer import (
 from overiva import linalg, model, optimizer
 
 from oracles import (
+    auxiva_order_demixed,
     auxiva_sweep_ip0,
     cost_jw,
     ip1_full_sweep,
@@ -509,21 +510,6 @@ class TestProjectionBack:
                 framed[:, j], projection_back(w, x[:, j], 2), atol=1e-13
             )
 
-    @pytest.mark.parametrize("framed", [False, True])
-    def test_out_is_written_and_returned(self, framed):
-        """out= gives the allocating call's bits, in a C-contiguous array
-        and in a bins-innermost view alike."""
-        rng = np.random.default_rng(22)
-        m, t, f = 3, 7, 5
-        x = random_complex(rng, (f, t, m) if framed else (f, m))
-        w = random_complex(rng, (f, m, m)) + 2 * np.eye(m)
-        ref = projection_back(w, x, 1)
-        c_order = np.empty(x.shape, complex)
-        bins_innermost = np.empty(x.shape[::-1], complex).T
-        for out in (c_order, bins_innermost):
-            assert projection_back(w, x, 1, out=out) is out
-            np.testing.assert_array_equal(out, ref)
-
 
 class TestPickTopK:
     """_top_indices picks the auxiva outputs that run() keeps."""
@@ -543,6 +529,24 @@ class TestPickTopK:
         powers = [float(np.sum(np.abs(im) ** 2)) for im in images]
         oracle = tuple(sorted(range(6), key=lambda i: -powers[i]))
         assert _top_indices(np.array(powers), 6) == oracle
+
+    def test_auxiva_order_matches_demixed_oracle(self):
+        """Ranking the outputs from G_z keeps the order that demixing all
+        M outputs gave, for every K. Each scene boosts another microphone,
+        so that the order is not always the identity."""
+        m, orders = 5, set()
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            x = planted_scene(rng, 16, 60, m)[0]
+            x[..., seed % m] *= 4
+            x[:2] = 0
+            w = random_complex(rng, (16, m, m), 0.3) + np.eye(m)
+            gz = model.noise_covariance(x)
+            for k in range(1, m + 1):
+                order = optimizer._auxiva_order(w, gz, k)
+                assert order == auxiva_order_demixed(w, x, k)
+                orders.add(tuple(order))
+        assert len(orders) > 1
 
 
 def planted_scene(rng, n_bins, n_frames, m, flat_mixing=True):
@@ -646,10 +650,11 @@ class TestRunCallCounts:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_auxiva_images_come_from_projection_back(self, monkeypatch, k):
-        """auxiva writes its K images with one projection_back call each.
-        The kept columns are the outputs with the most powerful images,
-        strongest first; the others keep their order. Microphone 3 is
-        boosted so that the order is not the identity."""
+        """auxiva's K images are projection_back's of the leading K
+        columns of the returned stack, in column order. The kept columns
+        are the outputs with the most powerful images, strongest first;
+        the others keep their order. Microphone 3 is boosted so that the
+        order is not the identity."""
         x = self.make_x()
         x[..., 3] *= 10
         sweeps = []
@@ -660,12 +665,11 @@ class TestRunCallCounts:
             return sweeps[0]
 
         monkeypatch.setattr(optimizer, "auxiva_sweep", last_sweep)
-        backs = count_calls(monkeypatch, optimizer, "projection_back")
         result = run(x, k, RunConfig(method="auxiva", iterations=5))
         w = result.demixing.matrices
-        assert [args[2] for args in backs] == list(range(k))
-        for img, args in zip(result.images, backs):
-            np.testing.assert_array_equal(img, projection_back(*args))
+        assert len(result.images) == k
+        for j, img in enumerate(result.images):
+            np.testing.assert_array_equal(img, projection_back(w, x, j))
         # Each returned column is a rescaled column of the last sweep's
         # stack (the rescale is per target, shared by all bins).
         m = x.shape[-1]
@@ -678,7 +682,9 @@ class TestRunCallCounts:
         assert powers[:k] == sorted(powers[:k], reverse=True)
         assert min(powers[:k]) >= max(powers[k:])
 
-    @pytest.mark.parametrize("method,k", [("ip1", 2), ("ip2", 1), ("ip3", 2)])
+    @pytest.mark.parametrize(
+        "method,k", [("ip1", 2), ("ip2", 1), ("ip3", 2), ("auxiva", 2)]
+    )
     def test_images_come_from_projection_back(self, method, k):
         """Every method's images are projection_back's, stored with the
         bins innermost for istft."""
@@ -692,12 +698,32 @@ class TestRunCallCounts:
                 images[j], projection_back(result.demixing.matrices, x, j)
             )
 
+    def test_images_are_formed_from_the_factors_when_read(self):
+        """run() returns each image as its mixing columns (K, M, F) and
+        output spectra (K, T, F), bins innermost; images forms the dense
+        stack from them on first access and keeps it."""
+        x = self.make_x()
+        n_bins, n_frames, m = x.shape
+        result = run(x, 2, RunConfig(method="ip1", iterations=3))
+        assert "images" not in vars(result)
+        assert result.mixing.shape == (2, m, n_bins)
+        assert result.outputs.shape == (2, n_frames, n_bins)
+        assert result.mixing.flags.c_contiguous
+        assert result.outputs.flags.c_contiguous
+        images = result.images
+        assert result.images is images
+        np.testing.assert_array_equal(
+            images,
+            result.outputs.transpose(0, 2, 1)[..., None]
+            * result.mixing.transpose(0, 2, 1)[:, :, None],
+        )
+
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_auxiva_lu_solves(self, monkeypatch, k):
         """K + 1 batched LU solves per sweep (W^H and one per target), one
         for G_z^{-1} when there are background rows, one for the mixing
-        matrix that ranks the outputs (_auxiva_order), and one per kept
-        image in projection_back; silent bins (0-1 in the second input)
+        matrix that ranks the outputs (_auxiva_order), and one for each
+        kept image's mixing column; silent bins (0-1 in the second input)
         take the same sweep and add none."""
         x = self.make_x()
         quiet = x.copy()

@@ -14,7 +14,7 @@ from overiva.io import AudioBuffer, read_wav, write_wav
 from overiva.optimizer import RunConfig
 from overiva.pipeline import separate_buffer, separate_file, verify_monotone_trace
 from overiva.simulate import SceneSpec, sdr, synthesize
-from overiva.stft import StftConfig
+from overiva.stft import StftConfig, istft, n_frames_for
 
 STFT = StftConfig(1024, 256)
 
@@ -70,6 +70,33 @@ class TestSeparateBuffer:
         buf = AudioBuffer(16000, scene.mixture)
         separate_buffer(buf, 1, RunConfig(method="ip2"), STFT)
         assert len(refs) == 1 and alive == [False]
+
+    def test_synthesized_from_the_factors_as_from_the_images(self, scene):
+        """Each written image has the bits istft gives for the dense image
+        run() used to return."""
+        buf = AudioBuffer(16000, scene.mixture)
+        images, result = separate_buffer(
+            buf, 2, RunConfig(method="ip1", iterations=3), STFT
+        )
+        for image, dense in zip(images, result.images):
+            np.testing.assert_array_equal(
+                image.samples, istft(dense, STFT, length=buf.n_samples)
+            )
+
+    def test_peak_holds_no_image_stack(self, traced_peak):
+        """With K = 2 and T >> M, separating a buffer allocates less than
+        the spectrogram plus half an image at its peak: no (K, F, T, M)
+        image stack is made, and the spectrogram is not held next to the
+        synthesis."""
+        cfg = StftConfig(256, 64)
+        n, m = 64000, 8
+        rng = np.random.default_rng(6)
+        buf = AudioBuffer(16000, rng.standard_normal((n, m)))
+        spec_bytes = cfg.n_bins * n_frames_for(n, cfg) * m * 16
+        _, peak = traced_peak(
+            separate_buffer, buf, 2, RunConfig(method="ip1", iterations=2), cfg
+        )
+        assert peak < 1.5 * spec_bytes
 
 
 class TestVerifyMonotoneTrace:

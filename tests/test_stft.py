@@ -2,7 +2,6 @@
 reconstruction, blocking and memory."""
 
 import importlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ import pytest
 from oracles import istft_unblocked, stft_unblocked
 from overiva.errors import ShapeMismatch, SignalTooShort
 from overiva.stft import (
+    RankOneImage,
     Spectrogram,
     StftConfig,
     istft,
@@ -234,6 +234,47 @@ class TestSynthesis:
         ):
             stft(x, cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("frame_len,overflows", [(256, True), (64, False)])
+    def test_stft_of_huge_samples(self, frame_len, overflows):
+        """Finite samples too large for the signal check send stft to the
+        spectrogram-wide one: an overflowed transform is named at its
+        first non-finite entry, a finite one is returned as computed."""
+        cfg = StftConfig(frame_len, frame_len // 4)
+        x = np.full((2000, 2), 2e306)
+        x[::7, 1] = -2e306
+        ref = np.fft.rfft(windowed_frames(x, cfg), axis=1).transpose(1, 0, 2)
+        bad = np.argwhere(~np.isfinite(ref))
+        assert (len(bad) > 0) == overflows
+        if overflows:
+            f, t, c = bad[0]
+            with pytest.raises(
+                ValueError,
+                match=rf"^input is not finite at frequency bin {f}, frame {t}, "
+                rf"channel {c}$",
+            ):
+                stft(x, cfg)
+        else:
+            np.testing.assert_array_equal(stft(x, cfg).data, ref)
+
+    def test_stft_checks_the_signal_not_the_spectrogram(self, monkeypatch):
+        """An ordinary finite signal is not followed by a pass over its
+        spectrogram."""
+        searched = []
+        monkeypatch.setattr(stft_module, "_require_finite", searched.append)
+        x = np.random.default_rng(12).standard_normal((3000, 2))
+        stft(x, StftConfig(256, 64))
+        assert searched == []
+
+    def test_rank_one_image_shapes_must_agree(self):
+        cfg = StftConfig(256, 64)
+        with pytest.raises(ShapeMismatch, match="rank-one image"):
+            istft(RankOneImage(np.ones((2, 129)), np.ones((5, 128))), cfg)
+        with pytest.raises(ShapeMismatch, match="rank-one image"):
+            istft(RankOneImage(np.ones(129), np.ones((5, 129))), cfg)
+        with pytest.raises(ShapeMismatch, match="config implies"):
+            istft(RankOneImage(np.ones((2, 65)), np.ones((5, 65))), cfg)
+
     def test_no_frames_raises(self):
         cfg = StftConfig(256, 64)
         with pytest.raises(ShapeMismatch, match=r"at least one frame.*\(129, 0, 2\)"):
@@ -315,15 +356,27 @@ class TestBlocking:
                 )
 
 
-def traced_peak(fn, *args, **kwargs):
-    """fn's result and the peak bytes it allocated, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        out = fn(*args, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return out, peak
+    def test_factored_istft_matches_dense(self, block):
+        """A RankOneImage synthesizes to the bits of the dense image it
+        stands for, laid out bins innermost as SeparationResult.images
+        is."""
+        cfg = StftConfig(64, 16)
+        rng = np.random.default_rng(44)
+        for n_frames in frame_counts(block):
+            mixing, outputs = (
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in [(3, cfg.n_bins), (n_frames, cfg.n_bins)]
+            )
+            dense = (outputs[:, None, :] * mixing).transpose(2, 0, 1)
+            factored = RankOneImage(mixing, outputs)
+            lengths = [n_frames * cfg.hop]
+            if n_frames >= cfg.frame_len // cfg.hop - 1:
+                lengths.append(None)
+            for length in lengths:
+                np.testing.assert_array_equal(
+                    istft(factored, cfg, length=length),
+                    istft(dense, cfg, length=length),
+                )
 
 
 class TestMemory:
@@ -337,11 +390,11 @@ class TestMemory:
     def signal(self):
         return np.random.default_rng(42).standard_normal((32000, 4))
 
-    def test_stft_peak_below_twice_its_output(self):
+    def test_stft_peak_below_twice_its_output(self, traced_peak):
         spec, peak = traced_peak(stft, self.signal(), self.cfg)
         assert peak < 2.0 * spec.data.nbytes
 
-    def test_istft_peak_below_the_image_size(self):
+    def test_istft_peak_below_the_image_size(self, traced_peak):
         data = stft(self.signal(), self.cfg).data
         image = np.ascontiguousarray(data.transpose(1, 2, 0)).transpose(2, 0, 1)
         _, peak = traced_peak(istft, image, self.cfg, length=32000)
