@@ -76,14 +76,15 @@ def _build_parser():
 
     sep = sub.add_parser("separate", help="separate a WAV mixture")
     sep.add_argument("--input", required=True, help="mixture WAV file")
-    sep.add_argument("--sources", required=True, type=int, help="number of sources K")
+    sep.add_argument("--sources", required=True, type=_positive_int,
+                     help="number of sources K")
     sep.add_argument(
         "--method",
         default="ip1",
         choices=[m.value for m in Method],
         help="update schedule (default ip1)",
     )
-    sep.add_argument("--iters", type=int, default=None,
+    sep.add_argument("--iters", type=_positive_int, default=None,
                      help="iteration count (default 50; 3 for ip2)")
     sep.add_argument("--frame-len", type=int, default=4096, help="STFT frame length")
     sep.add_argument("--hop-div", type=_positive_int, default=4,
@@ -128,7 +129,7 @@ def _build_parser():
     bench.add_argument("--dur", type=float, default=10.0, help="scene length s")
     bench.add_argument("--rt60", type=float, default=300.0, help="rt60 in ms")
     bench.add_argument("--rate", type=int, default=16000, help="sample rate")
-    bench.add_argument("--iters", type=int, default=None,
+    bench.add_argument("--iters", type=_positive_int, default=None,
                        help="override every method's iteration count")
     bench.add_argument("--frame-len", type=int, default=4096,
                        help="STFT frame length")

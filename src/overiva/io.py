@@ -83,11 +83,14 @@ def read_wav(path):
         raise CorruptFile(f"{path} is not a RIFF/WAVE file")
     fmt = None
     data = None
+    # Chunk bodies are views: the data chunk is not copied before it is
+    # converted.
+    view = memoryview(raw)
     pos = 12
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise CorruptFile(f"{path}: truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
@@ -119,8 +122,13 @@ def read_wav(path):
     frame_bytes = n_channels * dtype.itemsize
     if block_align not in (0, frame_bytes) or len(data) % frame_bytes != 0:
         raise CorruptFile(f"{path}: sample data does not align with frames")
-    flat = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
-    if not np.isfinite(flat).all():
+    # One float64 array: the cast makes it, and PCM16 is scaled in place.
+    flat = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    if scale != 1.0:
+        flat *= scale
+    # A sum of finite float32 samples cannot overflow float64, so it is
+    # finite exactly when every sample is, and takes no mask to find out.
+    if not np.isfinite(flat.sum()):
         first = int(np.flatnonzero(~np.isfinite(flat))[0])
         frame, channel = divmod(first, n_channels)
         raise CorruptFile(

@@ -31,9 +31,15 @@ chunk its slice. Silent bins (all-zero input, G_z = 0) take the same
 sweep as every other bin, with G_z read as the identity there; their
 images are zero whatever the filters.
 
-run() records the negative log-likelihood once per iteration, from the
-covariances the sweep has formed. For ip1, ip2 and ip3 it profiles out
-the background block, which only matters through its span (_bin_cost).
+run() records the negative log-likelihood once per iteration from what
+the sweep has already computed, with no second pass over the
+covariances (_bin_cost): the sweeps' row normalizations fix the
+quadratic terms, and the log-determinant comes from the Gram matrix
+W_s^H G_z W_s the background update forms (ip1, ip3), from ip2's
+eigenvalue, or from log|det W| carried across auxiva's row updates.
+ip1, ip2 and ip3 profile out the background block, which only matters
+through its span. Only their bins with a singular G_z (silent, or with
+a copied channel) take a determinant of W.
 
 After the loop run() returns each target's image in factored form. In
 every bin the image of output k is rank one, (W^{-H} e_k)(w_k^H x): the
@@ -219,13 +225,16 @@ def update_wz_full(w_stack, noise_cov, n_targets):
     return uz @ linalg.inv_sqrt_hermitian(inner)
 
 
-def update_wz_fast(w_targets, noise_cov):
+def update_wz_fast(w_targets, noise_cov, return_gram=False):
     """Orthogonal-complement background block, (..., M, M - K).
 
     Returns [-(W_s^H G_z E_s)^{-1} (W_s^H G_z E_z); I], the unique
     background with trailing identity rows whose outputs are uncorrelated
     with the targets: W_s^H G_z W_z = 0 exactly. Spans the same subspace
     as the fully normalized block (their column-space projectors agree).
+
+    With return_gram, also returns the Gram matrix W_s^H G_z W_s,
+    (..., K, K), from the product W_s^H G_z the block is solved from.
     """
     n_targets = w_targets.shape[-1]
     m = w_targets.shape[-2]
@@ -241,26 +250,32 @@ def update_wz_fast(w_targets, noise_cov):
     eye = np.broadcast_to(
         np.eye(m - n_targets), top.shape[:-2] + (m - n_targets, m - n_targets)
     )
-    return np.concatenate([top, eye], axis=-2)
+    block = np.concatenate([top, eye], axis=-2)
+    return (block, c @ w_targets) if return_gram else block
 
 
 def ip1_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
     """One sweep: all K target rows, then one background update.
 
     target_covs : (K, ..., M, M) weighted covariances; noise_cov :
-    (..., M, M). Returns the updated stack. on_wz_update, when given, is
-    called as on_wz_update(w_stack, noise_cov) after the background
-    update (diagnostic hook; must not mutate its arguments).
+    (..., M, M). Returns the updated stack and the Gram matrix
+    W_s^H G_z W_s of its targets, (..., K, K), as update_wz_fast formed
+    it (None when K = M). on_wz_update, when given, is called as
+    on_wz_update(w_stack, noise_cov) after the background update
+    (diagnostic hook; must not mutate its arguments).
     """
     w = np.array(w_stack, copy=True)
     n_targets = target_covs.shape[0]
     for k in range(n_targets):
         w[..., :, k] = ip0_update_row(w, target_covs[k], k)
+    gram = None
     if n_targets < w.shape[-1]:
-        w[..., :, n_targets:] = update_wz_fast(w[..., :, :n_targets], noise_cov)
+        w[..., :, n_targets:], gram = update_wz_fast(
+            w[..., :, :n_targets], noise_cov, return_gram=True
+        )
         if on_wz_update is not None:
             on_wz_update(w, noise_cov)
-    return w
+    return w, gram
 
 
 def ip3_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
@@ -268,16 +283,20 @@ def ip3_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
 
     Keeps the orthogonal constraint satisfied at every intermediate
     state, which is what allows the determinant to stay in closed form.
-    Coincides with ip1_sweep when there is a single target.
+    Coincides with ip1_sweep when there is a single target. Returns the
+    updated stack and, as ip1_sweep, its Gram matrix W_s^H G_z W_s (the
+    last refresh's).
     """
     w = np.array(w_stack, copy=True)
     n_targets = target_covs.shape[0]
     for k in range(n_targets):
         w[..., :, k] = ip0_update_row(w, target_covs[k], k)
-        w[..., :, n_targets:] = update_wz_fast(w[..., :, :n_targets], noise_cov)
+        w[..., :, n_targets:], gram = update_wz_fast(
+            w[..., :, :n_targets], noise_cov, return_gram=True
+        )
         if on_wz_update is not None:
             on_wz_update(w, noise_cov)
-    return w
+    return w, gram
 
 
 def auxiva_sweep(w_stack, target_covs, noise_inv):
@@ -293,10 +312,17 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
     update; the noise rows share noise_inv, the inverse of G_z,
     (..., M, M), which run() forms once per run (it is not read when
     K = M). Per sweep that is K + 1 batched LU solves instead of M.
+
+    Returns the updated stack and its log|det W| less that of w_stack,
+    (...), found without forming a determinant:
+    with W^H a_k = e_k, the matrix determinant lemma makes each row
+    update multiply det W by a_k^H w_k,new = sqrt(q), so the change is
+    the sum of log(q) / 2 over the rows.
     """
     w = np.array(w_stack, copy=True)
     m = w.shape[-1]
     n_targets = target_covs.shape[0]
+    logdet_change = np.zeros(w.shape[:-2])
     a = linalg.lu_solve(hermitian_transpose(w), np.eye(m))
     for k in range(m):
         ak = a[..., :, k, None]
@@ -306,6 +332,7 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
             u = noise_inv @ ak
         q = (hermitian_transpose(ak) @ u)[..., 0, 0].real
         _require_positive(q, "normalization quadratic is not positive")
+        logdet_change += 0.5 * np.log(q)
         root = np.sqrt(q)[..., None, None]
         new = u / root
         if k < m - 1:
@@ -313,7 +340,7 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
             d = new - w[..., :, k, None]
             a -= (ak / root) @ (hermitian_transpose(d) @ a)
         w[..., :, k] = new[..., 0]
-    return w
+    return w, logdet_change
 
 
 def ip2_update(target_cov, noise_root):
@@ -332,27 +359,32 @@ def ip2_update(target_cov, noise_root):
     eigenvalues the lowest index of the reduced problem's ascending
     ordering wins, as in linalg.gev_largest, so a zero G_z, where every
     eigenvalue is 0, gives w along e_1.
+
+    Returns w, (..., M), and the largest eigenvalue lambda, (...), which
+    is w^H G_z w of that w.
     """
-    _, u = linalg.gev_largest_factored(noise_root, target_cov)
+    value, u = linalg.gev_largest_factored(noise_root, target_cov)
     q = _quad(u, target_cov)
     _require_positive(
         q, "target covariance is not positive along the extracted direction"
     )
-    return u / np.sqrt(q)[..., None]
+    return u / np.sqrt(q)[..., None], value
 
 
-def _image_factors(w_stack, x, k):
+def _image_factors(w_stack, x, k, a=None):
     """The two factors of output k's image: its mixing column
-    a = W^{-H} e_k, (..., M), and its output s = w_k^H x, (...) for
-    vectors x (..., M) or (..., T) for frames x (..., T, M)."""
+    a = W^{-H} e_k, (..., M), solved for unless given, and its output
+    s = w_k^H x, (...) for vectors x (..., M) or (..., T) for frames
+    x (..., T, M)."""
     mats = np.asarray(w_stack)
     x = np.asarray(x)
     if x.ndim not in (mats.ndim - 1, mats.ndim):
         raise ShapeMismatch(
             f"signal shape {x.shape} does not match stack shape {mats.shape}"
         )
-    m = mats.shape[-1]
-    a = linalg.lu_solve(hermitian_transpose(mats), np.eye(m)[:, k])
+    if a is None:
+        m = mats.shape[-1]
+        a = linalg.lu_solve(hermitian_transpose(mats), np.eye(m)[:, k])
     wk = np.conj(mats[..., :, k])
     if x.ndim == mats.ndim - 1:
         return a, np.einsum("...m,...m->...", wk, x)
@@ -425,53 +457,77 @@ def _noise_operand(method, sweep_cov, n_targets):
 
 
 def _sweep_bins(method, w, target_covs, noise, on_wz_update):
-    """Dispatch one sweep on a chunk; noise is the chunk's slice of
-    _noise_operand."""
+    """One sweep on a chunk; noise is the chunk's slice of _noise_operand.
+
+    Returns the new stack and what _bin_cost reads of the sweep: for ip1
+    and ip3 the Gram matrix W_s^H G_z W_s of the new stack, (..., K, K);
+    for ip2 its one entry lambda, (...); for auxiva the change of
+    log|det W|, (...).
+    """
     if method is Method.AUXIVA:
         return auxiva_sweep(w, target_covs, noise)
-    if method is Method.IP1:
-        return ip1_sweep(w, target_covs, noise, on_wz_update)
-    if method is Method.IP3:
-        return ip3_sweep(w, target_covs, noise, on_wz_update)
-    out = np.array(w, copy=True)
-    out[..., :, 0] = ip2_update(target_covs[0], noise)
-    return out
+    if method is Method.IP2:
+        out = np.array(w, copy=True)
+        out[..., :, 0], value = ip2_update(target_covs[0], noise)
+        return out, value
+    sweep = ip1_sweep if method is Method.IP1 else ip3_sweep
+    return sweep(w, target_covs, noise, on_wz_update)
 
 
-def _bin_cost(w, target_covs, ridge, noise_cov, profiled, logdet_gz):
-    """Per-bin objective, (F,), less the factor T and the variance term.
+def _bin_cost(method, w, n_targets, ridge, swept, offset, noise_cov, profiled):
+    """Per-bin objective, (F,), less the factor T and the variance term,
+    from what the sweep computed; no covariance is read on a bin whose
+    G_z is regular.
 
-    sum_k w_k^H (G_k - ridge_k I) w_k plus, on profiled bins (G_z
-    regular), the background term minimized over the block at fixed span,
-    (M - K) + log det G_z - log det(W_s^H G_z W_s) (what update_wz_full
-    attains); elsewhere the explicit tr(W_z^H G_z W_z) - 2 log|det W|.
-    ridge : the scalar ridge weighted_covariance added to G_k.
+    The target term is sum_k w_k^H (G_k - ridge I) w_k, with ridge the
+    scalar weighted_covariance added to G_k. Every sweep normalizes each
+    target row with its own G_k (ip0_update_row, auxiva_sweep's rows,
+    ip2_update), and run() reads the cost before its rescale, so
+    w_k^H G_k w_k = 1 and the term is K - ridge sum_k ||w_k||^2. On a
+    silent bin, G_k = ridge I and both forms are 0.
+
+    auxiva's background term is tr(W_z^H G_z W_z) - 2 log|det W|. The
+    trace is offset: M - K on live bins, where each background row is
+    normalized with G_z, and 0 on silent bins, whose G_z is 0. swept is
+    log|det W|, which run() carries from W = I through every row update
+    (auxiva_sweep) and rescale.
+
+    ip1, ip2 and ip3 profile the background on bins whose G_z is regular
+    (profiled): the term minimized over the block at fixed span,
+    (M - K) + log det G_z - log det(W_s^H G_z W_s), which update_wz_full
+    attains. offset holds its first two terms and swept the sweep's Gram
+    matrix (_sweep_bins). On the other bins, silent or with a copied
+    channel, the term is the explicit tr(W_z^H G_z W_z) - 2 log|det W|,
+    the only place the trace takes a determinant of W.
+
+    On a bin whose G_z is regular but ill-conditioned, the row
+    normalizations hold only to about cond(G_z) eps, and the bin's term
+    carries an error of that order, as the explicit formula's does.
     """
-    n_targets = target_covs.shape[0]
+    if method is Method.AUXIVA:
+        background = offset - 2.0 * swept
+    else:
+        background = offset.copy()
+        if method is Method.IP2:
+            background[profiled] -= np.log(swept[profiled])
+        else:
+            background[profiled] -= _masked_logabsdet(swept, profiled)
+        explicit = ~profiled
+        if np.any(explicit):
+            wz = w[explicit][..., :, n_targets:]
+            tr = np.sum(np.conj(wz) * (noise_cov[explicit] @ wz), axis=(-2, -1))
+            background[explicit] += tr.real - 2.0 * _masked_logabsdet(w, explicit)
     ws = w[..., :, :n_targets]
-    cost = _quad(np.moveaxis(ws, -1, 0), target_covs).sum(axis=0)
-    cost -= np.sum(ridge * np.sum(np.abs(ws) ** 2, axis=-2).T, axis=0)
-    if np.any(profiled):
-        wp = ws[profiled]
-        gram = hermitian_transpose(wp) @ noise_cov[profiled] @ wp
-        cost[profiled] += (
-            w.shape[-1] - n_targets
-            + logdet_gz[profiled]
-            - _masked_logabsdet(gram, profiled)
-        )
-    explicit = ~profiled
-    if np.any(explicit):
-        we = w[explicit]
-        wz = we[..., :, n_targets:]
-        tr = np.sum(np.conj(wz) * (noise_cov[explicit] @ wz), axis=(-2, -1))
-        cost[explicit] += tr.real - 2.0 * _masked_logabsdet(we, explicit)
-    return cost
+    return n_targets - ridge * np.sum(np.abs(ws) ** 2, axis=(-2, -1)) + background
 
 
 def _masked_logabsdet(a, mask):
-    """logabsdet of a = b[mask], with errors indexed into b."""
-    try:
+    """logabsdet of a[mask], with errors indexed into a; a itself, not a
+    copy, when mask is all True."""
+    if np.all(mask):
         return linalg.logabsdet(a)
+    try:
+        return linalg.logabsdet(a[mask])
     except NumericalError as exc:
         raise _unmask(exc, mask) from None
 
@@ -528,8 +584,6 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
     pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
     try:
         noise_cov = model.noise_covariance(data)
-        sign, logdet_gz = np.linalg.slogdet(noise_cov)
-        profiled = (sign != 0) & (method is not Method.AUXIVA)
         # On a silent bin x = 0 and every G_k = eps2 I, so its images are
         # zero whatever its filters: the sweeps may read I for its G_z = 0
         # (the cost reads the true G_z).
@@ -539,6 +593,20 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
             sweep_cov = noise_cov.copy()
             sweep_cov[silent] = np.eye(n_chan)
         noise = _noise_operand(method, sweep_cov, n_targets)
+        # The part of each bin's background cost fixed for the run
+        # (_bin_cost).
+        n_background = n_chan - n_targets
+        if method is Method.AUXIVA:
+            # log|det W| per bin, carried from W = I through the sweeps
+            # and rescales.
+            logdet_w = np.zeros(n_bins)
+            profiled = np.zeros(n_bins, dtype=bool)
+            offset = np.where(silent, 0.0, float(n_background))
+        else:
+            sign, offset = np.linalg.slogdet(noise_cov)
+            profiled = sign != 0
+            offset[profiled] += n_background
+            offset[~profiled] = 0.0
         bin_cost = np.empty(n_bins)
         w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
         chunks = _bin_chunks(n_bins, config.threads)
@@ -571,10 +639,15 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                     ]
                 )
                 try:
-                    w[sl] = _sweep_bins(method, w[sl], covs, noise[sl], on_wz_update)
+                    w[sl], swept = _sweep_bins(
+                        method, w[sl], covs, noise[sl], on_wz_update
+                    )
+                    if method is Method.AUXIVA:
+                        logdet_w[sl] += swept
+                        swept = logdet_w[sl]
                     bin_cost[sl] = _bin_cost(
-                        w[sl], covs, config.eps2, noise_cov[sl], profiled[sl],
-                        logdet_gz[sl],
+                        method, w[sl], n_targets, config.eps2, swept,
+                        offset[sl], noise_cov[sl], profiled[sl],
                     )
                 except NumericalError as exc:
                     raise _shift_bin(exc, sl.start) from None
@@ -586,6 +659,8 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
             )
             scale = lam.mean(axis=1)
             w[:, :, :n_targets] *= scale ** -0.5
+            if method is Method.AUXIVA:
+                logdet_w -= 0.5 * np.sum(np.log(scale))
             if config.convergence_delta is not None and len(cost_trace) >= 2:
                 prev, cur = cost_trace[-2], cost_trace[-1]
                 if abs(prev - cur) <= config.convergence_delta * abs(prev):
@@ -596,8 +671,10 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                 w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
             except NumericalError as exc:
                 raise _shift_bin(exc, 0) from None
+        kept = None
         if method is Method.AUXIVA:
-            w = w[:, :, _auxiva_order(w, noise_cov, n_targets)]
+            order, kept = _auxiva_order(w, noise_cov, n_targets)
+            w = w[:, :, order]
         # The factors are the last arrays of the run, so the demixed
         # targets of the last iteration need not be held beside them.
         del targets_buf
@@ -605,7 +682,10 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
         outputs = np.empty((n_targets, n_frames, n_bins), dtype=np.complex128)
         for k in range(n_targets):
             # Unbound once copied: one output spectrum is transient at a time.
-            mixing[k], outputs[k] = map(np.transpose, _image_factors(w, data, k))
+            a = None if kept is None else kept[:, :, k]
+            mixing[k], outputs[k] = map(
+                np.transpose, _image_factors(w, data, k, a)
+            )
     finally:
         if pool is not None:
             pool.shutdown()
@@ -621,7 +701,10 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
 
 def _auxiva_order(w, noise_cov, n_targets):
     """Column order that puts the n_targets outputs with the most powerful
-    images first (ties to the lowest index), then the rest in order.
+    images first (ties to the lowest index), then the rest in order, and
+    the mixing columns W^{-H} e_j of those n_targets outputs, (F, M, K),
+    in that order: permuting W's columns permutes W^{-H}'s the same way,
+    so the reordered stack's image factors need no second solve.
 
     In bin f, output j's image has power |a_j|^2 sum_t |w_j^H x_t|^2
     = T |a_j|^2 w_j^H G_z w_j, with a_j = W^{-H} e_j and G_z = noise_cov;
@@ -634,4 +717,5 @@ def _auxiva_order(w, noise_cov, n_targets):
     output_pow = _quad(np.moveaxis(w, -1, 0), noise_cov).T
     powers = np.sum(filter_pow * output_pow, axis=0)
     picked = _top_indices(powers, n_targets)
-    return list(picked) + [j for j in range(n_chan) if j not in picked]
+    order = list(picked) + [j for j in range(n_chan) if j not in picked]
+    return order, mixing[:, :, list(picked)]

@@ -8,6 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from overiva import cli, pipeline
 from overiva.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from overiva.io import AudioBuffer, read_wav, write_wav
 
@@ -240,6 +241,35 @@ class TestSeparate:
             main(separate_args(scene_dir, out, "--hop-div", value))
         assert info.value.code == EXIT_USAGE
         assert "--hop-div" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_sources_with_missing_input_is_usage_error(self, tmp_path, capsys):
+        """--sources 0 is rejected before the input is opened, so a
+        missing input does not make it an I/O error."""
+        with pytest.raises(SystemExit) as info:
+            main(
+                ["separate", "--input", str(tmp_path / "missing.wav"),
+                 "--sources", "0", "--out", str(tmp_path)]
+            )
+        assert info.value.code == EXIT_USAGE
+        assert "--sources" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sources", "--iters"])
+    def test_zero_count_is_usage_error_before_reading(
+        self, scene_dir, tmp_path, capsys, monkeypatch, flag
+    ):
+        """The parser rejects a count below 1: the WAV is never read, so
+        no STFT is taken before the error."""
+
+        def no_read(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(pipeline, "read_wav", no_read)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(separate_args(scene_dir, out, flag, "0"))
+        assert info.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1024", "3"])
@@ -479,6 +509,23 @@ class TestBench:
             main(bench_args(grid, out, flag, "0"))
         assert info.value.code == EXIT_USAGE
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_iters_is_usage_error_before_any_scene(
+        self, grid, tmp_path, capsys, monkeypatch
+    ):
+        """--iters 0 is rejected by the parser, not by the first run
+        after a scene has been synthesized."""
+
+        def no_bench(*args, **kwargs):
+            raise AssertionError("benchmark started")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_bench)
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            main(bench_args(grid, out, "--iters", "0"))
+        assert info.value.code == EXIT_USAGE
+        assert "--iters" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_method_list_is_usage_error(self, grid, tmp_path, capsys):

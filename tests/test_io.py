@@ -73,6 +73,21 @@ class TestRoundTrips:
         np.testing.assert_array_equal(got.samples, expected)
 
 
+class TestReadMemory:
+    @pytest.mark.parametrize("sample_format", ["float32", "pcm16"])
+    def test_one_float64_array_beside_the_file(
+        self, tmp_path, traced_peak, sample_format
+    ):
+        """read_wav holds at most the file's bytes and the float64
+        samples at once: the data chunk is not copied, and the samples
+        are not scaled into a second array."""
+        rng = np.random.default_rng(3)
+        path = tmp_path / "big.wav"
+        write_wav(path, make_buffer(rng, 100_000, 4), sample_format=sample_format)
+        got, peak = traced_peak(read_wav, path)
+        assert peak < path.stat().st_size + got.samples.nbytes + 2**16
+
+
 class TestHeaderLayout:
     def test_float32_header_fields(self, tmp_path):
         """Check every header field against a struct-level parse."""

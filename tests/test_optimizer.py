@@ -197,6 +197,16 @@ class TestUpdateWzFast:
             dist = np.abs(span_projector(full) - span_projector(fast)).max()
             assert dist < 1e-8
 
+    def test_returns_the_targets_gram_matrix(self):
+        rng = np.random.default_rng(8)
+        ws = random_complex(rng, (6, 5, 2)) + np.eye(5, 2)
+        gz = random_hpd_batch(rng, 6, 5)
+        wz, gram = update_wz_fast(ws, gz, return_gram=True)
+        np.testing.assert_array_equal(wz, update_wz_fast(ws, gz))
+        np.testing.assert_allclose(
+            gram, ws.conj().transpose(0, 2, 1) @ gz @ ws, rtol=1e-13
+        )
+
     def test_degenerate_target_block_raises(self):
         ws = np.array([[0.0], [1.0]], complex)
         gz = np.diag([0.0, 1.0]).astype(complex)
@@ -237,7 +247,7 @@ class TestSweeps:
         wa = eye_stack(4)
         wb = eye_stack(4)
         for _ in range(10):
-            wa = ip1_sweep(wa, covs, gz)
+            wa, _ = ip1_sweep(wa, covs, gz)
             wb = ip1_full_sweep(wb, covs, gz)
             assert np.abs(wa[:, :2] - wb[:, :2]).max() < 1e-8
 
@@ -250,7 +260,7 @@ class TestSweeps:
         wb = eye_stack(3)
         for _ in range(10):
             wa = ip1_full_sweep(wa, covs, gz)
-            wb = auxiva_sweep(wb, covs, inverse(gz))
+            wb, _ = auxiva_sweep(wb, covs, inverse(gz))
             np.testing.assert_allclose(wa, wb, atol=1e-12)
 
     def test_ip3_equals_ip1_fast_single_target(self):
@@ -259,8 +269,8 @@ class TestSweeps:
         wa = eye_stack(4)
         wb = eye_stack(4)
         for _ in range(5):
-            wa = ip1_sweep(wa, covs, gz)
-            wb = ip3_sweep(wb, covs, gz)
+            wa, _ = ip1_sweep(wa, covs, gz)
+            wb, _ = ip3_sweep(wb, covs, gz)
             np.testing.assert_array_equal(wa, wb)
 
     def test_ip3_interleaved_orthogonality(self):
@@ -276,8 +286,18 @@ class TestSweeps:
             worst.append(np.abs(ws.conj().T @ cov @ wz).max())
 
         for _ in range(4):
-            w = ip3_sweep(w, covs, gz, on_wz_update=check)
+            w, _ = ip3_sweep(w, covs, gz, on_wz_update=check)
         assert len(worst) == 12 and max(worst) < 1e-10
+
+    def test_sweeps_return_the_gram_matrix_of_their_targets(self):
+        """ip1_sweep and ip3_sweep hand out W_s^H G_z W_s of the stack
+        they return, the matrix run()'s cost takes its determinant of."""
+        rng = np.random.default_rng(13)
+        covs, gz = random_instance(rng, 5, 2)
+        for sweep in (ip1_sweep, ip3_sweep):
+            w, gram = sweep(eye_stack(5), covs, gz)
+            ws = w[:, :2]
+            np.testing.assert_allclose(gram, ws.conj().T @ gz @ ws, rtol=1e-12)
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_auxiva_sweep_matches_row_by_row_oracle(self, m):
@@ -294,7 +314,7 @@ class TestSweeps:
                 wa = eye_stack(m, (n_bins,))
                 wb = eye_stack(m, (n_bins,))
                 for _ in range(25):
-                    wa = auxiva_sweep(wa, covs, inverse(gz))
+                    wa, _ = auxiva_sweep(wa, covs, inverse(gz))
                     wb = auxiva_sweep_ip0(wb, covs, gz)
                 rel = np.abs(wa - wb).max() / np.abs(wb).max()
                 assert rel <= 1e-12, (m, k, n_bins, rel)
@@ -316,7 +336,7 @@ class TestSweeps:
         w = eye_stack(4)
         prev = cost_jw(w, covs, gz)
         for _ in range(30):
-            w = auxiva_sweep(w, covs, inverse(gz))
+            w, _ = auxiva_sweep(w, covs, inverse(gz))
             cur = cost_jw(w, covs, gz)
             assert cur <= prev + 1e-12
             prev = cur
@@ -328,7 +348,7 @@ class TestIp2:
         eigenvalue is 4 along e_2, scaled to w^H G_1 w = 1."""
         gz = np.diag([2.0, 8.0]).astype(complex)
         g1 = np.diag([1.0, 2.0]).astype(complex)
-        w = ip2_update(g1, linalg.psd_factor(gz))
+        w, _ = ip2_update(g1, linalg.psd_factor(gz))
         np.testing.assert_allclose(np.abs(w), [0.0, 2.0**-0.5], atol=1e-12)
         np.testing.assert_allclose((w.conj() @ g1 @ w).real, 1.0, rtol=1e-12)
 
@@ -336,7 +356,7 @@ class TestIp2:
         rng = np.random.default_rng(14)
         g1 = random_hpd(rng, 3)
         gz = random_hpd(rng, 3)
-        w = ip2_update(g1, linalg.psd_factor(gz))
+        w, _ = ip2_update(g1, linalg.psd_factor(gz))
         lam, _ = linalg.gev_largest(gz, g1)
 
         def quotient(u):
@@ -354,7 +374,7 @@ class TestIp2:
         for m in (2, 3, 4):
             for _ in range(7):
                 covs, gz = random_instance(rng, m, 1)
-                w1 = ip2_update(covs[0], linalg.psd_factor(gz))
+                w1, _ = ip2_update(covs[0], linalg.psd_factor(gz))
                 w_eig = with_full_background(w1, gz)
                 w_it = eye_stack(m)
                 for _ in range(100):
@@ -368,12 +388,21 @@ class TestIp2:
         for m in (2, 3, 5):
             g1 = random_hpd(rng, m)
             gz = random_hpd(rng, m)
-            w1 = ip2_update(g1, linalg.psd_factor(gz))
+            w1, _ = ip2_update(g1, linalg.psd_factor(gz))
             w = with_full_background(w1, gz)
             lam, _ = linalg.gev_largest(gz, g1)
             lhs = linalg.logabsdet(w)
             rhs = 0.5 * np.log(lam) - 0.5 * np.linalg.slogdet(gz)[1]
             np.testing.assert_allclose(lhs, rhs, atol=1e-8)
+
+    def test_returned_value_is_the_noise_quadratic(self):
+        """The eigenvalue ip2_update hands out is w^H G_z w of its filter."""
+        rng = np.random.default_rng(9)
+        g1 = random_hpd_batch(rng, 7, 4)
+        gz = random_hpd_batch(rng, 7, 4)
+        w, value = ip2_update(g1, linalg.psd_factor(gz))
+        quad = np.einsum("fm,fmn,fn->f", w.conj(), gz, w).real
+        np.testing.assert_allclose(value, quad, rtol=1e-12)
 
     def test_indefinite_target_raises(self):
         gz = np.eye(2, dtype=complex)
@@ -429,7 +458,7 @@ class TestIp2FactoredProperty:
             [scipy.linalg.eigh(a, b, eigvals_only=True)[-2:] for a, b in zip(gz, g1)]
         )
         assume(np.all(top2[:, 1] - top2[:, 0] > 1e-3 * top2[:, 1]))
-        w = ip2_update(g1, linalg.psd_factor(gz))
+        w, _ = ip2_update(g1, linalg.psd_factor(gz))
         assert phase_aligned_error(w, ip2_update_gev(g1, gz)) <= 1e-10
 
     @settings(max_examples=60, deadline=None)
@@ -449,8 +478,8 @@ class TestIp2FactoredProperty:
         rng = np.random.default_rng(seed)
         gz = planted_noise_cov(rng, m, log_cond, m)
         g1 = c * gz
-        w = ip2_update(g1, linalg.psd_factor(gz))
-        np.testing.assert_array_equal(w, ip2_update(g1, linalg.psd_factor(gz)))
+        w, _ = ip2_update(g1, linalg.psd_factor(gz))
+        np.testing.assert_array_equal(w, ip2_update(g1, linalg.psd_factor(gz))[0])
         np.testing.assert_allclose((w.conj() @ g1 @ w).real, 1.0, rtol=1e-10)
         np.testing.assert_allclose((w.conj() @ gz @ w).real, 1.0 / c, rtol=1e-10)
 
@@ -462,7 +491,7 @@ class TestIp2FactoredProperty:
         rng = np.random.default_rng(70 + m)
         g1 = random_hpd_batch(rng, 4, m)
         gz = np.zeros_like(g1)
-        w = ip2_update(g1, linalg.psd_factor(gz))
+        w, _ = ip2_update(g1, linalg.psd_factor(gz))
         expected = np.zeros((4, m), dtype=complex)
         expected[:, 0] = g1[:, 0, 0].real ** -0.5
         np.testing.assert_allclose(w, expected, rtol=1e-14, atol=1e-14)
@@ -543,7 +572,7 @@ class TestPickTopK:
             w = random_complex(rng, (16, m, m), 0.3) + np.eye(m)
             gz = model.noise_covariance(x)
             for k in range(1, m + 1):
-                order = optimizer._auxiva_order(w, gz, k)
+                order, _ = optimizer._auxiva_order(w, gz, k)
                 assert order == auxiva_order_demixed(w, x, k)
                 orders.add(tuple(order))
         assert len(orders) > 1
@@ -562,11 +591,28 @@ def planted_scene(rng, n_bins, n_frames, m, flat_mixing=True):
     return x, ref
 
 
+def near_copy(x, f, level):
+    """x with microphone 3 of bin f replaced by microphone 0 plus
+    complex noise level times microphone 0's mean magnitude."""
+    rng = np.random.default_rng(40)
+    out = x.copy()
+    src = out[f, :, 0]
+    noise = random_complex(rng, src.shape)
+    out[f, :, 3] = src + level * np.abs(src).mean() * noise
+    return out
+
+
 def reference_trace(x, n_targets, method, iterations):
     """cost_total after each iteration of a plain run() loop: variances,
-    sweep, the fully normalized background (ip1 only), rescale."""
+    sweep, rescale. The sweeps read the identity for a silent bin's G_z.
+    For ip1, ip2 and ip3 the cost is taken with the fully normalized
+    background on every bin with a regular G_z, and with the stack's own
+    background elsewhere; for auxiva always with the stack's own."""
     n_bins, _, m = x.shape
     gz = model.noise_covariance(x)
+    sweep_gz = gz.copy()
+    sweep_gz[np.einsum("fmm->f", gz).real == 0] = np.eye(m)
+    profiled = np.linalg.slogdet(gz)[0] != 0
     w = eye_stack(m, (n_bins,))
     trace = []
     for _ in range(iterations):
@@ -577,14 +623,23 @@ def reference_trace(x, n_targets, method, iterations):
             [model.weighted_covariance(x, lam[k]) for k in range(n_targets)]
         )
         if method == "ip1":
-            w = ip1_sweep(w, covs, gz)
-            w[..., n_targets:] = update_wz_full(w, gz, n_targets)
+            w, _ = ip1_sweep(w, covs, sweep_gz)
+        elif method == "ip3":
+            w, _ = ip3_sweep(w, covs, sweep_gz)
+        elif method == "ip2":
+            w[..., 0], _ = ip2_update(covs[0], linalg.psd_factor(sweep_gz))
         else:
-            w = auxiva_sweep(w, covs, inverse(gz))
+            w, _ = auxiva_sweep(
+                w, covs, inverse(sweep_gz) if n_targets < m else sweep_gz
+            )
         scale = lam.mean(axis=1)
-        lam = lam / scale[:, None]
         w[..., :n_targets] *= scale**-0.5
-        trace.append(model.cost_total(w, lam, x))
+        full = w.copy()
+        if method != "auxiva":
+            full[profiled, :, n_targets:] = update_wz_full(
+                w[profiled], gz[profiled], n_targets
+            )
+        trace.append(model.cost_total(full, lam / scale[:, None], x))
     return np.array(trace)
 
 
@@ -660,9 +715,10 @@ class TestRunCallCounts:
         sweeps = []
         real_sweep = optimizer.auxiva_sweep
 
-        def last_sweep(*args):
-            sweeps[:] = [real_sweep(*args)]
-            return sweeps[0]
+        def last_sweep(*args, **kwargs):
+            out = real_sweep(*args, **kwargs)
+            sweeps[:] = [out[0] if isinstance(out, tuple) else out]
+            return out
 
         monkeypatch.setattr(optimizer, "auxiva_sweep", last_sweep)
         result = run(x, k, RunConfig(method="auxiva", iterations=5))
@@ -721,10 +777,10 @@ class TestRunCallCounts:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_auxiva_lu_solves(self, monkeypatch, k):
         """K + 1 batched LU solves per sweep (W^H and one per target), one
-        for G_z^{-1} when there are background rows, one for the mixing
-        matrix that ranks the outputs (_auxiva_order), and one for each
-        kept image's mixing column; silent bins (0-1 in the second input)
-        take the same sweep and add none."""
+        for G_z^{-1} when there are background rows, and one for the
+        mixing matrix that ranks the outputs (_auxiva_order), whose kept
+        columns are the images' mixing columns; silent bins (0-1 in the
+        second input) take the same sweep and add none."""
         x = self.make_x()
         quiet = x.copy()
         quiet[:2] = 0
@@ -732,7 +788,7 @@ class TestRunCallCounts:
         for data in (x, quiet):
             lu.clear()
             run(data, k, RunConfig(method="auxiva", iterations=5))
-            assert len(lu) == 5 * (k + 1) + (k < 4) + 1 + k
+            assert len(lu) == 5 * (k + 1) + (k < 4) + 1
 
     @pytest.mark.parametrize("method", ["ip1", "ip3"])
     @pytest.mark.parametrize("k", [1, 2])
@@ -756,6 +812,37 @@ class TestRunCallCounts:
         with pytest.raises(SingularMatrix, match="frequency bin 5") as info:
             run(x, 1, RunConfig(method="auxiva", iterations=3, threads=threads))
         assert info.value.batch_index == 5
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "method,k", [("ip1", 2), ("ip2", 1), ("ip3", 2), ("auxiva", 2)]
+    )
+    def test_cost_takes_no_determinant_of_w(self, monkeypatch, method, k, threads):
+        """The trace reads what the sweeps formed: auxiva carries
+        log|det W| and ip2 takes its eigenvalue, so neither takes a
+        determinant; ip1 and ip3 take one per iteration and chunk, of the
+        K x K Gram matrix. With bins 0-1 silent, only those two bins take
+        the explicit formula's determinant of W."""
+        x = self.make_x()
+        dets = count_calls(monkeypatch, linalg, "logabsdet")
+        run(x, k, RunConfig(method=method, iterations=3, threads=threads))
+        shapes = [a.shape for (a,) in dets]
+        if method in ("ip2", "auxiva"):
+            assert shapes == []
+        else:
+            assert len(shapes) == 3 * threads
+            assert all(shape[-2:] == (k, k) for shape in shapes)
+        x[:2] = 0
+        dets.clear()
+        run(x, k, RunConfig(method=method, iterations=3))
+        shapes = [a.shape for (a,) in dets]
+        m = x.shape[-1]
+        if method == "auxiva":
+            assert shapes == []
+        elif method == "ip2":
+            assert shapes == 3 * [(2, m, m)]
+        else:
+            assert shapes == 3 * [(len(x) - 2, k, k), (2, m, m)]
 
     def test_ip2_error_on_silent_bins_names_bin(self):
         """With no ridge, the silent bins' G_1 = 0 has no Cholesky factor;
@@ -891,16 +978,77 @@ class TestRun:
             run(x, 1, RunConfig(method="auxiva", iterations=3))
 
     def test_cost_trace_matches_reference_loop(self):
-        """The trace run() computes from the sweep's covariances is the
-        full objective at the fully normalized background (ip1) and at
-        the stack itself (auxiva)."""
-        x, _ = self.make_x(seed=6, m=4)
-        for method in ("ip1", "auxiva"):
-            cfg = RunConfig(method=method, iterations=12)
-            got = run(x, 2, cfg).cost_trace
-            ref = reference_trace(x, 2, method, 12)
-            rel = np.abs(got - ref) / np.abs(ref)
-            assert rel.max() <= 1e-10, (method, rel.max())
+        """The trace run() takes from what the sweep computed is the full
+        objective at the fully normalized background (ip1, ip2, ip3) and
+        at the stack itself (auxiva, also at K = M), at 1 and 2 threads.
+        Bins 0-2 of the "silent" input are all zero; bin 5 of the
+        "copied" input has a copied microphone. Both leave G_z singular,
+        so for ip1, ip2 and ip3 those bins take the explicit formula;
+        auxiva inverts G_z, so it has no copied case. Bin 5 of the "near"
+        input has a microphone copied with noise 1e-2 below it, which
+        leaves G_z regular but ill-conditioned there (cond about 1e5)."""
+        plain, _ = self.make_x(seed=6, m=4)
+        silent = plain.copy()
+        silent[:3] = 0
+        copied = plain.copy()
+        copied[5, :, 3] = copied[5, :, 0]
+        near = near_copy(plain, 5, 1e-2)
+        schedules = [("ip1", 2), ("ip2", 1), ("ip3", 2), ("auxiva", 2), ("auxiva", 4)]
+        inputs = [
+            ("plain", plain), ("silent", silent), ("copied", copied), ("near", near)
+        ]
+        cases = [
+            (method, k, name, x)
+            for method, k in schedules
+            for name, x in inputs
+            if not (method == "auxiva" and name == "copied")
+        ]
+        for method, k, name, x in cases:
+            ref = reference_trace(x, k, method, 12)
+            for threads in (1, 2):
+                cfg = RunConfig(method=method, iterations=12, threads=threads)
+                got = run(x, k, cfg).cost_trace
+                rel = np.abs(got - ref) / np.abs(ref)
+                assert rel.max() <= 1e-10, (method, k, name, threads, rel.max())
+
+    def test_cost_trace_on_an_ill_conditioned_bin(self):
+        """Bin 5 holds a microphone copied with noise 1e-3 or 1e-4 below
+        it, so cond(G_z) there is about 5e6 or 5e8. The row
+        normalizations the trace relies on, and cost_total's explicit
+        terms, then hold to about cond(G_z) eps of that bin's term; the
+        two still agree to cond(G_z) eps of the whole trace."""
+        plain, _ = self.make_x(seed=6, m=4)
+        eps = np.finfo(float).eps
+        for level in (1e-3, 1e-4):
+            x = near_copy(plain, 5, level)
+            cond = np.linalg.cond(model.noise_covariance(x)[5])
+            assert cond > 0.1 / level**2
+            for method, k in [("ip1", 2), ("ip2", 1), ("ip3", 2), ("auxiva", 2)]:
+                ref = reference_trace(x, k, method, 12)
+                got = run(x, k, RunConfig(method=method, iterations=12)).cost_trace
+                rel = np.abs(got - ref) / np.abs(ref)
+                assert rel.max() <= cond * eps, (level, method, rel.max())
+
+    def test_auxiva_carried_log_determinant_does_not_drift(self):
+        """After 200 iterations of run()'s loop, the log|det W| that
+        auxiva_sweep and the rescales carry per bin is still linalg's
+        logabsdet of the stack."""
+        x, _ = self.make_x(seed=7, m=4)
+        k, m = 2, 4
+        gz_inv = inverse(model.noise_covariance(x))
+        w = eye_stack(m, (len(x),))
+        carried = np.zeros(len(x))
+        for _ in range(200):
+            lam = model.update_variances(
+                (x @ np.conj(w[..., :k])).transpose(2, 0, 1)
+            )
+            covs = np.stack([model.weighted_covariance(x, lam[j]) for j in range(k)])
+            w, change = auxiva_sweep(w, covs, gz_inv)
+            carried += change
+            scale = lam.mean(axis=1)
+            w[..., :k] *= scale**-0.5
+            carried -= 0.5 * np.sum(np.log(scale))
+        np.testing.assert_allclose(carried, linalg.logabsdet(w), rtol=1e-10, atol=0)
 
     def test_auxiva_error_behind_silent_bins_names_bin(self):
         """Bins 0-2 are silent, so the background rows read the identity
