@@ -6,7 +6,7 @@ The stationarity residual measures how close the final filters are to a
 fixed point of the update equations. And during fast background
 updates, the separated targets must stay uncorrelated with the
 background outputs, a constraint the update enforces by construction;
-a probe hook verifies it after every refresh.
+the filters an ip3 run returns are checked against it.
 """
 
 import numpy as np
@@ -53,19 +53,14 @@ print(
     f"worst bin {res.combined.max():.2e}"
 )
 
-# Rerun in fast mode with a probe on every background refresh: the
-# cross-correlation between target filters and background block stays
-# at roundoff level throughout.
-worst = 0.0
-
-
-def probe(w_chunk, noise_cov_chunk):
-    global worst
-    ws = w_chunk[..., :, :n_targets]
-    wz = w_chunk[..., :, n_targets:]
-    cross = hermitian_transpose(ws) @ noise_cov_chunk @ wz
-    worst = max(worst, float(np.abs(cross).max()))
-
-
-run(x, n_targets, RunConfig(method="ip3", iterations=50), on_wz_update=probe)
-print(f"worst target/background correlation across all refreshes: {worst:.2e}")
+# ip3 refreshes the background after every target row, so the last step
+# of each sweep leaves the targets uncorrelated with the background
+# outputs, W_s^H G_z W_z = 0; the per-iteration rescale only scales W_s,
+# so the returned state still holds it at roundoff level.
+w3 = run(x, n_targets, RunConfig(method="ip3", iterations=50)).demixing.matrices
+cross = (
+    hermitian_transpose(w3[..., :, :n_targets])
+    @ noise_covariance(x)
+    @ w3[..., :, n_targets:]
+)
+print(f"worst target/background correlation after ip3: {np.abs(cross).max():.2e}")

@@ -10,11 +10,12 @@ mixture itself and anchors the improvement scale.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optimizer import RunConfig, run
+from .errors import InvalidK
+from .optimizer import RunConfig, check_targets, run
 from .simulate import SceneSpec, rtf, sdr_set, synthesize
 from .stft import RankOneImage, StftConfig, istft, stft
 
@@ -48,33 +49,47 @@ def run_benchmark(
 ):
     """Run the grid; returns one row dict per (cell, method).
 
-    iterations=None keeps each method's own default count (50; 3 for
-    ip2). Methods incompatible with a cell (ip2 at K != 1) are skipped
-    for that cell with a note on `log`.
+    iterations=None keeps each method's own default count
+    (optimizer.DEFAULT_ITERATIONS). Every cell's scene and every method's
+    RunConfig are validated before the first scene is rendered. A method
+    that cannot extract the cell's K sources from its M channels
+    (optimizer.check_targets) is skipped for that cell with a note on
+    `log`.
     """
-    rows = []
+    configs = {
+        m: RunConfig(method=m, iterations=iterations, threads=threads)
+        for m in methods
+        if m != MIXTURE_METHOD
+    }
+    plan = []
     for cell in cells:
-        usable = [
-            m
-            for m in methods
-            if not (m == "ip2" and cell.n_sources != 1)
-        ]
-        if log is not None and len(usable) < len(methods):
-            print(f"note: skipping ip2 for K={cell.n_sources} cell", file=log)
+        spec = SceneSpec(
+            n_sources=cell.n_sources,
+            n_noises=cell.n_noises,
+            n_mics=cell.n_mics,
+            sinr_db=cell.sinr_db,
+            rt60_ms=rt60_ms,
+            sample_rate=sample_rate,
+            duration_s=duration_s,
+            seed=base_seed,
+        )
+        usable = list(methods)
+        for m, config in configs.items():
+            try:
+                check_targets(config.method, cell.n_sources, cell.n_mics)
+            except InvalidK as exc:
+                usable = [u for u in usable if u != m]
+                if log is not None:
+                    cell_km = f"K={cell.n_sources}, M={cell.n_mics}"
+                    print(f"note: skipping {m} for {cell_km}: {exc}", file=log)
+        plan.append((cell, spec, usable))
+
+    rows = []
+    for cell, spec, usable in plan:
         scores = {m: [] for m in usable}
         times = {m: [] for m in usable}
         for trial in range(trials):
-            spec = SceneSpec(
-                n_sources=cell.n_sources,
-                n_noises=cell.n_noises,
-                n_mics=cell.n_mics,
-                sinr_db=cell.sinr_db,
-                rt60_ms=rt60_ms,
-                sample_rate=sample_rate,
-                duration_s=duration_s,
-                seed=base_seed + trial,
-            )
-            scene = synthesize(spec)
+            scene = synthesize(replace(spec, seed=base_seed + trial))
             refs = scene.target_images
             n = scene.mixture.shape[0]
             mix_spec = stft(scene.mixture, stft_config)
@@ -84,10 +99,7 @@ def run_benchmark(
                     scores[method].append(sdr_set(refs, ests).mean)
                     times[method].append(0.0)
                     continue
-                config = RunConfig(
-                    method=method, iterations=iterations, threads=threads
-                )
-                result = run(mix_spec, cell.n_sources, config)
+                result = run(mix_spec, cell.n_sources, configs[method])
                 ests = np.stack(
                     [
                         istft(RankOneImage(a, s), stft_config, length=n)

@@ -23,7 +23,7 @@ from .bench import DEFAULT_METHODS, MIXTURE_METHOD, BenchCell, run_benchmark, wr
 from .errors import CorruptFile, InvalidSpec, NumericalError, UnsupportedFormat
 from .io import read_wav
 from .model import EPS_RIDGE, EPS_VARIANCE
-from .optimizer import Method, RunConfig
+from .optimizer import DEFAULT_ITERATIONS, Method, RunConfig
 from .pipeline import separate_file
 from .simulate import SceneSpec, measured_sinr, save_scene, synthesize
 from .stft import StftConfig
@@ -84,8 +84,9 @@ def _build_parser():
         choices=[m.value for m in Method],
         help="update schedule (default ip1)",
     )
+    iters = ", ".join(f"{m.value} {n}" for m, n in DEFAULT_ITERATIONS.items())
     sep.add_argument("--iters", type=_positive_int, default=None,
-                     help="iteration count (default 50; 3 for ip2)")
+                     help=f"iteration count (default {iters})")
     sep.add_argument("--frame-len", type=int, default=4096, help="STFT frame length")
     sep.add_argument("--hop-div", type=_positive_int, default=4,
                      help="hop = frame_len / hop_div (default 4)")

@@ -98,18 +98,16 @@ DEFAULT_ITERATIONS = {
 class RunConfig:
     """Parameters of one separation run.
 
-    iterations defaults to 50 (3 for ip2, whose single-target update
-    reaches its fixed point in a few steps). convergence_delta, when set,
-    stops early once the relative cost change drops below it. threads > 1
-    splits the frequency axis across a thread pool; images and cost
-    trace are identical to the sequential run.
+    iterations defaults to DEFAULT_ITERATIONS of the method; the run
+    takes exactly that many. threads > 1 splits the frequency axis
+    across a thread pool; images and cost trace are identical to the
+    sequential run.
     """
 
     method: Method = Method.IP1
     iterations: int = None
     eps1: float = model.EPS_VARIANCE
     eps2: float = model.EPS_RIDGE
-    convergence_delta: float = None
     threads: int = 1
 
     def __post_init__(self):
@@ -129,11 +127,6 @@ class RunConfig:
         if not 0 <= self.eps2 < np.inf:
             raise ValueError(
                 f"eps2 must be nonnegative and finite, got {self.eps2}"
-            )
-        delta = self.convergence_delta
-        if delta is not None and not 0 <= delta < np.inf:
-            raise ValueError(
-                f"convergence_delta must be nonnegative and finite, got {delta}"
             )
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
@@ -254,15 +247,13 @@ def update_wz_fast(w_targets, noise_cov, return_gram=False):
     return (block, c @ w_targets) if return_gram else block
 
 
-def ip1_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
+def ip1_sweep(w_stack, target_covs, noise_cov):
     """One sweep: all K target rows, then one background update.
 
     target_covs : (K, ..., M, M) weighted covariances; noise_cov :
     (..., M, M). Returns the updated stack and the Gram matrix
     W_s^H G_z W_s of its targets, (..., K, K), as update_wz_fast formed
-    it (None when K = M). on_wz_update, when given, is called as
-    on_wz_update(w_stack, noise_cov) after the background update
-    (diagnostic hook; must not mutate its arguments).
+    it (None when K = M).
     """
     w = np.array(w_stack, copy=True)
     n_targets = target_covs.shape[0]
@@ -273,12 +264,10 @@ def ip1_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
         w[..., :, n_targets:], gram = update_wz_fast(
             w[..., :, :n_targets], noise_cov, return_gram=True
         )
-        if on_wz_update is not None:
-            on_wz_update(w, noise_cov)
     return w, gram
 
 
-def ip3_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
+def ip3_sweep(w_stack, target_covs, noise_cov):
     """One sweep with a background refresh after every target row.
 
     Keeps the orthogonal constraint satisfied at every intermediate
@@ -294,8 +283,6 @@ def ip3_sweep(w_stack, target_covs, noise_cov, on_wz_update=None):
         w[..., :, n_targets:], gram = update_wz_fast(
             w[..., :, :n_targets], noise_cov, return_gram=True
         )
-        if on_wz_update is not None:
-            on_wz_update(w, noise_cov)
     return w, gram
 
 
@@ -456,7 +443,7 @@ def _noise_operand(method, sweep_cov, n_targets):
         raise _shift_bin(exc, 0) from None
 
 
-def _sweep_bins(method, w, target_covs, noise, on_wz_update):
+def _sweep_bins(method, w, target_covs, noise):
     """One sweep on a chunk; noise is the chunk's slice of _noise_operand.
 
     Returns the new stack and what _bin_cost reads of the sweep: for ip1
@@ -471,7 +458,7 @@ def _sweep_bins(method, w, target_covs, noise, on_wz_update):
         out[..., :, 0], value = ip2_update(target_covs[0], noise)
         return out, value
     sweep = ip1_sweep if method is Method.IP1 else ip3_sweep
-    return sweep(w, target_covs, noise, on_wz_update)
+    return sweep(w, target_covs, noise)
 
 
 def _bin_cost(method, w, n_targets, ridge, swept, offset, noise_cov, profiled):
@@ -532,41 +519,10 @@ def _masked_logabsdet(a, mask):
         raise _unmask(exc, mask) from None
 
 
-def run(x, n_targets, config=RunConfig(), on_wz_update=None):
-    """Extract n_targets sources from a mixture spectrogram.
-
-    Alternates closed-form variance updates with one demixing sweep of
-    the configured schedule, normalizing the per-target scales each
-    iteration, then projects the target outputs back onto the array,
-    returning each image as its two rank-one factors (SeparationResult).
-    For the auxiva baseline all M outputs are updated and the n_targets
-    with the most powerful images are kept; the returned stack's columns
-    are reordered so the kept filters come first.
-
-    Parameters
-    ----------
-    x : Spectrogram or (F, T, M) complex array
-    n_targets : number of sources to extract (K)
-    config : RunConfig
-    on_wz_update : callable, optional
-        Diagnostic hook forwarded to the sweeps, called as
-        on_wz_update(w_chunk, noise_cov_chunk) after every background
-        update (per frequency chunk when threads > 1), with the whole
-        chunk: noise_cov_chunk holds the identity on silent bins, as the
-        sweep reads it. Read-only.
-
-    Returns
-    -------
-    SeparationResult
-
-    Raises ValueError naming the first non-finite entry of an array x.
-    """
-    data = model._spec_data(x)
-    n_bins, n_frames, n_chan = data.shape
-    # A Spectrogram was checked when it was built.
-    if not isinstance(x, Spectrogram):
-        _require_finite(data)
-    method = config.method
+def check_targets(method, n_targets, n_chan):
+    """Raise InvalidK unless method can extract n_targets sources from
+    n_chan channels: ip2 takes K = 1 only, auxiva any 1 <= K <= M, and
+    ip1 and ip3 need a nonempty background, 1 <= K < M."""
     if n_targets < 1:
         raise InvalidK(f"n_targets must be >= 1, got {n_targets}")
     if method is Method.IP2 and n_targets != 1:
@@ -579,6 +535,41 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
             f"{method.value} needs a nonempty background: K={n_targets} "
             f"must be < M={n_chan}"
         )
+
+
+def run(x, n_targets, config=RunConfig()):
+    """Extract n_targets sources from a mixture spectrogram.
+
+    Alternates closed-form variance updates with one demixing sweep of
+    the configured schedule, normalizing the per-target scales each
+    iteration, for exactly config.iterations iterations (the cost trace
+    is recorded, never read back). Then projects the target outputs back
+    onto the array, returning each image as its two rank-one factors
+    (SeparationResult).
+    For the auxiva baseline all M outputs are updated and the n_targets
+    with the most powerful images are kept; the returned stack's columns
+    are reordered so the kept filters come first.
+
+    Parameters
+    ----------
+    x : Spectrogram or (F, T, M) complex array
+    n_targets : number of sources to extract (K)
+    config : RunConfig
+
+    Returns
+    -------
+    SeparationResult
+
+    Raises InvalidK (check_targets), and ValueError naming the first
+    non-finite entry of an array x.
+    """
+    data = model._spec_data(x)
+    n_bins, n_frames, n_chan = data.shape
+    # A Spectrogram was checked when it was built.
+    if not isinstance(x, Spectrogram):
+        _require_finite(data)
+    method = config.method
+    check_targets(method, n_targets, n_chan)
 
     t0 = time.perf_counter()
     pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
@@ -639,9 +630,7 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
                     ]
                 )
                 try:
-                    w[sl], swept = _sweep_bins(
-                        method, w[sl], covs, noise[sl], on_wz_update
-                    )
+                    w[sl], swept = _sweep_bins(method, w[sl], covs, noise[sl])
                     if method is Method.AUXIVA:
                         logdet_w[sl] += swept
                         swept = logdet_w[sl]
@@ -661,10 +650,6 @@ def run(x, n_targets, config=RunConfig(), on_wz_update=None):
             w[:, :, :n_targets] *= scale ** -0.5
             if method is Method.AUXIVA:
                 logdet_w -= 0.5 * np.sum(np.log(scale))
-            if config.convergence_delta is not None and len(cost_trace) >= 2:
-                prev, cur = cost_trace[-2], cost_trace[-1]
-                if abs(prev - cur) <= config.convergence_delta * abs(prev):
-                    break
 
         if method is Method.IP2:
             try:

@@ -44,7 +44,8 @@ class SceneSpec:
     n_noises : L, stationary white noise emitters (>= 0)
     n_mics : M, channels of the array (>= 1)
     sinr_db : input signal-to-interference-and-noise ratio applied to the
-        rendered images (ignored when n_noises == 0)
+        rendered images, finite (ignored when n_noises == 0; ask for no
+        noise with n_noises = 0, not an infinite SINR)
     rt60_ms : reverberation time of the synthetic impulse responses
     """
 
@@ -58,20 +59,19 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_sources < 1:
-            raise InvalidSpec(f"n_sources must be >= 1, got {self.n_sources}")
-        if self.n_noises < 0:
-            raise InvalidSpec(f"n_noises must be >= 0, got {self.n_noises}")
-        if self.n_mics < 1:
-            raise InvalidSpec(f"n_mics must be >= 1, got {self.n_mics}")
-        if self.rt60_ms <= 0:
-            raise InvalidSpec(f"rt60_ms must be positive, got {self.rt60_ms}")
-        if self.sample_rate < 1:
-            raise InvalidSpec(f"sample_rate must be >= 1, got {self.sample_rate}")
-        if self.duration_s <= 0:
-            raise InvalidSpec(f"duration_s must be positive, got {self.duration_s}")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        # Each rule is written so that NaN fails it.
+        for name, ok, rule in (
+            ("n_sources", self.n_sources >= 1, "be >= 1"),
+            ("n_noises", self.n_noises >= 0, "be >= 0"),
+            ("n_mics", self.n_mics >= 1, "be >= 1"),
+            ("sinr_db", -np.inf < self.sinr_db < np.inf, "be finite"),
+            ("rt60_ms", 0 < self.rt60_ms < np.inf, "be positive and finite"),
+            ("sample_rate", self.sample_rate >= 1, "be >= 1"),
+            ("duration_s", 0 < self.duration_s < np.inf, "be positive and finite"),
+            ("seed", self.seed >= 0, "be >= 0"),
+        ):
+            if not ok:
+                raise InvalidSpec(f"{name} must {rule}, got {getattr(self, name)}")
 
     @property
     def n_samples(self):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from overiva import linalg
+from overiva import linalg, optimizer
 from overiva.cli import EXIT_OK, main
 from overiva.io import AudioBuffer
 from overiva.linalg import hermitian_transpose
@@ -63,20 +63,22 @@ def span_projector(cols):
 
 
 class OcProbe:
-    """Records the worst cross-correlation between target filters and
-    the refreshed background block, over every bin and every update."""
+    """Stands in for update_wz_fast and records the worst cross-correlation
+    between the target filters it is given and the background block it
+    returns, over every bin and every refresh."""
 
-    def __init__(self, n_targets):
-        self.n_targets = n_targets
+    def __init__(self, update):
+        self.update = update
         self.worst = 0.0
         self.calls = 0
 
-    def __call__(self, w_chunk, noise_cov_chunk):
-        ws = w_chunk[..., :, : self.n_targets]
-        wz = w_chunk[..., :, self.n_targets :]
-        cross = hermitian_transpose(ws) @ noise_cov_chunk @ wz
+    def __call__(self, w_targets, noise_cov, return_gram=False):
+        out = self.update(w_targets, noise_cov, return_gram)
+        wz = out[0] if return_gram else out
+        cross = hermitian_transpose(w_targets) @ noise_cov @ wz
         self.worst = max(self.worst, float(np.abs(cross).max()))
         self.calls += 1
+        return out
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +101,10 @@ def oc_worst(two_target_mix):
     """Worst orthogonality defect per method across a full K=2 run."""
     out = {}
     for method in ("ip1", "ip3"):
-        probe = OcProbe(2)
-        run(
-            two_target_mix,
-            2,
-            RunConfig(method=method, iterations=50),
-            on_wz_update=probe,
-        )
+        probe = OcProbe(optimizer.update_wz_fast)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "update_wz_fast", probe)
+            run(two_target_mix, 2, RunConfig(method=method, iterations=50))
         assert probe.calls > 0
         out[method] = probe.worst
     return out

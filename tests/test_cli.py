@@ -8,7 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from overiva import cli, pipeline
+from overiva import bench, cli, pipeline
 from overiva.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from overiva.io import AudioBuffer, read_wav, write_wav
 
@@ -47,7 +47,6 @@ REPORT_SCHEMA = {
                 "iterations",
                 "eps1",
                 "eps2",
-                "convergence_delta",
                 "threads",
                 "frame_len",
                 "hop",
@@ -384,6 +383,29 @@ class TestMakeMix:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--sinr", "nan", "sinr_db"),
+            ("--sinr", "inf", "sinr_db"),
+            ("--rt60", "nan", "rt60_ms"),
+            ("--dur", "nan", "duration_s"),
+        ],
+    )
+    def test_non_finite_value_is_usage_error(
+        self, tmp_path, capsys, flag, value, field
+    ):
+        """A NaN or infinite scene parameter is refused with the field's
+        name before anything is written; --noises 0 asks for no noise."""
+        out = tmp_path / "x"
+        code = main(
+            ["make-mix", "--speakers", "1", "--noises", "1", "--mics", "2",
+             "--rate", "8000", "--dur", "0.5", flag, value, "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_speech_sources(self, tmp_path):
         rng = np.random.default_rng(1)
         speech = tmp_path / "speech.wav"
@@ -554,6 +576,46 @@ class TestBench:
         assert info.value.code == EXIT_USAGE
         assert "OVERIVA_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad_cell, message",
+        [
+            ({"K": 0, "L": 1, "M": 2, "sinr": 0}, "n_sources must be >= 1"),
+            ({"K": 1, "L": 1, "M": 2, "sinr": float("nan")}, "sinr_db"),
+        ],
+    )
+    def test_bad_cell_is_usage_error_before_any_scene(
+        self, tmp_path, capsys, monkeypatch, bad_cell, message
+    ):
+        """A bad cell after a valid one fails the whole grid before the
+        valid cell's scene is rendered."""
+
+        def no_scene(*args, **kwargs):
+            raise AssertionError("scene rendered")
+
+        monkeypatch.setattr(bench, "synthesize", no_scene)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"K": 1, "L": 1, "M": 2, "sinr": 0}, bad_cell]))
+        out = tmp_path / "out.csv"
+        assert main(bench_args(grid, out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "skipping" not in err
+        assert not out.exists()
+
+    def test_cell_with_as_many_sources_as_mics(self, tmp_path, capsys):
+        """At K = M only auxiva and the mixture are scored; ip1, ip2 and
+        ip3 are skipped with a note naming why."""
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"K": 2, "L": 1, "M": 2, "sinr": 0}]))
+        out = tmp_path / "out.csv"
+        args = bench_args(grid, out)[:-1] + ["auxiva,ip1,ip2,ip3,mixture"]
+        assert main(args) == EXIT_OK
+        err = capsys.readouterr().err
+        lines = out.read_text().strip().splitlines()
+        assert [line.split(",")[4] for line in lines[1:]] == ["auxiva", "mixture"]
+        assert "note: skipping ip1 for K=2, M=2: ip1 needs a nonempty" in err
+        assert "note: skipping ip2 for K=2, M=2: ip2 requires K=1" in err
+        assert "note: skipping ip3 for K=2, M=2: ip3 needs a nonempty" in err
 
     def test_bad_grid_json(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

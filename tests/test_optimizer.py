@@ -273,20 +273,24 @@ class TestSweeps:
             wb, _ = ip3_sweep(wb, covs, gz)
             np.testing.assert_array_equal(wa, wb)
 
-    def test_ip3_interleaved_orthogonality(self):
+    def test_ip3_interleaved_orthogonality(self, monkeypatch):
         """The orthogonal constraint holds after every inner step of the
-        interleaved schedule, observed through the diagnostic hook."""
+        interleaved schedule, observed by wrapping update_wz_fast."""
         rng = np.random.default_rng(12)
         covs, gz = random_instance(rng, 5, 3)
         w = eye_stack(5)
         worst = []
+        update = optimizer.update_wz_fast
 
-        def check(state, cov):
-            ws, wz = state[:, :3], state[:, 3:]
+        def check(ws, cov, return_gram=False):
+            out = update(ws, cov, return_gram)
+            wz = out[0] if return_gram else out
             worst.append(np.abs(ws.conj().T @ cov @ wz).max())
+            return out
 
+        monkeypatch.setattr(optimizer, "update_wz_fast", check)
         for _ in range(4):
-            w, _ = ip3_sweep(w, covs, gz, on_wz_update=check)
+            w, _ = ip3_sweep(w, covs, gz)
         assert len(worst) == 12 and max(worst) < 1e-10
 
     def test_sweeps_return_the_gram_matrix_of_their_targets(self):
@@ -930,11 +934,6 @@ class TestRun:
             assert np.abs(res.images).max() == 0.0
             assert np.all(np.isfinite(res.cost_trace))
 
-    def test_early_stop_on_convergence_delta(self):
-        x, _ = self.make_x()
-        res = run(x, 1, RunConfig(method="ip1", iterations=50, convergence_delta=0.3))
-        assert len(res.cost_trace) < 50
-
     def test_cost_monotone_auxiva_and_ip1_full(self):
         """Every schedule descends the recorded objective at every
         iteration at the default settings (for ip1, ip2 and ip3 the trace
@@ -962,12 +961,6 @@ class TestRun:
         r1 = run(x, 1, RunConfig(method="ip1", iterations=20))
         r3 = run(x, 1, RunConfig(method="ip3", iterations=20))
         np.testing.assert_array_equal(r1.images, r3.images)
-
-    def test_hook_receives_chunks(self):
-        x, _ = self.make_x()
-        calls = []
-        run(x, 1, RunConfig(method="ip1", iterations=2), on_wz_update=lambda w, g: calls.append(w.shape))
-        assert calls and all(s[-2:] == (3, 3) for s in calls)
 
     def test_auxiva_duplicated_channel_names_bin(self):
         """A copied microphone makes the background rows' covariance
@@ -1112,9 +1105,6 @@ class TestRunConfig:
             {"eps2": np.nan},
             {"eps2": np.inf},
             {"eps2": -1.0},
-            {"convergence_delta": np.nan},
-            {"convergence_delta": np.inf},
-            {"convergence_delta": -1e-3},
         ],
     )
     def test_rejects_bad_regularizers(self, kwargs):
@@ -1123,5 +1113,5 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_accepts_boundary_values(self):
-        cfg = RunConfig(eps2=0.0, convergence_delta=0.0)
-        assert cfg.eps2 == 0.0 and cfg.convergence_delta == 0.0
+        cfg = RunConfig(eps2=0.0)
+        assert cfg.eps2 == 0.0

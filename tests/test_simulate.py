@@ -52,6 +52,22 @@ class TestSceneSpec:
         with pytest.raises(InvalidSpec):
             SceneSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sinr_db", np.nan),
+            ("sinr_db", np.inf),
+            ("sinr_db", -np.inf),
+            ("rt60_ms", np.nan),
+            ("rt60_ms", np.inf),
+            ("duration_s", np.nan),
+            ("duration_s", np.inf),
+        ],
+    )
+    def test_non_finite_values_name_their_field(self, field, value):
+        with pytest.raises(InvalidSpec, match=field):
+            SceneSpec(n_sources=1, n_noises=1, n_mics=2, **{field: value})
+
 
 class TestSynthRir:
     def test_length_rule(self):
