@@ -14,9 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidK
+from .errors import InvalidK, TooManySources
 from .optimizer import RunConfig, check_targets, run
-from .simulate import SceneSpec, rtf, sdr_set, synthesize
+from .simulate import (
+    MAX_PERMUTATION_SOURCES,
+    SceneSpec,
+    rtf,
+    sdr_set,
+    synthesize,
+)
 from .stft import RankOneImage, StftConfig, istft, stft
 
 MIXTURE_METHOD = "mixture"
@@ -51,7 +57,9 @@ def run_benchmark(
 
     iterations=None keeps each method's own default count
     (optimizer.DEFAULT_ITERATIONS). Every cell's scene and every method's
-    RunConfig are validated before the first scene is rendered. A method
+    RunConfig are validated before the first scene is rendered, and a
+    cell with more sources than simulate.sdr_set scores
+    (MAX_PERMUTATION_SOURCES) raises TooManySources then. A method
     that cannot extract the cell's K sources from its M channels
     (optimizer.check_targets) is skipped for that cell with a note on
     `log`.
@@ -73,6 +81,11 @@ def run_benchmark(
             duration_s=duration_s,
             seed=base_seed,
         )
+        if cell.n_sources > MAX_PERMUTATION_SOURCES:
+            raise TooManySources(
+                f"cell K={cell.n_sources}: SDR is scored over at most "
+                f"{MAX_PERMUTATION_SOURCES} sources"
+            )
         usable = list(methods)
         for m, config in configs.items():
             try:

@@ -40,6 +40,20 @@ EPS_RIDGE = 1e-1
 COVARIANCE_BLOCK_BYTES = 256 * 1024
 
 
+def bin_blocks(n_bins, n_frames, width):
+    """Consecutive slices of the n_bins bins, each holding at most
+    COVARIANCE_BLOCK_BYTES of (T, width) complex128 rows per bin, or one
+    bin if a bin is larger; one slice holds every bin when T or width is
+    0. Depends on the shape alone."""
+    bin_bytes = 16 * n_frames * width
+    fit = COVARIANCE_BLOCK_BYTES // bin_bytes if bin_bytes else n_bins
+    block = max(1, min(n_bins, fit))
+    return [
+        slice(start, min(start + block, n_bins))
+        for start in range(0, n_bins, block)
+    ]
+
+
 def _spec_data(x):
     """The (F, T, M) data of x, bin-major and complex128.
 
@@ -140,10 +154,11 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
     eps2 * I. The result is exactly Hermitian.
 
     The bins are processed in blocks whose weighted data fills at most
-    COVARIANCE_BLOCK_BYTES (256 KiB), or one bin if a bin is larger. For
-    each block, one pass forms conj(x) / lam_k on the float64 view of
-    the bin-major data into a buffer reused across blocks, and a batched
-    (M, T) @ (T, M) matmul reads it back while it is still in cache. The
+    COVARIANCE_BLOCK_BYTES (256 KiB), or one bin if a bin is larger
+    (bin_blocks). For each block, one pass forms conj(x) / lam_k on the
+    float64 view of the bin-major data into a buffer reused across
+    blocks, and a batched (M, T) @ (T, M) matmul reads it back while it
+    is still in cache. The
     symmetrization and the ridge then work in place on the result. Each
     bin's matmul is the same as in one unblocked call, so the result
     does not depend on the block size. Against weighting all bins at
@@ -166,21 +181,15 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
     # interleaved (re, im) pairs it conjugates and weights at once.
     weights = np.repeat(1.0 / lam_k, 2 * m).reshape(n_frames, 2 * m)
     weights[:, 1::2] *= -1.0
-    # Bins per block; one block holds every bin when T or M is 0.
-    bin_bytes = 16 * n_frames * m
-    fit = COVARIANCE_BLOCK_BYTES // bin_bytes if bin_bytes else n_bins
-    block = max(1, min(n_bins, fit))
-    buf = np.empty((block, n_frames, 2 * m))
+    blocks = bin_blocks(n_bins, n_frames, m)
+    buf = np.empty((blocks[0].stop if blocks else 0, n_frames, 2 * m))
     g = np.empty((n_bins, m, m), dtype=np.complex128)
     real = data.view(np.float64)
-    for start in range(0, n_bins, block):
-        stop = min(start + block, n_bins)
-        scaled = buf[: stop - start]
-        np.multiply(real[start:stop], weights, out=scaled)
+    for sl in blocks:
+        scaled = buf[: sl.stop - sl.start]
+        np.multiply(real[sl], weights, out=scaled)
         np.matmul(
-            data[start:stop].transpose(0, 2, 1),
-            scaled.view(np.complex128),
-            out=g[start:stop],
+            data[sl].transpose(0, 2, 1), scaled.view(np.complex128), out=g[sl]
         )
     g /= n_frames
     g += linalg.hermitian_transpose(g)
@@ -198,8 +207,50 @@ def update_variances(s, eps1=EPS_VARIANCE):
     s = np.asarray(s)
     if s.ndim != 3:
         raise ShapeMismatch(f"expected (K, F, T) spectra, got {s.shape}")
-    lam = np.mean(np.abs(s) ** 2, axis=1)
-    return np.maximum(lam, eps1)
+    return variances_from_power(np.sum(np.abs(s) ** 2, axis=1), s.shape[1], eps1)
+
+
+def output_power(x, w_cols):
+    """Power of the outputs x @ conj(w_cols) summed over frequency, (K, T).
+
+    w_cols : (F, M, K) filter columns, e.g. DemixingStack.targets
+
+    Equal bit for bit to np.sum(np.abs(demix(x, w_cols)) ** 2, axis=0).T,
+    but the outputs are demixed one block of bins at a time into a
+    scratch of at most COVARIANCE_BLOCK_BYTES (bin_blocks of their
+    (T, K) rows) and never whole. The running sum is carried into each
+    block as the first row of its reduction, so the bins are added one
+    at a time in order, as a reduction over the whole bin axis adds
+    them; the result does not depend on the block size.
+    """
+    data = _spec_data(x)
+    w_conj = np.conj(w_cols)
+    n_bins, n_frames = data.shape[:2]
+    n_outputs = w_conj.shape[-1]
+    blocks = bin_blocks(n_bins, n_frames, n_outputs)
+    block = blocks[0].stop if blocks else 0
+    y = np.empty((block, n_frames, n_outputs), dtype=np.complex128)
+    rows = np.empty((block + 1, n_frames, n_outputs))
+    power = np.zeros((n_frames, n_outputs))
+    for sl in blocks:
+        n = sl.stop - sl.start
+        np.matmul(data[sl], w_conj[sl], out=y[:n])
+        rows[0] = power
+        np.abs(y[:n], out=rows[1 : n + 1])
+        np.square(rows[1 : n + 1], out=rows[1 : n + 1])
+        np.sum(rows[: n + 1], axis=0, out=power)
+    return power.T
+
+
+def variances_from_power(power, n_bins, eps1=EPS_VARIANCE):
+    """Frame variances from target power summed over frequency.
+
+    power : (K, T) sum of |s|^2 over the n_bins bins of each frame
+    Returns (K, T): the mean power power / n_bins, elementwise max with
+    eps1. update_variances is this on the sum it forms; run() takes the
+    sum from output_power, which does not demix all bins at once.
+    """
+    return np.maximum(np.asarray(power) / n_bins, eps1)
 
 
 def cost_total(w, lam, x):

@@ -24,6 +24,15 @@ Four schedules share the same per-bin building blocks:
 All update functions are pure: they take stacked arrays with leading
 batch axes (one entry per frequency bin) and return new arrays.
 
+Each iteration starts from the target variances, the mean over bins of
+|w_k^H x|^2 floored at eps1 (model.variances_from_power). Their sum
+over bins comes from model.output_power, which demixes fixed blocks of
+bins (model.bin_blocks, set by the data's shape) into a small scratch
+and adds the bins one at a time in bin order. No (F, T, K) array of
+target outputs is formed, and the variances, hence the images and cost
+trace, are the same bits at every threads setting: the thread pool
+splits only the sweeps, by frequency chunk.
+
 The mixture covariance G_z does not change during a run, so run() forms
 what a sweep reads of it (_noise_operand: G_z, its factor or its
 inverse) once, before the iteration loop, and hands each frequency
@@ -45,7 +54,9 @@ After the loop run() returns each target's image in factored form. In
 every bin the image of output k is rank one, (W^{-H} e_k)(w_k^H x): the
 mixing column times the output spectrum (_image_factors, from which
 projection_back forms its image too). run() keeps the K mixing columns
-and output spectra, bins innermost, and forms no (K, F, T, M) stack:
+and output spectra, bins innermost, each spectrum written by its einsum
+straight into place (no (F, T) transient), and forms no (K, F, T, M)
+stack:
 stft.istft synthesizes an image from its factors (stft.RankOneImage),
 and SeparationResult.images forms the dense stack only when read.
 auxiva first reorders the stack's columns so the K outputs with the
@@ -99,9 +110,9 @@ class RunConfig:
     """Parameters of one separation run.
 
     iterations defaults to DEFAULT_ITERATIONS of the method; the run
-    takes exactly that many. threads > 1 splits the frequency axis
-    across a thread pool; images and cost trace are identical to the
-    sequential run.
+    takes exactly that many. threads > 1 splits the sweeps' frequency
+    axis across a thread pool; images and cost trace are identical to
+    the sequential run.
     """
 
     method: Method = Method.IP1
@@ -358,11 +369,11 @@ def ip2_update(target_cov, noise_root):
     return u / np.sqrt(q)[..., None], value
 
 
-def _image_factors(w_stack, x, k, a=None):
+def _image_factors(w_stack, x, k, a=None, out=None):
     """The two factors of output k's image: its mixing column
     a = W^{-H} e_k, (..., M), solved for unless given, and its output
     s = w_k^H x, (...) for vectors x (..., M) or (..., T) for frames
-    x (..., T, M)."""
+    x (..., T, M), written into out if given."""
     mats = np.asarray(w_stack)
     x = np.asarray(x)
     if x.ndim not in (mats.ndim - 1, mats.ndim):
@@ -374,8 +385,8 @@ def _image_factors(w_stack, x, k, a=None):
         a = linalg.lu_solve(hermitian_transpose(mats), np.eye(m)[:, k])
     wk = np.conj(mats[..., :, k])
     if x.ndim == mats.ndim - 1:
-        return a, np.einsum("...m,...m->...", wk, x)
-    return a, np.einsum("...m,...tm->...t", wk, x)
+        return a, np.einsum("...m,...m->...", wk, x, out=out)
+    return a, np.einsum("...m,...tm->...t", wk, x, out=out)
 
 
 def projection_back(w_stack, x, k):
@@ -601,7 +612,6 @@ def run(x, n_targets, config=RunConfig()):
         bin_cost = np.empty(n_bins)
         w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
         chunks = _bin_chunks(n_bins, config.threads)
-        targets_buf = np.empty((n_bins, n_frames, n_targets), dtype=np.complex128)
         cost_trace = []
 
         def map_chunks(fn):
@@ -611,15 +621,11 @@ def run(x, n_targets, config=RunConfig()):
             else:
                 list(pool.map(fn, chunks))
 
-        def stage_demix(sl):
-            # np.conj allocates a fresh, C-contiguous conj(W_s).
-            ws = np.conj(w[sl, :, :n_targets])
-            np.matmul(data[sl], ws, out=targets_buf[sl])
-
         for _ in range(config.iterations):
-            map_chunks(stage_demix)
-            lam = model.update_variances(
-                targets_buf.transpose(2, 0, 1), config.eps1
+            lam = model.variances_from_power(
+                model.output_power(data, w[:, :, :n_targets]),
+                n_bins,
+                config.eps1,
             )
 
             def stage_sweep(sl, lam=lam):
@@ -660,17 +666,12 @@ def run(x, n_targets, config=RunConfig()):
         if method is Method.AUXIVA:
             order, kept = _auxiva_order(w, noise_cov, n_targets)
             w = w[:, :, order]
-        # The factors are the last arrays of the run, so the demixed
-        # targets of the last iteration need not be held beside them.
-        del targets_buf
         mixing = np.empty((n_targets, n_chan, n_bins), dtype=np.complex128)
         outputs = np.empty((n_targets, n_frames, n_bins), dtype=np.complex128)
         for k in range(n_targets):
-            # Unbound once copied: one output spectrum is transient at a time.
             a = None if kept is None else kept[:, :, k]
-            mixing[k], outputs[k] = map(
-                np.transpose, _image_factors(w, data, k, a)
-            )
+            a, _ = _image_factors(w, data, k, a, out=outputs[k].T)
+            mixing[k] = a.T
     finally:
         if pool is not None:
             pool.shutdown()

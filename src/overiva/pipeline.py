@@ -18,23 +18,38 @@ from .stft import RankOneImage, StftConfig, istft, stft
 MONOTONE_RTOL = 1e-8
 
 
+def _separate(read, n_targets, run_config, stft_config):
+    """Separate the AudioBuffer that read() returns.
+
+    Returns the SeparationResult, the buffer's sample rate and length,
+    and an iterator over the targets' image AudioBuffers, each
+    synthesized from run()'s factors (no dense image is formed) when the
+    iterator reaches it. The samples are referenced here only until the
+    spectrogram exists, and the spectrogram only until run() returns.
+    """
+    buffer = read()
+    rate, n_samples = buffer.sample_rate, buffer.n_samples
+    spec = stft(buffer.samples, stft_config)
+    del buffer
+    result = run(spec, n_targets, run_config)
+    del spec
+    images = (
+        AudioBuffer(rate, istft(RankOneImage(a, s), stft_config, length=n_samples))
+        for a, s in zip(result.mixing, result.outputs)
+    )
+    return result, rate, n_samples, images
+
+
 def separate_buffer(buffer, n_targets, run_config=RunConfig(), stft_config=StftConfig()):
     """Separate an AudioBuffer; returns ([AudioBuffer images], SeparationResult).
 
     Each image is the target's multichannel spatial image on the array,
     synthesized back to the input length.
     """
-    result = run(stft(buffer.samples, stft_config), n_targets, run_config)
-    # No reference to the spectrogram outlives run(), so synthesis does
-    # not hold it next to the image factors; no dense image is formed.
-    images = [
-        AudioBuffer(
-            buffer.sample_rate,
-            istft(RankOneImage(a, s), stft_config, length=buffer.n_samples),
-        )
-        for a, s in zip(result.mixing, result.outputs)
-    ]
-    return images, result
+    result, _, _, images = _separate(
+        lambda: buffer, n_targets, run_config, stft_config
+    )
+    return list(images), result
 
 
 def verify_monotone_trace(cost_trace, rtol=MONOTONE_RTOL):
@@ -63,10 +78,17 @@ def separate_file(
 
     Writes out_dir/source_<k>.wav (float32, full array image per target)
     and returns the report dict; verify_monotone additionally checks the
-    cost trace for descent and fails the run if it increased.
+    cost trace for descent and fails the run, before any file is
+    written, if it increased.
+
+    At its peak the call holds the spectrogram and run()'s block-sized
+    working arrays: the samples are dropped once the spectrogram exists,
+    the spectrogram once run() returns, and the images are synthesized
+    and written one at a time from the run's factors.
     """
-    buffer = read_wav(input_path)
-    images, result = separate_buffer(buffer, n_targets, run_config, stft_config)
+    result, rate, n_samples, images = _separate(
+        lambda: read_wav(input_path), n_targets, run_config, stft_config
+    )
     if verify_monotone:
         verify_monotone_trace(result.cost_trace)
     os.makedirs(out_dir, exist_ok=True)
@@ -75,6 +97,7 @@ def separate_file(
         name = f"source_{k + 1}.wav"
         write_wav(os.path.join(out_dir, name), image)
         outputs.append(name)
+    duration = n_samples / rate
     report = {
         "input": str(input_path),
         "out_dir": str(out_dir),
@@ -82,11 +105,11 @@ def separate_file(
         "method": run_config.method.value,
         "sources": n_targets,
         "iterations": int(len(result.cost_trace)),
-        "sample_rate": buffer.sample_rate,
-        "duration_s": buffer.duration,
+        "sample_rate": rate,
+        "duration_s": duration,
         "cost_trace": [float(c) for c in result.cost_trace],
         "wall_time_s": result.wall_time,
-        "rtf": rtf(result.wall_time, buffer.duration),
+        "rtf": rtf(result.wall_time, duration),
         "verify_monotone": bool(verify_monotone),
         "config": {
             **asdict(run_config),

@@ -11,13 +11,16 @@ divides by the accumulated squared window rather than assuming a constant
 overlap sum, so edges and non-aligned tails reconstruct too).
 
 Both directions work on BLOCK_FRAMES frames at a time, so no
-spectrogram-sized intermediate is made. stft windows a block of frames,
-transforms it along the contiguous sample axis and writes it straight
-into the bin-major output. istft reads each block as (frames, channels,
-bins): from an (F, T, M) view of a (T, M, F) array without a copy, or,
-for a RankOneImage, as the block's outputs times the mixing column, so
-an image that run() returns in factored form is synthesized without
-ever being formed whole. Blocking changes no bit of either result.
+spectrogram-sized or signal-sized intermediate is made. stft copies the
+samples one block of frames covers into a block-sized scratch, zeroing
+only what falls in the padding (the padded signal is never formed),
+windows the block into a second reused buffer, and has np.fft.rfft
+write the transform through out= straight into the bin-major output.
+istft reads each block as (frames, channels, bins): from an (F, T, M)
+view of a (T, M, F) array without a copy, or, for a RankOneImage, as
+the block's outputs times the mixing column, so an image that run()
+returns in factored form is synthesized without ever being formed
+whole. Blocking changes no bit of either result.
 """
 
 from __future__ import annotations
@@ -154,34 +157,45 @@ def n_frames_for(n_samples, config):
     return (padded - config.frame_len) // config.hop + 1
 
 
-def _frames(signal, config):
-    """Unwindowed frames of the padded signal, a (T, M, frame_len) view."""
-    x = _as_multichannel(signal)
-    if x.shape[0] < config.frame_len:
+def _require_one_frame(n_samples, config):
+    if n_samples < config.frame_len:
         raise SignalTooShort(
-            f"signal of {x.shape[0]} samples is shorter than one frame "
+            f"signal of {n_samples} samples is shorter than one frame "
             f"({config.frame_len})"
         )
-    pad = config.pad
-    x = np.pad(x, ((pad, pad), (0, 0)))
-    return sliding_window_view(x, config.frame_len, axis=0)[:: config.hop]
 
 
 def windowed_frames(signal, config):
     """Slice the padded signal into windowed frames of shape (T, frame_len, M).
 
-    The result is a view of a (T, M, frame_len) array, so each channel's
-    frame is one contiguous row for the FFT.
+    The definition stft computes block by block: the signal is
+    zero-padded by config.pad on each end, and frame t is the window
+    times samples t * hop .. t * hop + frame_len - 1 of the padded
+    signal. The result
+    is a view of a (T, M, frame_len) array, so each channel's frame is
+    one contiguous row for the FFT.
     """
-    frames = _frames(signal, config)
+    x = _as_multichannel(signal)
+    _require_one_frame(x.shape[0], config)
+    pad = config.pad
+    x = np.pad(x, ((pad, pad), (0, 0)))
+    frames = sliding_window_view(x, config.frame_len, axis=0)[:: config.hop]
     return (frames * sqrt_hann_window(config.frame_len)).transpose(0, 2, 1)
 
 
 def stft(signal, config=StftConfig()):
     """Analyze a (n_samples, n_channels) signal into a Spectrogram.
 
-    Each block of BLOCK_FRAMES frames is windowed, transformed along its
-    contiguous sample axis and written into the bin-major output.
+    Equal bit for bit to the rfft of windowed_frames, taken a block of
+    BLOCK_FRAMES frames at a time. A block's frames span
+    (BLOCK_FRAMES - 1) * hop + frame_len samples of the padded signal;
+    they are copied from the signal into a scratch of that length, with
+    zeros where the span reaches into the padding, so the padded signal
+    is never formed. Each block is windowed into one reused
+    (BLOCK_FRAMES, M, frame_len) buffer, and np.fft.rfft writes its
+    transform through out= into the bin-major output. Beyond the output,
+    stft allocates only these two buffers and the window.
+
     Raises SignalTooShort when the signal does not fill one frame, and
     ValueError naming the first non-finite spectrogram entry. The
     signal is checked rather than the spectrogram (four times its size
@@ -190,15 +204,33 @@ def stft(signal, config=StftConfig()):
     spectrogram searched.
     """
     x = _as_multichannel(signal)
-    frames = _frames(x, config)
-    win = sqrt_hann_window(config.frame_len)
-    n_frames, n_chan = frames.shape[:2]
+    n_samples, n_chan = x.shape
+    _require_one_frame(n_samples, config)
+    frame_len, hop, pad = config.frame_len, config.hop, config.pad
+    n_frames = n_frames_for(n_samples, config)
+    win = sqrt_hann_window(frame_len)
+    span = np.empty(((BLOCK_FRAMES - 1) * hop + frame_len, n_chan))
+    windowed = np.empty((BLOCK_FRAMES, n_chan, frame_len))
     data = np.empty((config.n_bins, n_frames, n_chan), dtype=np.complex128)
     for t in range(0, n_frames, BLOCK_FRAMES):
-        data[:, t : t + BLOCK_FRAMES] = np.fft.rfft(
-            frames[t : t + BLOCK_FRAMES] * win, axis=-1
-        ).transpose(2, 0, 1)
-    if _rfft_stays_finite(x, config.frame_len):
+        n_block = min(BLOCK_FRAMES, n_frames - t)
+        # The block covers signal samples first .. last - 1, some of
+        # which may lie in the padding on either side.
+        first = t * hop - pad
+        last = first + (n_block - 1) * hop + frame_len
+        lo, hi = max(first, 0), min(last, n_samples)
+        padded = span[: last - first]
+        padded[: lo - first] = 0.0
+        padded[lo - first : hi - first] = x[lo:hi]
+        padded[hi - first :] = 0.0
+        frames = sliding_window_view(padded, frame_len, axis=0)[::hop]
+        np.multiply(frames, win, out=windowed[:n_block])
+        np.fft.rfft(
+            windowed[:n_block],
+            axis=-1,
+            out=data[:, t : t + n_block].transpose(1, 2, 0),
+        )
+    if _rfft_stays_finite(x, frame_len):
         return Spectrogram._of_finite(data)
     return Spectrogram(data)
 

@@ -279,10 +279,23 @@ def test_criterion_09_separation_quality_trend():
 
 @pytest.mark.slow
 def test_criterion_10_runtime_ordering_trend():
+    cfg = StftConfig(4096, 1024)
     spec = SceneSpec(n_sources=1, n_noises=6, n_mics=7, sinr_db=0.0, seed=7)
-    x = stft(synthesize(spec).mixture, StftConfig(4096, 1024))
-    plans = (("ip2", 3), ("ip1", 50), ("ip3", 50), ("auxiva", 50))
-    best = {name: np.inf for name, _ in plans}
+    x = stft(synthesize(spec).mixture, cfg)
+    # ip1 and ip3 run the same updates when K = 1, so they are compared
+    # at K = 2, where ip3 refreshes the background after each of the K
+    # targets and ip1 once per sweep.
+    spec2 = SceneSpec(n_sources=2, n_noises=5, n_mics=7, sinr_db=0.0, seed=7)
+    x2 = stft(synthesize(spec2).mixture, cfg)
+    plans = (
+        ("ip2", "ip2", 3, x, 1),
+        ("ip1", "ip1", 50, x, 1),
+        ("ip3", "ip3", 50, x, 1),
+        ("auxiva", "auxiva", 50, x, 1),
+        ("ip1 K=2", "ip1", 20, x2, 2),
+        ("ip3 K=2", "ip3", 20, x2, 2),
+    )
+    best = {name: np.inf for name, *_ in plans}
     pinnable = hasattr(os, "sched_getaffinity")
     if pinnable:
         allowed = os.sched_getaffinity(0)
@@ -290,9 +303,9 @@ def test_criterion_10_runtime_ordering_trend():
     try:
         for rep in range(4):
             order = plans if rep % 2 == 0 else plans[::-1]
-            for name, iters in order:
+            for name, method, iters, data, k in order:
                 res = run(
-                    x, 1, RunConfig(method=name, iterations=iters, threads=1)
+                    data, k, RunConfig(method=method, iterations=iters, threads=1)
                 )
                 best[name] = min(best[name], rtf(res.wall_time, spec.duration_s))
     finally:
@@ -300,9 +313,9 @@ def test_criterion_10_runtime_ordering_trend():
             os.sched_setaffinity(0, allowed)
     msg = "  ".join(f"{name} {val:.4f}" for name, val in best.items())
     assert best["ip2"] < best["ip1"], msg
-    # ip1 and ip3 run the same updates when K=1, so this leg is a timing
-    # tie; allow 10% scheduler jitter on an expected ratio of 1.0.
-    assert best["ip1"] <= 1.10 * best["ip3"], msg
+    # ip1/ip3 read 0.91 pinned to one core of a 2-core Xeon; the margin
+    # allows 10% scheduler jitter.
+    assert best["ip1 K=2"] <= 1.10 * best["ip3 K=2"], msg
     assert best["ip3"] < best["auxiva"], msg
     assert best["ip2"] < 0.2 * best["ip1"], msg
 

@@ -14,8 +14,10 @@ from overiva.model import (
     cost_total,
     demix,
     noise_covariance,
+    output_power,
     stationarity_residual,
     update_variances,
+    variances_from_power,
     weighted_covariance,
 )
 from overiva.stft import Spectrogram
@@ -283,6 +285,39 @@ class TestVarianceUpdate:
         for factor in (0.5, 0.9, 1.1, 2.0):
             trial = np.maximum(lam * factor, eps1)
             assert cost_total(DemixingStack(w, 1), trial, x) >= best - 1e-9
+
+
+class TestOutputPower:
+    @pytest.mark.parametrize("n_bins", [1, 4, 5, 6, 16])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_blocks_bit_identical_to_whole_array_variances(
+        self, monkeypatch, n_bins, k
+    ):
+        """With blocks of 5 bins, F = 1, 4, 5, 6 and 16 cross every kind of
+        block boundary; the variances run() forms from output_power are
+        update_variances' of the whole demixed array, bit for bit."""
+        rng = np.random.default_rng(n_bins + 10 * k)
+        n_frames = 40
+        x = random_complex(rng, (n_bins, n_frames, 3))
+        w = random_complex(rng, (n_bins, 3, 3))
+        monkeypatch.setattr(model, "COVARIANCE_BLOCK_BYTES", 5 * 16 * n_frames * k)
+        assert model.bin_blocks(n_bins, n_frames, k)[0] == slice(0, min(5, n_bins))
+        power = output_power(x, w[:, :, :k])
+        s = demix(x, w, k)
+        np.testing.assert_array_equal(power, np.sum(np.abs(s) ** 2, axis=0).T)
+        np.testing.assert_array_equal(
+            variances_from_power(power, n_bins, 1e-5),
+            update_variances(np.transpose(s, (2, 0, 1)), 1e-5),
+        )
+
+    def test_allocates_no_output_sized_array(self, traced_peak):
+        """The demixed outputs are formed a block at a time: the call
+        allocates well under their (F, T, K) size."""
+        rng = np.random.default_rng(3)
+        x = random_complex(rng, (1025, 200, 4))
+        w = random_complex(rng, (1025, 4, 2))
+        _, peak = traced_peak(output_power, x, w)
+        assert peak < 16 * 1025 * 200 * 2 / 4
 
 
 class TestCostTotal:

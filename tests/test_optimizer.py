@@ -891,6 +891,37 @@ class TestRun:
                     np.testing.assert_array_equal(seq.images, par.images)
                     np.testing.assert_array_equal(seq.cost_trace, par.cost_trace)
 
+    @pytest.mark.parametrize("bins_per_block", [None, 5])
+    def test_threads_bit_identical_across_variance_blocks(
+        self, monkeypatch, bins_per_block
+    ):
+        """The variances are summed over fixed blocks of bins in bin
+        order, whatever the thread count: images and cost trace are the
+        same bits at threads 1, 2 and 3, with F = 24 inside one block
+        and with blocks of 5 bins, which 24 is not a multiple of."""
+        x, _ = self.make_x()
+        n_bins, n_frames = x.shape[:2]
+        cases = [(1, m) for m in ("auxiva", "ip1", "ip2", "ip3")]
+        cases += [(2, m) for m in ("auxiva", "ip1", "ip3")]
+        for k, method in cases:
+            if bins_per_block is not None:
+                monkeypatch.setattr(
+                    model, "COVARIANCE_BLOCK_BYTES",
+                    bins_per_block * 16 * n_frames * k,
+                )
+            blocks = model.bin_blocks(n_bins, n_frames, k)
+            if bins_per_block is None:
+                assert len(blocks) == 1
+            else:
+                assert blocks[0] == slice(0, 5) and n_bins % 5 != 0
+            runs = [
+                run(x, k, RunConfig(method=method, iterations=6, threads=t))
+                for t in (1, 2, 3)
+            ]
+            for par in runs[1:]:
+                np.testing.assert_array_equal(runs[0].images, par.images)
+                np.testing.assert_array_equal(runs[0].cost_trace, par.cost_trace)
+
     def test_non_contiguous_input_bit_identical(self):
         """A strided (F, T, M) view runs exactly like its contiguous copy."""
         x, _ = self.make_x()

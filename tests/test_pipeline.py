@@ -136,6 +136,48 @@ class TestSeparateFile:
         out = read_wav(tmp_path / "out" / "source_1.wav")
         assert out.samples.shape == scene.mixture.shape
 
+    def test_verify_monotone_failure_writes_no_image(
+        self, scene, tmp_path, monkeypatch
+    ):
+        """The trace is checked before the first image is synthesized and
+        written."""
+        real_run = pipeline.run
+
+        def rising_run(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            result.cost_trace = np.array([1.0, 2.0, 3.0])
+            return result
+
+        monkeypatch.setattr(pipeline, "run", rising_run)
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, AudioBuffer(16000, scene.mixture))
+        out = tmp_path / "out"
+        with pytest.raises(NoConvergence, match="iteration 1"):
+            separate_file(
+                wav, 1, RunConfig(method="ip2"), STFT, out_dir=out,
+                verify_monotone=True,
+            )
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_peak_is_spectrogram_and_output_spectra(self, tmp_path, traced_peak):
+        """On a long K = 2 input (T >> M), separating a file allocates at
+        its peak less than the spectrogram S plus the K output spectra
+        (K S / M) plus a tenth of S for the per-bin arrays and block
+        scratch: 1.52 S here. Holding the samples through run(), the
+        (F, T, K) demixed targets and a per-target (F, T) transient read
+        2.01 S."""
+        cfg = StftConfig(256, 64)
+        n, m, k = 96000, 4, 2
+        wav = tmp_path / "mix.wav"
+        rng = np.random.default_rng(6)
+        write_wav(wav, AudioBuffer(16000, 0.1 * rng.standard_normal((n, m))))
+        spec_bytes = cfg.n_bins * n_frames_for(n, cfg) * m * 16
+        _, peak = traced_peak(
+            separate_file, wav, k, RunConfig(method="ip1", iterations=2), cfg,
+            out_dir=tmp_path / "out",
+        )
+        assert peak < (1 + k / m + 0.1) * spec_bytes
+
     def test_verify_monotone_passes_on_full_mode(self, scene, tmp_path):
         wav = tmp_path / "mix.wav"
         write_wav(wav, AudioBuffer(16000, scene.mixture))

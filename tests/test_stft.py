@@ -332,6 +332,36 @@ class TestBlocking:
             assert data.shape == (cfg.n_bins, n_frames, 3)
             np.testing.assert_array_equal(data, stft_unblocked(x, cfg).data)
 
+    @pytest.mark.parametrize("hop_div", [1, 4])
+    @pytest.mark.parametrize(
+        "case", ["one_frame_of_samples", "ragged_tail", "one_block", "two_blocks"]
+    )
+    def test_stft_is_rfft_of_windowed_frames(self, hop_div, case):
+        """Padding each block's span on its own changes no bit of the
+        transform: a signal of exactly frame_len samples, lengths that
+        are not a multiple of hop, fewer frames than one block
+        (BLOCK_FRAMES is 16) and exactly two blocks."""
+        cfg = StftConfig(256, 256 // hop_div)
+        blocks = stft_module.BLOCK_FRAMES
+
+        def length(n_frames, tail):
+            return (n_frames - 1) * cfg.hop + cfg.frame_len - 2 * cfg.pad + tail
+
+        n = {
+            "one_frame_of_samples": cfg.frame_len,
+            "ragged_tail": cfg.frame_len + 37,
+            "one_block": length(blocks - 3, cfg.hop // 2 + 1),
+            "two_blocks": length(2 * blocks, cfg.hop - 1),
+        }[case]
+        x = np.random.default_rng(n).standard_normal((n, 3))
+        data = stft(x, cfg).data
+        if case == "one_block":
+            assert data.shape[1] < blocks
+        if case == "two_blocks":
+            assert data.shape[1] == 2 * blocks
+        ref = np.fft.rfft(windowed_frames(x, cfg), axis=1).transpose(1, 0, 2)
+        np.testing.assert_array_equal(data, ref)
+
     @pytest.mark.parametrize("layout", ["c_contiguous", "bins_innermost", "complex64"])
     def test_istft_matches_unblocked(self, block, layout):
         cfg = StftConfig(64, 16)
@@ -380,8 +410,8 @@ class TestBlocking:
 
 
 class TestMemory:
-    """No spectrogram-sized intermediate: stft holds its output, the
-    padded signal and one block of frames (1.51x its output here; 3.0x
+    """No spectrogram-sized intermediate: stft holds its output and one
+    block's padded span and windowed frames (1.20x its output here; 3.0x
     unblocked), and istft on a bins-innermost image holds the overlap-add
     buffer, the output and one block (0.69x the image; 1.66x unblocked)."""
 
@@ -393,6 +423,15 @@ class TestMemory:
     def test_stft_peak_below_twice_its_output(self, traced_peak):
         spec, peak = traced_peak(stft, self.signal(), self.cfg)
         assert peak < 2.0 * spec.data.nbytes
+
+    def test_stft_makes_no_padded_copy_of_the_signal(self, traced_peak):
+        """Beyond its output stft allocates less than half the signal's
+        size (0.82 MB here against 3.07 MB of samples): the signal is
+        padded a block's span at a time, not copied whole (np.pad on the
+        whole signal allocated 4.18 MB)."""
+        x = np.random.default_rng(45).standard_normal((96000, 4))
+        spec, peak = traced_peak(stft, x, self.cfg)
+        assert peak - spec.data.nbytes < x.nbytes / 2
 
     def test_istft_peak_below_the_image_size(self, traced_peak):
         data = stft(self.signal(), self.cfg).data
