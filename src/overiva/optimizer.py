@@ -33,12 +33,13 @@ target outputs is formed, and the variances, hence the images and cost
 trace, are the same bits at every threads setting: the thread pool
 splits only the sweeps, by frequency chunk.
 
-The mixture covariance G_z does not change during a run, so run() forms
-what a sweep reads of it (_noise_operand: G_z, its factor or its
-inverse) once, before the iteration loop, and hands each frequency
-chunk its slice. Silent bins (all-zero input, G_z = 0) take the same
-sweep as every other bin, with G_z read as the identity there; their
-images are zero whatever the filters.
+_schedule is the one place where a method's operand, sweep, cost
+bookkeeping and finish live; run() compares no Method. G_z does not
+change during a run, so run() forms the operand (G_z, its factor or its
+inverse) once, before the loop, and hands each frequency chunk its
+slice. Silent bins (all-zero input, G_z = 0) take the same sweep as
+every other bin, with G_z read as the identity there; their images are
+zero whatever the filters.
 
 run() records the negative log-likelihood once per iteration from what
 the sweep has already computed, with no second pass over the
@@ -56,9 +57,9 @@ mixing column times the output spectrum (_image_factors, from which
 projection_back forms its image too). run() keeps the K mixing columns
 and output spectra, bins innermost, each spectrum written by its einsum
 straight into place (no (F, T) transient), and forms no (K, F, T, M)
-stack:
-stft.istft synthesizes an image from its factors (stft.RankOneImage),
-and SeparationResult.images forms the dense stack only when read.
+stack: stft.istft synthesizes an image from its factors
+(stft.RankOneImage), and SeparationResult.images forms the dense stack
+only when read.
 auxiva first reorders the stack's columns so the K outputs with the
 most powerful images lead (_auxiva_order), ranked from G_z without
 demixing all M outputs.
@@ -128,8 +129,10 @@ class RunConfig:
             object.__setattr__(self, "method", method)
         if self.iterations is None:
             object.__setattr__(self, "iterations", DEFAULT_ITERATIONS[method])
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("iterations", "threads"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
         # Each check is written so that NaN fails it.
         if not 0 < self.eps1 < np.inf:
             raise ValueError(
@@ -139,8 +142,6 @@ class RunConfig:
             raise ValueError(
                 f"eps2 must be nonnegative and finite, got {self.eps2}"
             )
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -435,44 +436,52 @@ def _unmask(exc, mask):
     return type(exc)(str(exc), batch_index=idx)
 
 
-def _noise_operand(method, sweep_cov, n_targets):
-    """What a method's sweep reads of the fixed G_z, formed once per run.
+def _schedule(method, n_targets):
+    """What run() does differently per method: (operand, sweep, profile,
+    finish). Built per call, so run() calls the module's functions as
+    they are bound when it starts (a tracer's or a test's wrapper).
 
-    sweep_cov is G_z with the identity on silent bins (see run()). The
-    operand is sweep_cov itself for ip1 and ip3, a factor R of
-    sweep_cov = R R^H for ip2 (linalg.psd_factor), and its inverse for
+    operand(sweep_cov): what the sweeps read of the fixed G_z, formed
+    once per run: sweep_cov itself (ip1, ip3), a factor R of
+    sweep_cov = R R^H (ip2, linalg.psd_factor), or its inverse for
     auxiva's background rows (sweep_cov, unread, when K = M).
-    """
-    n_chan = sweep_cov.shape[-1]
-    if method is Method.IP1 or method is Method.IP3 or n_targets == n_chan:
-        return sweep_cov
-    try:
-        if method is Method.IP2:
-            return linalg.psd_factor(sweep_cov)
-        return linalg.lu_solve(sweep_cov, np.eye(n_chan))
-    except NumericalError as exc:
-        raise _shift_bin(exc, 0) from None
-
-
-def _sweep_bins(method, w, target_covs, noise):
-    """One sweep on a chunk; noise is the chunk's slice of _noise_operand.
-
-    Returns the new stack and what _bin_cost reads of the sweep: for ip1
-    and ip3 the Gram matrix W_s^H G_z W_s of the new stack, (..., K, K);
-    for ip2 its one entry lambda, (...); for auxiva the change of
-    log|det W|, (...).
+    sweep(w, target_covs, noise): one sweep of a chunk, noise being its
+    slice of the operand. Returns the new stack and what the cost reads:
+    the Gram matrix W_s^H G_z W_s, (..., K, K) (ip1, ip3), its one entry
+    lambda, (...) (ip2), or the change of log|det W|, (...) (auxiva).
+    profile(swept, mask): log det(W_s^H G_z W_s) on the bins in mask
+    (_bin_cost); None for auxiva, whose change run() carries instead.
+    finish(w, sweep_cov, noise_cov): once after the loop, the stack and
+    its K mixing columns, (F, M, K), or None to solve for them. ip2
+    fills its background block; auxiva puts its K most powerful outputs
+    first (_auxiva_order).
     """
     if method is Method.AUXIVA:
-        return auxiva_sweep(w, target_covs, noise)
+        def inverse(cov):
+            eye = np.eye(cov.shape[-1])
+            return cov if n_targets == len(eye) else linalg.lu_solve(cov, eye)
+
+        def reorder(w, sweep_cov, noise_cov):
+            order, kept = _auxiva_order(w, noise_cov, n_targets)
+            return w[:, :, order], kept
+
+        return inverse, auxiva_sweep, None, reorder
     if method is Method.IP2:
-        out = np.array(w, copy=True)
-        out[..., :, 0], value = ip2_update(target_covs[0], noise)
-        return out, value
+        def ip2_sweep(w, target_covs, noise_root):
+            out = np.array(w, copy=True)
+            out[..., :, 0], value = ip2_update(target_covs[0], noise_root)
+            return out, value
+
+        def complete(w, sweep_cov, noise_cov):
+            w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
+            return w, None
+
+        return linalg.psd_factor, ip2_sweep, (lambda v, m: np.log(v[m])), complete
     sweep = ip1_sweep if method is Method.IP1 else ip3_sweep
-    return sweep(w, target_covs, noise)
+    return (lambda cov: cov), sweep, _masked_logabsdet, (lambda w, *_: (w, None))
 
 
-def _bin_cost(method, w, n_targets, ridge, swept, offset, noise_cov, profiled):
+def _bin_cost(profile, w, n_targets, ridge, swept, offset, noise_cov, profiled):
     """Per-bin objective, (F,), less the factor T and the variance term,
     from what the sweep computed; no covariance is read on a bin whose
     G_z is regular.
@@ -493,8 +502,8 @@ def _bin_cost(method, w, n_targets, ridge, swept, offset, noise_cov, profiled):
     ip1, ip2 and ip3 profile the background on bins whose G_z is regular
     (profiled): the term minimized over the block at fixed span,
     (M - K) + log det G_z - log det(W_s^H G_z W_s), which update_wz_full
-    attains. offset holds its first two terms and swept the sweep's Gram
-    matrix (_sweep_bins). On the other bins, silent or with a copied
+    attains. offset holds its first two terms and profile(swept,
+    profiled) the last. On the other bins, silent or with a copied
     channel, the term is the explicit tr(W_z^H G_z W_z) - 2 log|det W|,
     the only place the trace takes a determinant of W.
 
@@ -502,14 +511,11 @@ def _bin_cost(method, w, n_targets, ridge, swept, offset, noise_cov, profiled):
     normalizations hold only to about cond(G_z) eps, and the bin's term
     carries an error of that order, as the explicit formula's does.
     """
-    if method is Method.AUXIVA:
+    if profile is None:
         background = offset - 2.0 * swept
     else:
         background = offset.copy()
-        if method is Method.IP2:
-            background[profiled] -= np.log(swept[profiled])
-        else:
-            background[profiled] -= _masked_logabsdet(swept, profiled)
+        background[profiled] -= profile(swept, profiled)
         explicit = ~profiled
         if np.any(explicit):
             wz = w[explicit][..., :, n_targets:]
@@ -579,8 +585,8 @@ def run(x, n_targets, config=RunConfig()):
     # A Spectrogram was checked when it was built.
     if not isinstance(x, Spectrogram):
         _require_finite(data)
-    method = config.method
-    check_targets(method, n_targets, n_chan)
+    check_targets(config.method, n_targets, n_chan)
+    operand, sweep, profile, finish = _schedule(config.method, n_targets)
 
     t0 = time.perf_counter()
     pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
@@ -594,32 +600,26 @@ def run(x, n_targets, config=RunConfig()):
         if np.any(silent):
             sweep_cov = noise_cov.copy()
             sweep_cov[silent] = np.eye(n_chan)
-        noise = _noise_operand(method, sweep_cov, n_targets)
+        try:
+            noise = operand(sweep_cov)
+        except NumericalError as exc:
+            raise _shift_bin(exc, 0) from None
         # The part of each bin's background cost fixed for the run
         # (_bin_cost).
         n_background = n_chan - n_targets
-        if method is Method.AUXIVA:
-            # log|det W| per bin, carried from W = I through the sweeps
-            # and rescales.
-            logdet_w = np.zeros(n_bins)
-            profiled = np.zeros(n_bins, dtype=bool)
-            offset = np.where(silent, 0.0, float(n_background))
-        else:
+        profiled = np.zeros(n_bins, dtype=bool)
+        offset = np.where(silent, 0.0, float(n_background))
+        if profile is not None:
             sign, offset = np.linalg.slogdet(noise_cov)
             profiled = sign != 0
-            offset[profiled] += n_background
-            offset[~profiled] = 0.0
+            offset = np.where(profiled, offset + n_background, 0.0)
+        # log|det W| per bin when the schedule has no profile (auxiva),
+        # carried from W = I through the sweeps and rescales.
+        logdet_w = np.zeros(n_bins) if profile is None else None
         bin_cost = np.empty(n_bins)
         w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
         chunks = _bin_chunks(n_bins, config.threads)
         cost_trace = []
-
-        def map_chunks(fn):
-            if pool is None:
-                for sl in chunks:
-                    fn(sl)
-            else:
-                list(pool.map(fn, chunks))
 
         for _ in range(config.iterations):
             lam = model.variances_from_power(
@@ -636,36 +636,35 @@ def run(x, n_targets, config=RunConfig()):
                     ]
                 )
                 try:
-                    w[sl], swept = _sweep_bins(method, w[sl], covs, noise[sl])
-                    if method is Method.AUXIVA:
+                    w[sl], swept = sweep(w[sl], covs, noise[sl])
+                    if profile is None:
                         logdet_w[sl] += swept
                         swept = logdet_w[sl]
                     bin_cost[sl] = _bin_cost(
-                        method, w[sl], n_targets, config.eps2, swept,
+                        profile, w[sl], n_targets, config.eps2, swept,
                         offset[sl], noise_cov[sl], profiled[sl],
                     )
                 except NumericalError as exc:
                     raise _shift_bin(exc, sl.start) from None
 
-            map_chunks(stage_sweep)
+            if pool is None:
+                for sl in chunks:
+                    stage_sweep(sl)
+            else:
+                list(pool.map(stage_sweep, chunks))
             # Taken before the rescale below, which leaves it unchanged.
             cost_trace.append(
                 float(n_frames * bin_cost.sum() + n_bins * np.sum(np.log(lam)))
             )
             scale = lam.mean(axis=1)
             w[:, :, :n_targets] *= scale ** -0.5
-            if method is Method.AUXIVA:
+            if profile is None:
                 logdet_w -= 0.5 * np.sum(np.log(scale))
 
-        if method is Method.IP2:
-            try:
-                w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
-            except NumericalError as exc:
-                raise _shift_bin(exc, 0) from None
-        kept = None
-        if method is Method.AUXIVA:
-            order, kept = _auxiva_order(w, noise_cov, n_targets)
-            w = w[:, :, order]
+        try:
+            w, kept = finish(w, sweep_cov, noise_cov)
+        except NumericalError as exc:
+            raise _shift_bin(exc, 0) from None
         mixing = np.empty((n_targets, n_chan, n_bins), dtype=np.complex128)
         outputs = np.empty((n_targets, n_frames, n_bins), dtype=np.complex128)
         for k in range(n_targets):

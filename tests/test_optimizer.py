@@ -707,6 +707,30 @@ class TestRunCallCounts:
         )
         assert used == sorted(3 * list(range(threads)))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_step_is_called_through_the_module(self, monkeypatch, threads):
+        """run() calls each method's step by its module name, once per
+        iteration and frequency chunk, and no other method's step, so a
+        wrapper set on the module (as a tracer sets) sees every call."""
+        x = self.make_x()
+        steps = {
+            Method.AUXIVA: "auxiva_sweep",
+            Method.IP1: "ip1_sweep",
+            Method.IP2: "ip2_update",
+            Method.IP3: "ip3_sweep",
+        }
+        assert set(steps) == set(Method)
+        calls = {
+            name: count_calls(monkeypatch, optimizer, name) for name in steps.values()
+        }
+        n_chunks = len(optimizer._bin_chunks(len(x), threads))
+        for method, name in steps.items():
+            for seen in calls.values():
+                seen.clear()
+            run(x, 1, RunConfig(method=method, iterations=3, threads=threads))
+            counts = {step: len(seen) for step, seen in calls.items()}
+            assert counts == {step: 3 * n_chunks * (step == name) for step in calls}
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_auxiva_images_come_from_projection_back(self, monkeypatch, k):
         """auxiva's K images are projection_back's of the leading K
@@ -743,7 +767,7 @@ class TestRunCallCounts:
         assert min(powers[:k]) >= max(powers[k:])
 
     @pytest.mark.parametrize(
-        "method,k", [("ip1", 2), ("ip2", 1), ("ip3", 2), ("auxiva", 2)]
+        "method,k", [(m.value, 1 if m is Method.IP2 else 2) for m in Method]
     )
     def test_images_come_from_projection_back(self, method, k):
         """Every method's images are projection_back's, stored with the
@@ -878,8 +902,8 @@ class TestRun:
         x, _ = self.make_x()
         quiet = x.copy()
         quiet[[0, 1, 2, 10]] = 0
-        cases = [(1, m) for m in ("auxiva", "ip1", "ip2", "ip3")]
-        cases += [(2, m) for m in ("auxiva", "ip1", "ip3")]
+        cases = [(1, m) for m in Method]
+        cases += [(2, m) for m in Method if m is not Method.IP2]
         for data in (x, quiet):
             for k, method in cases:
                 seq = run(data, k, RunConfig(method=method, iterations=8, threads=1))
@@ -901,8 +925,8 @@ class TestRun:
         and with blocks of 5 bins, which 24 is not a multiple of."""
         x, _ = self.make_x()
         n_bins, n_frames = x.shape[:2]
-        cases = [(1, m) for m in ("auxiva", "ip1", "ip2", "ip3")]
-        cases += [(2, m) for m in ("auxiva", "ip1", "ip3")]
+        cases = [(1, m) for m in Method]
+        cases += [(2, m) for m in Method if m is not Method.IP2]
         for k, method in cases:
             if bins_per_block is not None:
                 monkeypatch.setattr(
@@ -1136,6 +1160,9 @@ class TestRunConfig:
             {"eps2": np.nan},
             {"eps2": np.inf},
             {"eps2": -1.0},
+            {"iterations": 2.5},
+            {"iterations": float("nan")},
+            {"threads": 2.5},
         ],
     )
     def test_rejects_bad_regularizers(self, kwargs):
@@ -1146,3 +1173,5 @@ class TestRunConfig:
     def test_accepts_boundary_values(self):
         cfg = RunConfig(eps2=0.0)
         assert cfg.eps2 == 0.0
+        cfg = RunConfig(iterations=np.int64(1), threads=np.int32(2))
+        assert (cfg.iterations, cfg.threads) == (1, 2)
