@@ -64,6 +64,14 @@ def _check_hermitian(a, name="matrix"):
         raise ValueError(f"{name} is not Hermitian within tolerance")
 
 
+def _hermitian_batch(a):
+    """Argument a as a complex (..., M, M) batch, checked Hermitian within
+    HERMITIAN_RTOL and then made exactly Hermitian, (A + A^H) / 2."""
+    a = _as_matrix_batch(a, "a")
+    _check_hermitian(a, "a")
+    return 0.5 * (a + hermitian_transpose(a))
+
+
 def _first(mask):
     """Flattened index of the first True entry, or None."""
     hits = np.flatnonzero(mask)
@@ -154,9 +162,7 @@ def logabsdet(a):
 
 def cholesky(a):
     """Lower Cholesky factor of batched Hermitian positive definite A."""
-    a = _as_matrix_batch(a, "a")
-    _check_hermitian(a, "a")
-    a = 0.5 * (a + hermitian_transpose(a))
+    a = _hermitian_batch(a)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -179,9 +185,7 @@ def _first_non_pd(a):
 
 def inv_sqrt_hermitian(a):
     """Inverse principal square root A^(-1/2) of batched Hermitian PD A."""
-    a = _as_matrix_batch(a, "a")
-    _check_hermitian(a, "a")
-    a = 0.5 * (a + hermitian_transpose(a))
+    a = _hermitian_batch(a)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -232,9 +236,7 @@ def psd_factor(a):
     positive definite, else V diag(sqrt(max(lambda, 0))) from A's
     eigendecomposition, which factors singular and zero matrices too.
     """
-    a = _as_matrix_batch(a, "a")
-    _check_hermitian(a, "a")
-    a = 0.5 * (a + hermitian_transpose(a))
+    a = _hermitian_batch(a)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

@@ -116,19 +116,6 @@ class StationarityResidual(NamedTuple):
     combined: np.ndarray
 
 
-def demix(x, w, n_outputs=None):
-    """Apply demixing filters: returns (F, T, n_outputs) outputs.
-
-    x : (F, T, M) spectrogram (or Spectrogram)
-    w : (F, M, M) stack (or DemixingStack); the first n_outputs columns
-        are applied (all M when n_outputs is None).
-    """
-    data = _spec_data(x)
-    mats = w.matrices if isinstance(w, DemixingStack) else np.asarray(w)
-    cols = mats if n_outputs is None else mats[..., :, :n_outputs]
-    return data @ np.conj(cols)
-
-
 def noise_covariance(x):
     """Sample covariance of the mixture per bin, (F, M, M).
 
@@ -198,30 +185,19 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
     return g
 
 
-def update_variances(s, eps1=EPS_VARIANCE):
-    """Frame variances of the separated targets, floored at eps1.
+def update_variances(x, w_cols, eps1=EPS_VARIANCE):
+    """Frame variances of the targets w_cols extract from x, (K, T): the
+    mean over bins of |w_k^H x|^2, elementwise max with eps1.
 
-    s : (K, F, T) separated target spectra
-    Returns (K, T): mean of |s|^2 over frequency, elementwise max with eps1.
-    """
-    s = np.asarray(s)
-    if s.ndim != 3:
-        raise ShapeMismatch(f"expected (K, F, T) spectra, got {s.shape}")
-    return variances_from_power(np.sum(np.abs(s) ** 2, axis=1), s.shape[1], eps1)
-
-
-def output_power(x, w_cols):
-    """Power of the outputs x @ conj(w_cols) summed over frequency, (K, T).
-
+    x : (F, T, M) spectrogram (or Spectrogram)
     w_cols : (F, M, K) filter columns, e.g. DemixingStack.targets
 
-    Equal bit for bit to np.sum(np.abs(demix(x, w_cols)) ** 2, axis=0).T,
-    but the outputs are demixed one block of bins at a time into a
-    scratch of at most COVARIANCE_BLOCK_BYTES (bin_blocks of their
-    (T, K) rows) and never whole. The running sum is carried into each
-    block as the first row of its reduction, so the bins are added one
-    at a time in order, as a reduction over the whole bin axis adds
-    them; the result does not depend on the block size.
+    The outputs are demixed one block of bins at a time into a scratch
+    of at most COVARIANCE_BLOCK_BYTES (bin_blocks of their (T, K) rows)
+    and never whole. The running power sum is carried into each block as
+    the first row of its reduction, so the bins are added one at a time
+    in order, as a reduction over the whole bin axis adds them; the
+    result does not depend on the block size.
     """
     data = _spec_data(x)
     w_conj = np.conj(w_cols)
@@ -239,18 +215,7 @@ def output_power(x, w_cols):
         np.abs(y[:n], out=rows[1 : n + 1])
         np.square(rows[1 : n + 1], out=rows[1 : n + 1])
         np.sum(rows[: n + 1], axis=0, out=power)
-    return power.T
-
-
-def variances_from_power(power, n_bins, eps1=EPS_VARIANCE):
-    """Frame variances from target power summed over frequency.
-
-    power : (K, T) sum of |s|^2 over the n_bins bins of each frame
-    Returns (K, T): the mean power power / n_bins, elementwise max with
-    eps1. update_variances is this on the sum it forms; run() takes the
-    sum from output_power, which does not demix all bins at once.
-    """
-    return np.maximum(np.asarray(power) / n_bins, eps1)
+    return np.maximum(power.T / n_bins, eps1)
 
 
 def cost_total(w, lam, x):

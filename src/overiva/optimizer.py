@@ -25,13 +25,13 @@ All update functions are pure: they take stacked arrays with leading
 batch axes (one entry per frequency bin) and return new arrays.
 
 Each iteration starts from the target variances, the mean over bins of
-|w_k^H x|^2 floored at eps1 (model.variances_from_power). Their sum
-over bins comes from model.output_power, which demixes fixed blocks of
-bins (model.bin_blocks, set by the data's shape) into a small scratch
-and adds the bins one at a time in bin order. No (F, T, K) array of
-target outputs is formed, and the variances, hence the images and cost
-trace, are the same bits at every threads setting: the thread pool
-splits only the sweeps, by frequency chunk.
+|w_k^H x|^2 floored at eps1 (model.update_variances, once per
+iteration). It demixes fixed blocks of bins (model.bin_blocks, set by
+the data's shape) into a small scratch and adds the bins one at a time
+in bin order. No (F, T, K) array of target outputs is formed, and the
+variances, hence the images and cost trace, are the same bits at every
+threads setting: the thread pool splits only the sweeps, by frequency
+chunk.
 
 _schedule is the one place where a method's operand, sweep, cost
 bookkeeping and finish live; run() compares no Method. G_z does not
@@ -53,16 +53,15 @@ a copied channel) take a determinant of W.
 
 After the loop run() returns each target's image in factored form. In
 every bin the image of output k is rank one, (W^{-H} e_k)(w_k^H x): the
-mixing column times the output spectrum (_image_factors, from which
-projection_back forms its image too). run() keeps the K mixing columns
-and output spectra, bins innermost, each spectrum written by its einsum
-straight into place (no (F, T) transient), and forms no (K, F, T, M)
-stack: stft.istft synthesizes an image from its factors
-(stft.RankOneImage), and SeparationResult.images forms the dense stack
-only when read.
-auxiva first reorders the stack's columns so the K outputs with the
-most powerful images lead (_auxiva_order), ranked from G_z without
-demixing all M outputs.
+mixing column times the output spectrum, the two factors
+projection_back returns (called once per target). run() keeps the K
+mixing columns and output spectra, bins innermost, each spectrum
+written by its einsum straight into place (no (F, T) transient), and
+forms no (K, F, T, M) stack: stft.istft synthesizes an image from its
+factors (stft.RankOneImage), and SeparationResult.images forms the
+dense stack only when read. auxiva first reorders the stack's columns
+so the K outputs with the most powerful images lead (_auxiva_order),
+ranked from G_z without demixing all M outputs.
 """
 
 from __future__ import annotations
@@ -131,7 +130,12 @@ class RunConfig:
             object.__setattr__(self, "iterations", DEFAULT_ITERATIONS[method])
         for name in ("iterations", "threads"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            # bool is an int, but True is no count.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, np.integer))
+                or value < 1
+            ):
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
         # Each check is written so that NaN fails it.
         if not 0 < self.eps1 < np.inf:
@@ -230,16 +234,16 @@ def update_wz_full(w_stack, noise_cov, n_targets):
     return uz @ linalg.inv_sqrt_hermitian(inner)
 
 
-def update_wz_fast(w_targets, noise_cov, return_gram=False):
-    """Orthogonal-complement background block, (..., M, M - K).
+def update_wz_fast(w_targets, noise_cov):
+    """Orthogonal-complement background block, (..., M, M - K), and the
+    targets' Gram matrix W_s^H G_z W_s, (..., K, K).
 
-    Returns [-(W_s^H G_z E_s)^{-1} (W_s^H G_z E_z); I], the unique
+    The block is [-(W_s^H G_z E_s)^{-1} (W_s^H G_z E_z); I], the unique
     background with trailing identity rows whose outputs are uncorrelated
     with the targets: W_s^H G_z W_z = 0 exactly. Spans the same subspace
     as the fully normalized block (their column-space projectors agree).
-
-    With return_gram, also returns the Gram matrix W_s^H G_z W_s,
-    (..., K, K), from the product W_s^H G_z the block is solved from.
+    The Gram matrix comes from the product W_s^H G_z the block is solved
+    from.
     """
     n_targets = w_targets.shape[-1]
     m = w_targets.shape[-2]
@@ -256,7 +260,7 @@ def update_wz_fast(w_targets, noise_cov, return_gram=False):
         np.eye(m - n_targets), top.shape[:-2] + (m - n_targets, m - n_targets)
     )
     block = np.concatenate([top, eye], axis=-2)
-    return (block, c @ w_targets) if return_gram else block
+    return block, c @ w_targets
 
 
 def ip1_sweep(w_stack, target_covs, noise_cov):
@@ -273,9 +277,7 @@ def ip1_sweep(w_stack, target_covs, noise_cov):
         w[..., :, k] = ip0_update_row(w, target_covs[k], k)
     gram = None
     if n_targets < w.shape[-1]:
-        w[..., :, n_targets:], gram = update_wz_fast(
-            w[..., :, :n_targets], noise_cov, return_gram=True
-        )
+        w[..., :, n_targets:], gram = update_wz_fast(w[..., :, :n_targets], noise_cov)
     return w, gram
 
 
@@ -292,9 +294,7 @@ def ip3_sweep(w_stack, target_covs, noise_cov):
     n_targets = target_covs.shape[0]
     for k in range(n_targets):
         w[..., :, k] = ip0_update_row(w, target_covs[k], k)
-        w[..., :, n_targets:], gram = update_wz_fast(
-            w[..., :, :n_targets], noise_cov, return_gram=True
-        )
+        w[..., :, n_targets:], gram = update_wz_fast(w[..., :, :n_targets], noise_cov)
     return w, gram
 
 
@@ -370,11 +370,21 @@ def ip2_update(target_cov, noise_root):
     return u / np.sqrt(q)[..., None], value
 
 
-def _image_factors(w_stack, x, k, a=None, out=None):
-    """The two factors of output k's image: its mixing column
-    a = W^{-H} e_k, (..., M), solved for unless given, and its output
-    s = w_k^H x, (...) for vectors x (..., M) or (..., T) for frames
-    x (..., T, M), written into out if given."""
+def projection_back(w_stack, x, k, a=None, out=None):
+    """Spatial image of output k on the array, as its two factors.
+
+    Undoes the arbitrary per-bin scale of the demixing filters by mapping
+    the output back through the mixing system estimate: the image is
+    (W^{-H} e_k) (w_k^H x), the rank-one component of x captured by
+    output k. Summed over all M outputs the images reconstruct x.
+
+    Returns the mixing column a = W^{-H} e_k, (..., M), solved for
+    unless given, and the output s = w_k^H x, (...) for vectors
+    x (..., M) or (..., T) for frames x (..., T, M) matching w_stack's
+    batch, written into out if given. The image is a * s[..., None] for
+    vectors and s[..., None] * a[..., None, :] for frames
+    (stft.RankOneImage holds it unformed).
+    """
     mats = np.asarray(w_stack)
     x = np.asarray(x)
     if x.ndim not in (mats.ndim - 1, mats.ndim):
@@ -388,23 +398,6 @@ def _image_factors(w_stack, x, k, a=None, out=None):
     if x.ndim == mats.ndim - 1:
         return a, np.einsum("...m,...m->...", wk, x, out=out)
     return a, np.einsum("...m,...tm->...t", wk, x, out=out)
-
-
-def projection_back(w_stack, x, k):
-    """Spatial image of output k on the array.
-
-    Undoes the arbitrary per-bin scale of the demixing filters by mapping
-    the output back through the mixing system estimate: the image is
-    (W^{-H} e_k) (w_k^H x), the rank-one component of x captured by
-    output k. Summed over all M outputs the images reconstruct x.
-
-    x : (..., M) vectors or (..., T, M) frames matching w_stack's batch;
-    the image has x's shape.
-    """
-    a, s = _image_factors(w_stack, x, k)
-    if s.ndim < a.ndim:
-        return a * s[..., None]
-    return s[..., None] * a[..., None, :]
 
 
 def _top_indices(powers, n_pick):
@@ -473,7 +466,7 @@ def _schedule(method, n_targets):
             return out, value
 
         def complete(w, sweep_cov, noise_cov):
-            w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
+            w[:, :, 1:], _ = update_wz_fast(w[:, :, :1], sweep_cov)
             return w, None
 
         return linalg.psd_factor, ip2_sweep, (lambda v, m: np.log(v[m])), complete
@@ -622,11 +615,7 @@ def run(x, n_targets, config=RunConfig()):
         cost_trace = []
 
         for _ in range(config.iterations):
-            lam = model.variances_from_power(
-                model.output_power(data, w[:, :, :n_targets]),
-                n_bins,
-                config.eps1,
-            )
+            lam = model.update_variances(data, w[:, :, :n_targets], config.eps1)
 
             def stage_sweep(sl, lam=lam):
                 covs = np.stack(
@@ -669,7 +658,7 @@ def run(x, n_targets, config=RunConfig()):
         outputs = np.empty((n_targets, n_frames, n_bins), dtype=np.complex128)
         for k in range(n_targets):
             a = None if kept is None else kept[:, :, k]
-            a, _ = _image_factors(w, data, k, a, out=outputs[k].T)
+            a, _ = projection_back(w, data, k, a, out=outputs[k].T)
             mixing[k] = a.T
     finally:
         if pool is not None:

@@ -53,15 +53,17 @@ def separate_buffer(buffer, n_targets, run_config=RunConfig(), stft_config=StftC
 
 
 def verify_monotone_trace(cost_trace, rtol=MONOTONE_RTOL):
-    """Raise NoConvergence if the cost trace increases beyond tolerance."""
+    """Raise NoConvergence naming the first iteration whose cost is NaN
+    or infinite or exceeds the previous one beyond tolerance."""
     trace = np.asarray(cost_trace, dtype=np.float64)
-    diffs = np.diff(trace)
-    bad = diffs > rtol * np.abs(trace[:-1])
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
+    # The first entry is compared with itself. Written so that NaN fails it.
+    prev = np.concatenate([trace[:1], trace[:-1]])
+    ok = trace - prev <= rtol * np.abs(prev)
+    if not np.all(ok):
+        i = int(np.flatnonzero(~ok)[0])
         raise NoConvergence(
-            f"cost increased at iteration {i + 1}: "
-            f"{trace[i]:.6e} -> {trace[i + 1]:.6e}"
+            f"cost increased or is not finite at iteration {i}: "
+            f"{prev[i]:.6e} -> {trace[i]:.6e}"
         )
 
 

@@ -7,22 +7,25 @@ fully normalized background explicitly (update_wz_full), so tests can
 check the objective and the stationarity conditions on the whole stack.
 cost_jw and gradient_jw_row are the per-bin surrogate objective and its
 gradient, which no run path evaluates. weighted_covariance_unblocked,
-auxiva_sweep_ip0, ip2_update_gev, auxiva_order_demixed, stft_unblocked
-and istft_unblocked are the earlier, plainer forms of run-path kernels,
-which the faster forms must reproduce.
+update_variances_unblocked, auxiva_sweep_ip0, ip2_update_gev,
+auxiva_order_demixed, stft_unblocked and istft_unblocked are the
+earlier, plainer forms of run-path kernels, which the faster forms must
+reproduce. demix and projection_back_image form the dense outputs and
+images that run() never holds whole.
 """
 
 import numpy as np
 
 from overiva import linalg
 from overiva.errors import ShapeMismatch
-from overiva.model import _spec_data
+from overiva.model import EPS_VARIANCE, DemixingStack, _spec_data
 from overiva.optimizer import (
     _quad,
     _require_positive,
     _top_indices,
     ip0_update_row,
     ip1_sweep,
+    projection_back,
     update_wz_full,
 )
 from overiva.stft import (
@@ -103,6 +106,38 @@ def gradient_jw_row(w, target_covs, noise_cov, k):
     m = mats.shape[-1]
     back = linalg.lu_solve(linalg.hermitian_transpose(mats), np.eye(m)[:, k])
     return quad - back
+
+
+def demix(x, w, n_outputs=None):
+    """Apply demixing filters: returns (F, T, n_outputs) outputs.
+
+    x : (F, T, M) spectrogram (or Spectrogram)
+    w : (F, M, M) stack (or DemixingStack); the first n_outputs columns
+        are applied (all M when n_outputs is None).
+    """
+    data = _spec_data(x)
+    mats = w.matrices if isinstance(w, DemixingStack) else np.asarray(w)
+    cols = mats if n_outputs is None else mats[..., :, :n_outputs]
+    return data @ np.conj(cols)
+
+
+def update_variances_unblocked(s, eps1=EPS_VARIANCE):
+    """model.update_variances from the separated target spectra s,
+    (K, F, T), themselves: one reduction of |s|^2 over the whole bin
+    axis. Returns (K, T), the mean over bins floored at eps1."""
+    s = np.asarray(s)
+    if s.ndim != 3:
+        raise ShapeMismatch(f"expected (K, F, T) spectra, got {s.shape}")
+    return np.maximum(np.sum(np.abs(s) ** 2, axis=1) / s.shape[1], eps1)
+
+
+def projection_back_image(w_stack, x, k):
+    """Output k's dense image, formed from projection_back's factors: it
+    has x's shape, (..., M) vectors or (..., T, M) frames."""
+    a, s = projection_back(w_stack, x, k)
+    if s.ndim < a.ndim:
+        return a * s[..., None]
+    return s[..., None] * a[..., None, :]
 
 
 def weighted_covariance_unblocked(x, lam_k, eps2):

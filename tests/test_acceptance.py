@@ -72,13 +72,12 @@ class OcProbe:
         self.worst = 0.0
         self.calls = 0
 
-    def __call__(self, w_targets, noise_cov, return_gram=False):
-        out = self.update(w_targets, noise_cov, return_gram)
-        wz = out[0] if return_gram else out
+    def __call__(self, w_targets, noise_cov):
+        wz, gram = self.update(w_targets, noise_cov)
         cross = hermitian_transpose(w_targets) @ noise_cov @ wz
         self.worst = max(self.worst, float(np.abs(cross).max()))
         self.calls += 1
-        return out
+        return wz, gram
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +164,7 @@ def test_criterion_04_fast_and_full_background_share_subspace():
         ws = random_complex(rng, (m, k)) + np.eye(m, dtype=complex)[:, :k]
         gz = random_hpd(rng, m)
         stack = np.concatenate([ws, np.eye(m, dtype=complex)[:, k:]], axis=1)
-        p_fast = span_projector(update_wz_fast(ws, gz))
+        p_fast = span_projector(update_wz_fast(ws, gz)[0])
         p_full = span_projector(update_wz_full(stack, gz, k))
         worst = max(worst, float(np.abs(p_fast - p_full).max()))
     assert worst <= 1e-8, f"worst projector distance {worst:.3e}"

@@ -12,17 +12,20 @@ from overiva.errors import InvalidK, ShapeMismatch
 from overiva.model import (
     DemixingStack,
     cost_total,
-    demix,
     noise_covariance,
-    output_power,
     stationarity_residual,
     update_variances,
-    variances_from_power,
     weighted_covariance,
 )
 from overiva.stft import Spectrogram
 
-from oracles import cost_jw, gradient_jw_row, weighted_covariance_unblocked
+from oracles import (
+    cost_jw,
+    demix,
+    gradient_jw_row,
+    update_variances_unblocked,
+    weighted_covariance_unblocked,
+)
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -71,26 +74,6 @@ class TestDemixingStack:
     def test_shape_guard(self):
         with pytest.raises(ShapeMismatch):
             DemixingStack(np.zeros((2, 3, 4), complex), 1)
-
-
-class TestDemix:
-    def test_identity_returns_input(self):
-        rng = np.random.default_rng(0)
-        x = make_spec(rng, 6, 10, 3)
-        w = np.tile(np.eye(3, dtype=complex), (6, 1, 1))
-        y = demix(x, w, 2)
-        np.testing.assert_array_equal(y, x.data[:, :, :2])
-
-    def test_matches_loop(self):
-        rng = np.random.default_rng(1)
-        x = make_spec(rng, 4, 7, 3)
-        w = random_complex(rng, (4, 3, 3))
-        y = demix(x, w, 3)
-        for f in range(4):
-            for t in range(7):
-                np.testing.assert_allclose(
-                    y[f, t], w[f].conj().T @ x.data[f, t], atol=1e-12
-                )
 
 
 class TestCovariances:
@@ -254,22 +237,30 @@ class TestWeightedCovarianceProperty:
         np.testing.assert_array_equal(g, ref)
 
 
+def target_variances(s, eps1):
+    """update_variances of the (K, F, T) target spectra s, given as a
+    K-channel mixture demixed by identity filters."""
+    n_targets, n_bins = s.shape[:2]
+    eye = np.broadcast_to(np.eye(n_targets), (n_bins, n_targets, n_targets))
+    return update_variances(np.transpose(s, (1, 2, 0)), eye, eps1)
+
+
 class TestVarianceUpdate:
     def test_unit_magnitude(self):
         s = np.exp(1j * np.linspace(0, 5, 2 * 6 * 4)).reshape(2, 6, 4)
-        lam = update_variances(s, 1e-5)
+        lam = target_variances(s, 1e-5)
         np.testing.assert_allclose(lam, 1.0, rtol=1e-12)
 
     def test_matches_mean_over_bins(self):
         rng = np.random.default_rng(8)
         s = random_complex(rng, (2, 9, 5))
-        lam = update_variances(s, 1e-12)
+        lam = target_variances(s, 1e-12)
         ref = (np.abs(s) ** 2).mean(axis=1)
         np.testing.assert_allclose(lam, ref, atol=1e-13)
 
     def test_floor_applies(self):
         s = np.full((1, 4, 3), 1e-9, complex)
-        lam = update_variances(s, 1e-5)
+        lam = target_variances(s, 1e-5)
         np.testing.assert_array_equal(lam, np.full((1, 3), 1e-5))
 
     def test_floor_minimizes_constrained_cost(self):
@@ -279,8 +270,7 @@ class TestVarianceUpdate:
         x = make_spec(rng, 5, 6, 2)
         w = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
         eps1 = 1e-5
-        s = demix(x, w, 1)
-        lam = update_variances(np.transpose(s, (2, 0, 1)), eps1)
+        lam = update_variances(x, w[:, :, :1], eps1)
         best = cost_total(DemixingStack(w, 1), lam, x)
         for factor in (0.5, 0.9, 1.1, 2.0):
             trial = np.maximum(lam * factor, eps1)
@@ -288,26 +278,31 @@ class TestVarianceUpdate:
 
 
 class TestOutputPower:
+    """update_variances sums the output power a block of bins at a time."""
+
     @pytest.mark.parametrize("n_bins", [1, 4, 5, 6, 16])
     @pytest.mark.parametrize("k", [1, 2])
     def test_blocks_bit_identical_to_whole_array_variances(
         self, monkeypatch, n_bins, k
     ):
         """With blocks of 5 bins, F = 1, 4, 5, 6 and 16 cross every kind of
-        block boundary; the variances run() forms from output_power are
-        update_variances' of the whole demixed array, bit for bit."""
+        block boundary; the power sum, and the variances run() takes from
+        update_variances, are those of the whole demixed array, bit for
+        bit."""
         rng = np.random.default_rng(n_bins + 10 * k)
         n_frames = 40
         x = random_complex(rng, (n_bins, n_frames, 3))
         w = random_complex(rng, (n_bins, 3, 3))
         monkeypatch.setattr(model, "COVARIANCE_BLOCK_BYTES", 5 * 16 * n_frames * k)
         assert model.bin_blocks(n_bins, n_frames, k)[0] == slice(0, min(5, n_bins))
-        power = output_power(x, w[:, :, :k])
         s = demix(x, w, k)
-        np.testing.assert_array_equal(power, np.sum(np.abs(s) ** 2, axis=0).T)
         np.testing.assert_array_equal(
-            variances_from_power(power, n_bins, 1e-5),
-            update_variances(np.transpose(s, (2, 0, 1)), 1e-5),
+            update_variances(x, w[:, :, :k], 0.0),
+            np.sum(np.abs(s) ** 2, axis=0).T / n_bins,
+        )
+        np.testing.assert_array_equal(
+            update_variances(x, w[:, :, :k], 1e-5),
+            update_variances_unblocked(np.transpose(s, (2, 0, 1)), 1e-5),
         )
 
     def test_allocates_no_output_sized_array(self, traced_peak):
@@ -316,7 +311,7 @@ class TestOutputPower:
         rng = np.random.default_rng(3)
         x = random_complex(rng, (1025, 200, 4))
         w = random_complex(rng, (1025, 4, 2))
-        _, peak = traced_peak(output_power, x, w)
+        _, peak = traced_peak(update_variances, x, w)
         assert peak < 16 * 1025 * 200 * 2 / 4
 
 

@@ -39,6 +39,8 @@ from oracles import (
     cost_jw,
     ip1_full_sweep,
     ip2_update_gev,
+    projection_back_image,
+    update_variances_unblocked,
     with_full_background,
 )
 
@@ -172,7 +174,7 @@ class TestUpdateWzFast:
         background (-i/2, 1)."""
         gz = np.array([[2.0, 1j], [-1j, 3.0]])
         ws = np.array([[1.0], [0.0]], complex)
-        wz = update_wz_fast(ws, gz)
+        wz, _ = update_wz_fast(ws, gz)
         np.testing.assert_allclose(wz[:, 0], [-0.5j, 1.0], atol=1e-14)
 
     def test_orthogonal_constraint_exact(self):
@@ -180,7 +182,7 @@ class TestUpdateWzFast:
         for m, k in ((3, 1), (5, 2), (6, 4)):
             ws = random_complex(rng, (m, k)) + np.eye(m, k)
             gz = random_hpd(rng, m)
-            wz = update_wz_fast(ws, gz)
+            wz, _ = update_wz_fast(ws, gz)
             resid = np.abs(ws.conj().T @ gz @ wz).max()
             assert resid < 1e-12
             np.testing.assert_array_equal(wz[k:], np.eye(m - k))
@@ -193,7 +195,7 @@ class TestUpdateWzFast:
             w = random_complex(rng, (m, m)) + 2 * np.eye(m)
             gz = random_hpd(rng, m)
             full = update_wz_full(w, gz, k)
-            fast = update_wz_fast(w[:, :k], gz)
+            fast, _ = update_wz_fast(w[:, :k], gz)
             dist = np.abs(span_projector(full) - span_projector(fast)).max()
             assert dist < 1e-8
 
@@ -201,8 +203,12 @@ class TestUpdateWzFast:
         rng = np.random.default_rng(8)
         ws = random_complex(rng, (6, 5, 2)) + np.eye(5, 2)
         gz = random_hpd_batch(rng, 6, 5)
-        wz, gram = update_wz_fast(ws, gz, return_gram=True)
-        np.testing.assert_array_equal(wz, update_wz_fast(ws, gz))
+        wz, gram = update_wz_fast(ws, gz)
+        c = ws.conj().transpose(0, 2, 1) @ gz
+        top = -np.linalg.solve(c[:, :, :2], c[:, :, 2:])
+        np.testing.assert_array_equal(
+            wz, np.concatenate([top, np.broadcast_to(np.eye(3), (6, 3, 3))], axis=1)
+        )
         np.testing.assert_allclose(
             gram, ws.conj().transpose(0, 2, 1) @ gz @ ws, rtol=1e-13
         )
@@ -282,11 +288,10 @@ class TestSweeps:
         worst = []
         update = optimizer.update_wz_fast
 
-        def check(ws, cov, return_gram=False):
-            out = update(ws, cov, return_gram)
-            wz = out[0] if return_gram else out
+        def check(ws, cov):
+            wz, gram = update(ws, cov)
             worst.append(np.abs(ws.conj().T @ cov @ wz).max())
-            return out
+            return wz, gram
 
         monkeypatch.setattr(optimizer, "update_wz_fast", check)
         for _ in range(4):
@@ -509,7 +514,7 @@ class TestProjectionBack:
         rng = np.random.default_rng(18)
         x = random_complex(rng, (6, 3))
         w = eye_stack(3, (6,))
-        img = projection_back(w, x, 1)
+        img = projection_back_image(w, x, 1)
         ref = np.zeros_like(x)
         ref[:, 1] = x[:, 1]
         np.testing.assert_allclose(img, ref, atol=1e-14)
@@ -519,7 +524,7 @@ class TestProjectionBack:
         m = 4
         x = random_complex(rng, (5, m))
         w = random_complex(rng, (5, m, m)) + 2 * np.eye(m)
-        total = sum(projection_back(w, x, k) for k in range(m))
+        total = sum(projection_back_image(w, x, k) for k in range(m))
         np.testing.assert_allclose(total, x, atol=1e-12)
 
     def test_invariant_to_filter_scale(self):
@@ -527,21 +532,43 @@ class TestProjectionBack:
         m = 3
         x = random_complex(rng, (4, m))
         w = random_complex(rng, (4, m, m)) + 2 * np.eye(m)
-        base = projection_back(w, x, 0)
+        base = projection_back_image(w, x, 0)
         w2 = w.copy()
         w2[:, :, 0] *= 3.0 - 4.0j
-        np.testing.assert_allclose(projection_back(w2, x, 0), base, atol=1e-12)
+        np.testing.assert_allclose(
+            projection_back_image(w2, x, 0), base, atol=1e-12
+        )
 
     def test_frame_axis_matches_vector_path(self):
         rng = np.random.default_rng(21)
         m, t = 3, 7
         x = random_complex(rng, (5, t, m))
         w = random_complex(rng, (5, m, m)) + 2 * np.eye(m)
-        framed = projection_back(w, x, 2)
+        framed = projection_back_image(w, x, 2)
         for j in range(t):
             np.testing.assert_allclose(
-                framed[:, j], projection_back(w, x[:, j], 2), atol=1e-13
+                framed[:, j], projection_back_image(w, x[:, j], 2), atol=1e-13
             )
+
+    def test_returns_the_mixing_column_and_the_output(self):
+        """The factors are W^{-H} e_k and w_k^H x. A given mixing column
+        is returned as is, and the output is written into out."""
+        rng = np.random.default_rng(23)
+        m, t = 3, 7
+        x = random_complex(rng, (5, t, m))
+        w = random_complex(rng, (5, m, m)) + 2 * np.eye(m)
+        a, s = projection_back(w, x, 1)
+        np.testing.assert_allclose(
+            a, np.linalg.inv(w.conj().transpose(0, 2, 1))[:, :, 1], atol=1e-13
+        )
+        np.testing.assert_allclose(
+            s, np.einsum("fm,ftm->ft", w[:, :, 1].conj(), x), atol=1e-13
+        )
+        out = np.empty((5, t), dtype=complex)
+        given, written = projection_back(w, x, 1, a=2 * a, out=out)
+        assert written is out
+        np.testing.assert_array_equal(given, 2 * a)
+        np.testing.assert_array_equal(out, s)
 
 
 class TestPickTopK:
@@ -620,7 +647,7 @@ def reference_trace(x, n_targets, method, iterations):
     w = eye_stack(m, (n_bins,))
     trace = []
     for _ in range(iterations):
-        lam = model.update_variances(
+        lam = update_variances_unblocked(
             (x @ np.conj(w[..., :n_targets])).transpose(2, 0, 1)
         )
         covs = np.stack(
@@ -731,6 +758,25 @@ class TestRunCallCounts:
             counts = {step: len(seen) for step, seen in calls.items()}
             assert counts == {step: 3 * n_chunks * (step == name) for step in calls}
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_variances_and_image_factors_are_called_through_the_module(
+        self, monkeypatch, threads
+    ):
+        """Every method takes each iteration's variances from one
+        model.update_variances call and each target's image factors from
+        one projection_back call, by their module names, so a wrapper set
+        on the module (as a tracer sets) sees every call."""
+        x = self.make_x()
+        variances = count_calls(monkeypatch, model, "update_variances")
+        factors = count_calls(monkeypatch, optimizer, "projection_back")
+        for method in Method:
+            for k in (1,) if method is Method.IP2 else (1, 2):
+                variances.clear()
+                factors.clear()
+                run(x, k, RunConfig(method=method, iterations=3, threads=threads))
+                assert (len(variances), len(factors)) == (3, k), (method, k)
+                assert [args[2] for args in factors] == list(range(k))
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_auxiva_images_come_from_projection_back(self, monkeypatch, k):
         """auxiva's K images are projection_back's of the leading K
@@ -753,7 +799,7 @@ class TestRunCallCounts:
         w = result.demixing.matrices
         assert len(result.images) == k
         for j, img in enumerate(result.images):
-            np.testing.assert_array_equal(img, projection_back(w, x, j))
+            np.testing.assert_array_equal(img, projection_back_image(w, x, j))
         # Each returned column is a rescaled column of the last sweep's
         # stack (the rescale is per target, shared by all bins).
         m = x.shape[-1]
@@ -762,7 +808,9 @@ class TestRunCallCounts:
         order = list(np.argmax(corr / np.linalg.norm(last, axis=0)[:, None], axis=0))
         assert sorted(order) == list(range(m)) != order
         assert order[k:] == sorted(order[k:])
-        powers = [np.sum(np.abs(projection_back(w, x, j)) ** 2) for j in range(m)]
+        powers = [
+            np.sum(np.abs(projection_back_image(w, x, j)) ** 2) for j in range(m)
+        ]
         assert powers[:k] == sorted(powers[:k], reverse=True)
         assert min(powers[:k]) >= max(powers[k:])
 
@@ -779,7 +827,7 @@ class TestRunCallCounts:
         assert np.moveaxis(images, 1, -1).flags.c_contiguous
         for j in range(k):
             np.testing.assert_array_equal(
-                images[j], projection_back(result.demixing.matrices, x, j)
+                images[j], projection_back_image(result.demixing.matrices, x, j)
             )
 
     def test_images_are_formed_from_the_factors_when_read(self):
@@ -1087,7 +1135,7 @@ class TestRun:
         w = eye_stack(m, (len(x),))
         carried = np.zeros(len(x))
         for _ in range(200):
-            lam = model.update_variances(
+            lam = update_variances_unblocked(
                 (x @ np.conj(w[..., :k])).transpose(2, 0, 1)
             )
             covs = np.stack([model.weighted_covariance(x, lam[j]) for j in range(k)])
@@ -1163,6 +1211,8 @@ class TestRunConfig:
             {"iterations": 2.5},
             {"iterations": float("nan")},
             {"threads": 2.5},
+            {"iterations": True},
+            {"threads": True},
         ],
     )
     def test_rejects_bad_regularizers(self, kwargs):

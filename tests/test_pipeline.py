@@ -110,6 +110,14 @@ class TestVerifyMonotoneTrace:
         with pytest.raises(NoConvergence, match="iteration 2"):
             verify_monotone_trace([10.0, 5.0, 6.0, 4.0])
 
+    @pytest.mark.parametrize(
+        "trace,iteration",
+        [([1.0, np.nan, 0.5], 1), ([np.nan, 1.0], 0), ([np.nan], 0), ([1.0, np.inf], 1)],
+    )
+    def test_rejects_non_finite_and_names_iteration(self, trace, iteration):
+        with pytest.raises(NoConvergence, match=f"iteration {iteration}:"):
+            verify_monotone_trace(trace)
+
 
 class TestSeparateFile:
     def test_report_and_outputs(self, scene, tmp_path):
