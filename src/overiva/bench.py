@@ -1,28 +1,22 @@
 """Benchmark harness: scene grids, per-method SDR and real-time factors.
 
-Every cell of a grid fixes (K, L, M, input SINR); for each of `trials`
-scenes (seeded base_seed + trial) all requested methods separate the
-same mixture and are scored with best-permutation SDR against the true
-target images. The pseudo-method "mixture" scores the unprocessed
-mixture itself and anchors the improvement scale.
+Every cell of a grid is a SceneSpec. Trial t renders it at seed
+spec.seed + t; all requested methods separate the same mixture and are
+scored with best-permutation SDR against the true target images. The
+pseudo-method "mixture" scores the unprocessed mixture itself and
+anchors the improvement scale.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import InvalidK, TooManySources
+from .errors import InvalidK, InvalidSpec, TooManySources
 from .optimizer import RunConfig, check_targets, run
-from .simulate import (
-    MAX_PERMUTATION_SOURCES,
-    SceneSpec,
-    rtf,
-    sdr_set,
-    synthesize,
-)
+from .simulate import MAX_PERMUTATION_SOURCES, rtf, sdr_set, synthesize
 from .stft import RankOneImage, StftConfig, istft, stft
 
 MIXTURE_METHOD = "mixture"
@@ -30,79 +24,59 @@ DEFAULT_METHODS = ("auxiva", "ip1", "ip2", "ip3", MIXTURE_METHOD)
 CSV_COLUMNS = ("K", "L", "M", "sinr", "method", "mean_sdr", "mean_rtf", "trials")
 
 
-@dataclass(frozen=True)
-class BenchCell:
-    """One grid point: source/noise/mic counts and input SINR."""
-
-    n_sources: int
-    n_noises: int
-    n_mics: int
-    sinr_db: float
-
-
 def run_benchmark(
-    cells,
+    specs,
     methods=DEFAULT_METHODS,
     trials=10,
-    base_seed=0,
-    duration_s=10.0,
-    rt60_ms=300.0,
-    sample_rate=16000,
     stft_config=StftConfig(),
     iterations=None,
     threads=1,
     log=None,
 ):
-    """Run the grid; returns one row dict per (cell, method).
+    """Run a grid of SceneSpecs; returns one row dict per (spec, method).
 
     iterations=None keeps each method's own default count
-    (optimizer.DEFAULT_ITERATIONS). Every cell's scene and every method's
-    RunConfig are validated before the first scene is rendered, and a
-    cell with more sources than simulate.sdr_set scores
-    (MAX_PERMUTATION_SOURCES) raises TooManySources then. A method
-    that cannot extract the cell's K sources from its M channels
-    (optimizer.check_targets) is skipped for that cell with a note on
+    (optimizer.DEFAULT_ITERATIONS). Before the first scene is rendered,
+    a method named twice raises InvalidSpec, every method's RunConfig is
+    validated, and a spec with more sources than simulate.sdr_set scores
+    (MAX_PERMUTATION_SOURCES) raises TooManySources. A method that
+    cannot extract a spec's K sources from its M channels
+    (optimizer.check_targets) is skipped for that spec with a note on
     `log`.
     """
+    methods = list(methods)
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise InvalidSpec(f"methods named more than once: {', '.join(repeated)}")
     configs = {
         m: RunConfig(method=m, iterations=iterations, threads=threads)
         for m in methods
         if m != MIXTURE_METHOD
     }
     plan = []
-    for cell in cells:
-        spec = SceneSpec(
-            n_sources=cell.n_sources,
-            n_noises=cell.n_noises,
-            n_mics=cell.n_mics,
-            sinr_db=cell.sinr_db,
-            rt60_ms=rt60_ms,
-            sample_rate=sample_rate,
-            duration_s=duration_s,
-            seed=base_seed,
-        )
-        if cell.n_sources > MAX_PERMUTATION_SOURCES:
+    for spec in specs:
+        if spec.n_sources > MAX_PERMUTATION_SOURCES:
             raise TooManySources(
-                f"cell K={cell.n_sources}: SDR is scored over at most "
+                f"cell K={spec.n_sources}: SDR is scored over at most "
                 f"{MAX_PERMUTATION_SOURCES} sources"
             )
         usable = list(methods)
         for m, config in configs.items():
             try:
-                check_targets(config.method, cell.n_sources, cell.n_mics)
+                check_targets(config.method, spec.n_sources, spec.n_mics)
             except InvalidK as exc:
-                usable = [u for u in usable if u != m]
+                usable.remove(m)
                 if log is not None:
-                    cell_km = f"K={cell.n_sources}, M={cell.n_mics}"
+                    cell_km = f"K={spec.n_sources}, M={spec.n_mics}"
                     print(f"note: skipping {m} for {cell_km}: {exc}", file=log)
-        plan.append((cell, spec, usable))
+        plan.append((spec, usable))
 
     rows = []
-    for cell, spec, usable in plan:
+    for spec, usable in plan:
         scores = {m: [] for m in usable}
         times = {m: [] for m in usable}
         for trial in range(trials):
-            scene = synthesize(replace(spec, seed=base_seed + trial))
+            scene = synthesize(replace(spec, seed=spec.seed + trial))
             refs = scene.target_images
             n = scene.mixture.shape[0]
             mix_spec = stft(scene.mixture, stft_config)
@@ -112,7 +86,7 @@ def run_benchmark(
                     scores[method].append(sdr_set(refs, ests).mean)
                     times[method].append(0.0)
                     continue
-                result = run(mix_spec, cell.n_sources, configs[method])
+                result = run(mix_spec, spec.n_sources, configs[method])
                 ests = np.stack(
                     [
                         istft(RankOneImage(a, s), stft_config, length=n)
@@ -124,10 +98,10 @@ def run_benchmark(
         for method in usable:
             rows.append(
                 {
-                    "K": cell.n_sources,
-                    "L": cell.n_noises,
-                    "M": cell.n_mics,
-                    "sinr": cell.sinr_db,
+                    "K": spec.n_sources,
+                    "L": spec.n_noises,
+                    "M": spec.n_mics,
+                    "sinr": spec.sinr_db,
                     "method": method,
                     "mean_sdr": float(np.mean(scores[method])),
                     "mean_rtf": float(np.mean(times[method])),

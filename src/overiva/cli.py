@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bench import DEFAULT_METHODS, MIXTURE_METHOD, BenchCell, run_benchmark, write_csv
+from .bench import DEFAULT_METHODS, MIXTURE_METHOD, run_benchmark, write_csv
 from .errors import CorruptFile, InvalidSpec, NumericalError, UnsupportedFormat
 from .io import read_wav
 from .model import EPS_RIDGE, EPS_VARIANCE
@@ -70,11 +70,32 @@ def _build_parser():
         description="Extract K sources from an M-channel mixture (K < M).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Flags of a separation run, shared by separate and bench.
+    solve = argparse.ArgumentParser(add_help=False)
+    iters = ", ".join(f"{m.value} {n}" for m, n in DEFAULT_ITERATIONS.items())
+    solve.add_argument("--iters", type=_positive_int, default=None,
+                       help=f"iteration count (default {iters})")
+    solve.add_argument("--frame-len", type=int, default=4096,
+                       help="STFT frame length")
+    solve.add_argument("--hop-div", type=_positive_int, default=4,
+                       help="hop = frame_len / hop_div (default 4)")
     # A string default goes through _threads, so a bad value in the
     # environment is a usage error like a bad --threads.
-    threads = os.environ.get(THREADS_ENV) or 1
+    solve.add_argument("--threads", type=_threads,
+                       default=os.environ.get(THREADS_ENV) or 1,
+                       help=f"worker threads or 'auto' (default ${THREADS_ENV} or 1)")
 
-    sep = sub.add_parser("separate", help="separate a WAV mixture")
+    # Flags of a synthetic scene, shared by make-mix and bench.
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("--seed", type=int, default=0,
+                       help="scene seed (bench: trial t uses seed + t)")
+    scene.add_argument("--dur", type=float, default=10.0, help="duration in seconds")
+    scene.add_argument("--rt60", type=float, default=300.0,
+                       help="reverberation time in ms")
+    scene.add_argument("--rate", type=int, default=16000, help="sample rate")
+
+    sep = sub.add_parser("separate", parents=[solve], help="separate a WAV mixture")
     sep.add_argument("--input", required=True, help="mixture WAV file")
     sep.add_argument("--sources", required=True, type=_positive_int,
                      help="number of sources K")
@@ -84,41 +105,28 @@ def _build_parser():
         choices=[m.value for m in Method],
         help="update schedule (default ip1)",
     )
-    iters = ", ".join(f"{m.value} {n}" for m, n in DEFAULT_ITERATIONS.items())
-    sep.add_argument("--iters", type=_positive_int, default=None,
-                     help=f"iteration count (default {iters})")
-    sep.add_argument("--frame-len", type=int, default=4096, help="STFT frame length")
-    sep.add_argument("--hop-div", type=_positive_int, default=4,
-                     help="hop = frame_len / hop_div (default 4)")
     sep.add_argument("--eps1", type=float, default=EPS_VARIANCE,
                      help="variance floor")
     sep.add_argument("--eps2", type=float, default=EPS_RIDGE,
                      help="covariance ridge")
     sep.add_argument("--out", default=".", help="output directory")
     sep.add_argument("--json", default=None, help="write a JSON report here")
-    sep.add_argument("--threads", type=_threads, default=threads,
-                     help=f"worker threads or 'auto' (default ${THREADS_ENV} or 1)")
     sep.add_argument("--verify-monotone", action="store_true",
                      help="fail if the cost trace increases")
     sep.set_defaults(func=_cmd_separate)
 
-    mix = sub.add_parser("make-mix", help="synthesize a test scene")
+    mix = sub.add_parser("make-mix", parents=[scene], help="synthesize a test scene")
     mix.add_argument("--speakers", required=True, type=int, help="target count K")
     mix.add_argument("--noises", required=True, type=int, help="noise count L")
     mix.add_argument("--mics", required=True, type=int, help="channel count M")
     mix.add_argument("--sinr", type=float, default=0.0, help="input SINR in dB")
-    mix.add_argument("--rt60", type=float, default=300.0,
-                     help="reverberation time in ms")
-    mix.add_argument("--seed", type=int, default=0, help="scene seed")
-    mix.add_argument("--dur", type=float, default=10.0, help="duration in seconds")
-    mix.add_argument("--rate", type=int, default=16000, help="sample rate")
     mix.add_argument("--out", required=True, help="scene output directory")
     mix.add_argument("--speech", nargs="+", default=None, metavar="WAV",
                      help="use these WAV files as the K dry sources "
                           "(first channel, truncated to the duration)")
     mix.set_defaults(func=_cmd_make_mix)
 
-    bench = sub.add_parser("bench", help="run a benchmark grid")
+    bench = sub.add_parser("bench", parents=[solve, scene], help="run a benchmark grid")
     bench.add_argument("--grid", required=True,
                        help="JSON file: list of cells {K, L, M, sinr}")
     bench.add_argument("--trials", type=_positive_int, default=10,
@@ -126,18 +134,6 @@ def _build_parser():
     bench.add_argument("--methods", default=",".join(DEFAULT_METHODS),
                        help="comma list of methods (plus 'mixture')")
     bench.add_argument("--out", required=True, help="CSV output path")
-    bench.add_argument("--seed", type=int, default=0, help="base seed")
-    bench.add_argument("--dur", type=float, default=10.0, help="scene length s")
-    bench.add_argument("--rt60", type=float, default=300.0, help="rt60 in ms")
-    bench.add_argument("--rate", type=int, default=16000, help="sample rate")
-    bench.add_argument("--iters", type=_positive_int, default=None,
-                       help="override every method's iteration count")
-    bench.add_argument("--frame-len", type=int, default=4096,
-                       help="STFT frame length")
-    bench.add_argument("--hop-div", type=_positive_int, default=4,
-                       help="hop = frame_len / hop_div (default 4)")
-    bench.add_argument("--threads", type=_threads, default=threads,
-                       help=f"worker threads or 'auto' (default ${THREADS_ENV} or 1)")
     bench.set_defaults(func=_cmd_bench)
     return parser
 
@@ -176,6 +172,20 @@ def _cmd_separate(args):
     return EXIT_OK
 
 
+def _scene_spec(args, n_sources, n_noises, n_mics, sinr_db):
+    """The SceneSpec of these counts and SINR under the scene flags."""
+    return SceneSpec(
+        n_sources,
+        n_noises,
+        n_mics,
+        sinr_db,
+        rt60_ms=args.rt60,
+        sample_rate=args.rate,
+        duration_s=args.dur,
+        seed=args.seed,
+    )
+
+
 def _load_speech(paths, sample_rate, n_samples):
     sources = []
     for path in paths:
@@ -195,16 +205,7 @@ def _load_speech(paths, sample_rate, n_samples):
 
 
 def _cmd_make_mix(args):
-    spec = SceneSpec(
-        n_sources=args.speakers,
-        n_noises=args.noises,
-        n_mics=args.mics,
-        sinr_db=args.sinr,
-        rt60_ms=args.rt60,
-        sample_rate=args.rate,
-        duration_s=args.dur,
-        seed=args.seed,
-    )
+    spec = _scene_spec(args, args.speakers, args.noises, args.mics, args.sinr)
     sources = None
     if args.speech is not None:
         if len(args.speech) != spec.n_sources:
@@ -224,7 +225,9 @@ def _cmd_make_mix(args):
     return EXIT_OK
 
 
-def _parse_grid(path):
+def _parse_grid(args):
+    """One SceneSpec per cell of the --grid file, with the scene flags."""
+    path = args.grid
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -234,26 +237,23 @@ def _parse_grid(path):
         payload = payload.get("cells")
     if not isinstance(payload, list) or not payload:
         raise InvalidSpec(f"{path}: grid must be a nonempty list of cells")
-    cells = []
+    specs = []
     for i, cell in enumerate(payload):
         try:
-            cells.append(
-                BenchCell(
-                    n_sources=int(cell["K"]),
-                    n_noises=int(cell["L"]),
-                    n_mics=int(cell["M"]),
-                    sinr_db=float(cell["sinr"]),
-                )
+            specs.append(
+                _scene_spec(args, cell["K"], cell["L"], cell["M"], float(cell["sinr"]))
             )
         except (KeyError, TypeError) as exc:
             raise InvalidSpec(
                 f"{path}: cell {i} needs K, L, M, sinr ({exc})"
             ) from None
-    return cells
+        except InvalidSpec as exc:
+            raise InvalidSpec(f"{path}: cell {i}: {exc}") from None
+    return specs
 
 
 def _cmd_bench(args):
-    cells = _parse_grid(args.grid)
+    specs = _parse_grid(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise InvalidSpec(f"--methods names no method: {args.methods!r}")
@@ -262,13 +262,9 @@ def _cmd_bench(args):
     if unknown:
         raise InvalidSpec(f"unknown methods: {', '.join(unknown)}")
     rows = run_benchmark(
-        cells,
+        specs,
         methods=methods,
         trials=args.trials,
-        base_seed=args.seed,
-        duration_s=args.dur,
-        rt60_ms=args.rt60,
-        sample_rate=args.rate,
         stft_config=_stft_config(args),
         iterations=args.iters,
         threads=args.threads,

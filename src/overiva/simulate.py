@@ -47,6 +47,9 @@ class SceneSpec:
         rendered images, finite (ignored when n_noises == 0; ask for no
         noise with n_noises = 0, not an infinite SINR)
     rt60_ms : reverberation time of the synthetic impulse responses
+
+    The counts, sample_rate and seed are Python or numpy integers, not
+    bools, and are stored as Python ints.
     """
 
     n_sources: int
@@ -59,6 +62,13 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_sources", "n_noises", "n_mics", "sample_rate", "seed"):
+            value = getattr(self, name)
+            # bool is an int, but True is no count.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+            # A plain int, so that save_scene can write it as JSON.
+            object.__setattr__(self, name, int(value))
         # Each rule is written so that NaN fails it.
         for name, ok, rule in (
             ("n_sources", self.n_sources >= 1, "be >= 1"),

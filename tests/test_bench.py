@@ -1,0 +1,52 @@
+"""run_benchmark on SceneSpecs: row fields and the per-trial seed rule."""
+
+from dataclasses import replace
+
+import pytest
+
+from overiva.bench import run_benchmark
+from overiva.simulate import SceneSpec
+from overiva.stft import StftConfig
+
+SPECS = [
+    SceneSpec(n_sources=1, n_noises=1, n_mics=2, sinr_db=0.0, rt60_ms=80.0,
+              sample_rate=8000, duration_s=0.6, seed=3),
+    SceneSpec(n_sources=1, n_noises=2, n_mics=3, sinr_db=-2.5, rt60_ms=80.0,
+              sample_rate=8000, duration_s=0.6, seed=11),
+]
+
+
+def bench(specs, trials):
+    return run_benchmark(
+        specs,
+        methods=("ip2", "mixture"),
+        trials=trials,
+        stft_config=StftConfig(512, 128),
+        iterations=2,
+    )
+
+
+def test_rows_carry_their_specs_counts_and_sinr():
+    rows = bench(SPECS, trials=1)
+    assert [(r["K"], r["L"], r["M"], r["sinr"], r["method"]) for r in rows] == [
+        (1, 1, 2, 0.0, "ip2"),
+        (1, 1, 2, 0.0, "mixture"),
+        (1, 2, 3, -2.5, "ip2"),
+        (1, 2, 3, -2.5, "mixture"),
+    ]
+    assert all(r["trials"] == 1 for r in rows)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_trial_t_renders_the_spec_at_seed_plus_t(spec):
+    """The mean of two trials at seed s is the mean of the single-trial
+    rows at seeds s and s + 1."""
+    (ip2, mix) = bench([spec], trials=2)
+    singles = [
+        bench([replace(spec, seed=spec.seed + t)], trials=1)
+        for t in (0, 1)
+    ]
+    for i, row in enumerate((ip2, mix)):
+        expected = (singles[0][i]["mean_sdr"] + singles[1][i]["mean_sdr"]) / 2
+        assert row["mean_sdr"] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert ip2["mean_sdr"] != singles[0][0]["mean_sdr"]

@@ -6,8 +6,6 @@ import json
 import numpy as np
 import pytest
 
-jsonschema = pytest.importorskip("jsonschema")
-
 from overiva import bench, cli, pipeline
 from overiva.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from overiva.io import AudioBuffer, read_wav, write_wav
@@ -85,6 +83,7 @@ def separate_args(scene_dir, out_dir, *extra):
 
 class TestSeparate:
     def test_end_to_end_with_report(self, scene_dir, tmp_path, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
         report_path = tmp_path / "report.json"
         code = main(
             separate_args(scene_dir, tmp_path / "out", "--json", str(report_path))
@@ -601,6 +600,40 @@ class TestBench:
         assert main(bench_args(grid, out)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert message in err and "skipping" not in err
+        assert not out.exists()
+
+    def test_repeated_method_is_usage_error_before_any_scene(
+        self, grid, tmp_path, capsys, monkeypatch
+    ):
+        """A method named twice would run twice and write two identical
+        rows; it is refused before the first scene is rendered."""
+
+        def no_scene(*args, **kwargs):
+            raise AssertionError("scene rendered")
+
+        monkeypatch.setattr(bench, "synthesize", no_scene)
+        out = tmp_path / "out.csv"
+        code = main(bench_args(grid, out)[:-1] + ["ip2,ip2,mixture"])
+        assert code == EXIT_USAGE
+        assert "named more than once: ip2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_count_is_usage_error_before_any_scene(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """"K": 1.7 is refused, not truncated to K = 1."""
+
+        def no_scene(*args, **kwargs):
+            raise AssertionError("scene rendered")
+
+        monkeypatch.setattr(bench, "synthesize", no_scene)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"K": 1.7, "L": 1, "M": 2, "sinr": 0}]))
+        out = tmp_path / "out.csv"
+        assert main(bench_args(grid, out)) == EXIT_USAGE
+        assert "cell 0: n_sources must be an integer, got 1.7" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_cell_with_as_many_sources_as_mics(self, tmp_path, capsys):

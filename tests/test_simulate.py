@@ -46,6 +46,10 @@ class TestSceneSpec:
             dict(n_sources=1, n_noises=1, n_mics=2, rt60_ms=0.0),
             dict(n_sources=1, n_noises=1, n_mics=2, duration_s=0.0),
             dict(n_sources=1, n_noises=1, n_mics=2, seed=-1),
+            dict(n_sources=1.5, n_noises=1, n_mics=2),
+            dict(n_sources=1, n_noises=1, n_mics=2, seed=1.5),
+            dict(n_sources=1, n_noises=1, n_mics=2, sample_rate=8000.5),
+            dict(n_sources=1, n_noises=1, n_mics=True),
         ],
     )
     def test_invalid_specs(self, kwargs):
@@ -67,6 +71,17 @@ class TestSceneSpec:
     def test_non_finite_values_name_their_field(self, field, value):
         with pytest.raises(InvalidSpec, match=field):
             SceneSpec(n_sources=1, n_noises=1, n_mics=2, **{field: value})
+
+    def test_numpy_integers_accepted(self, tmp_path):
+        """Counts, rate and seed may be numpy integers, like RunConfig's;
+        they are stored as ints, so the scene saves as JSON."""
+        spec = SceneSpec(
+            n_sources=np.int64(1), n_noises=np.int32(0), n_mics=np.uint8(2),
+            sample_rate=np.int64(8000), duration_s=0.25, seed=np.int64(3),
+        )
+        assert all(type(v) is int for v in (spec.n_sources, spec.seed))
+        save_scene(synthesize(spec), tmp_path / "scene")
+        assert load_scene(tmp_path / "scene").spec == spec
 
 
 class TestSynthRir:
@@ -336,4 +351,14 @@ class TestSceneFiles:
         payload["unexpected_field"] = 1
         path.write_text(json.dumps(payload))
         with pytest.raises(InvalidSpec):
+            load_scene(tmp_path / "scene")
+
+    def test_fractional_seed_in_spec_json_rejected(self, tmp_path):
+        spec = SceneSpec(n_sources=1, n_noises=0, n_mics=2, duration_s=0.25)
+        save_scene(synthesize(spec), tmp_path / "scene")
+        path = tmp_path / "scene" / "spec.json"
+        payload = json.loads(path.read_text())
+        payload["seed"] = 1.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidSpec, match="seed must be an integer"):
             load_scene(tmp_path / "scene")
