@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import InvalidK, InvalidSpec, TooManySources
+from .errors import InvalidK, InvalidSpec, TooManySources, check_number
 from .optimizer import RunConfig, check_targets, run
 from .simulate import MAX_PERMUTATION_SOURCES, rtf, sdr_set, synthesize
 from .stft import RankOneImage, StftConfig, istft, stft
@@ -37,13 +37,17 @@ def run_benchmark(
 
     iterations=None keeps each method's own default count
     (optimizer.DEFAULT_ITERATIONS). Before the first scene is rendered,
-    a method named twice raises InvalidSpec, every method's RunConfig is
+    trials other than an integer >= 1 (not a bool) and a method named
+    twice raise InvalidSpec, every method's RunConfig is
     validated, and a spec with more sources than simulate.sdr_set scores
     (MAX_PERMUTATION_SOURCES) raises TooManySources. A method that
     cannot extract a spec's K sources from its M channels
     (optimizer.check_targets) is skipped for that spec with a note on
     `log`.
     """
+    trials = check_number("trials", trials, integer=True, error=InvalidSpec)
+    if trials < 1:
+        raise InvalidSpec(f"trials must be an integer >= 1, got {trials}")
     methods = list(methods)
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:

@@ -241,7 +241,7 @@ def _parse_grid(args):
     for i, cell in enumerate(payload):
         try:
             specs.append(
-                _scene_spec(args, cell["K"], cell["L"], cell["M"], float(cell["sinr"]))
+                _scene_spec(args, cell["K"], cell["L"], cell["M"], cell["sinr"])
             )
         except (KeyError, TypeError) as exc:
             raise InvalidSpec(

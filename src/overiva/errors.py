@@ -1,8 +1,25 @@
-"""Exception types raised across the toolkit.
+"""Exception types raised across the toolkit, and check_number, the rule
+for numeric fields that RunConfig, StftConfig, SceneSpec and
+bench.run_benchmark's trials share.
 
 Numerical failures carry enough context (the batch index) to point
 at the offending frequency bin when they surface through the CLI.
 """
+
+import numpy as np
+
+
+def check_number(name, value, integer=False, error=ValueError):
+    """value as a Python int (integer) or float, or raise error naming
+    the field unless value is a Python or numpy number of that kind.
+
+    A bool is no number here, and a string is not converted.
+    """
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a real number"
+        raise error(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 class NumericalError(ArithmeticError):

@@ -33,23 +33,23 @@ variances, hence the images and cost trace, are the same bits at every
 threads setting: the thread pool splits only the sweeps, by frequency
 chunk.
 
-_schedule is the one place where a method's operand, sweep, cost
-bookkeeping and finish live; run() compares no Method. G_z does not
-change during a run, so run() forms the operand (G_z, its factor or its
-inverse) once, before the loop, and hands each frequency chunk its
-slice. Silent bins (all-zero input, G_z = 0) take the same sweep as
-every other bin, with G_z read as the identity there; their images are
-zero whatever the filters.
+_schedule is the one place where a method's operand, sweep and finish
+live; run() compares no Method. G_z does not change during a run, so
+run() forms the operand (G_z, its factor or its inverse) once, before
+the loop, and hands each frequency chunk its slice. Silent bins
+(all-zero input, G_z = 0) take the same sweep as every other bin, with
+G_z read as the identity there; their images are zero whatever the
+filters.
 
-run() records the negative log-likelihood once per iteration from what
-the sweep has already computed, with no second pass over the
-covariances (_bin_cost): the sweeps' row normalizations fix the
-quadratic terms, and the log-determinant comes from the Gram matrix
-W_s^H G_z W_s the background update forms (ip1, ip3), from ip2's
-eigenvalue, or from log|det W| carried across auxiva's row updates.
-ip1, ip2 and ip3 profile out the background block, which only matters
-through its span. Only their bins with a singular G_z (silent, or with
-a copied channel) take a determinant of W.
+run() records the negative log-likelihood once per iteration with one
+formula for every method, from the stack and G_z alone, with no second
+pass over the weighted covariances (_bin_cost): the sweeps' row
+normalizations fix the quadratic terms, and on bins with a regular G_z
+the background is profiled out, leaving log det(W_s^H G_z W_s) of the
+K x K Gram matrix of the targets. The background block only matters
+through its span, and auxiva's own background is the profiled optimum
+after each sweep. Only bins with a singular G_z (silent, or with a
+copied channel) take a determinant of W.
 
 After the loop run() returns each target's image in factored form. In
 every bin the image of output k is rank one, (W^{-H} e_k)(w_k^H x): the
@@ -82,6 +82,7 @@ from .errors import (
     NumericalError,
     ShapeMismatch,
     SingularMatrix,
+    check_number,
 )
 from .linalg import hermitian_transpose
 from .model import DemixingStack
@@ -129,14 +130,12 @@ class RunConfig:
         if self.iterations is None:
             object.__setattr__(self, "iterations", DEFAULT_ITERATIONS[method])
         for name in ("iterations", "threads"):
-            value = getattr(self, name)
-            # bool is an int, but True is no count.
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, np.integer))
-                or value < 1
-            ):
+            value = check_number(name, getattr(self, name), integer=True)
+            if value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
+            object.__setattr__(self, name, value)
+        for name in ("eps1", "eps2"):
+            object.__setattr__(self, name, check_number(name, getattr(self, name)))
         # Each check is written so that NaN fails it.
         if not 0 < self.eps1 < np.inf:
             raise ValueError(
@@ -235,15 +234,12 @@ def update_wz_full(w_stack, noise_cov, n_targets):
 
 
 def update_wz_fast(w_targets, noise_cov):
-    """Orthogonal-complement background block, (..., M, M - K), and the
-    targets' Gram matrix W_s^H G_z W_s, (..., K, K).
+    """Orthogonal-complement background block, (..., M, M - K).
 
     The block is [-(W_s^H G_z E_s)^{-1} (W_s^H G_z E_z); I], the unique
     background with trailing identity rows whose outputs are uncorrelated
     with the targets: W_s^H G_z W_z = 0 exactly. Spans the same subspace
     as the fully normalized block (their column-space projectors agree).
-    The Gram matrix comes from the product W_s^H G_z the block is solved
-    from.
     """
     n_targets = w_targets.shape[-1]
     m = w_targets.shape[-2]
@@ -260,25 +256,22 @@ def update_wz_fast(w_targets, noise_cov):
         np.eye(m - n_targets), top.shape[:-2] + (m - n_targets, m - n_targets)
     )
     block = np.concatenate([top, eye], axis=-2)
-    return block, c @ w_targets
+    return block
 
 
 def ip1_sweep(w_stack, target_covs, noise_cov):
     """One sweep: all K target rows, then one background update.
 
     target_covs : (K, ..., M, M) weighted covariances; noise_cov :
-    (..., M, M). Returns the updated stack and the Gram matrix
-    W_s^H G_z W_s of its targets, (..., K, K), as update_wz_fast formed
-    it (None when K = M).
+    (..., M, M). Returns the updated stack.
     """
     w = np.array(w_stack, copy=True)
     n_targets = target_covs.shape[0]
     for k in range(n_targets):
         w[..., :, k] = ip0_update_row(w, target_covs[k], k)
-    gram = None
     if n_targets < w.shape[-1]:
-        w[..., :, n_targets:], gram = update_wz_fast(w[..., :, :n_targets], noise_cov)
-    return w, gram
+        w[..., :, n_targets:] = update_wz_fast(w[..., :, :n_targets], noise_cov)
+    return w
 
 
 def ip3_sweep(w_stack, target_covs, noise_cov):
@@ -287,15 +280,14 @@ def ip3_sweep(w_stack, target_covs, noise_cov):
     Keeps the orthogonal constraint satisfied at every intermediate
     state, which is what allows the determinant to stay in closed form.
     Coincides with ip1_sweep when there is a single target. Returns the
-    updated stack and, as ip1_sweep, its Gram matrix W_s^H G_z W_s (the
-    last refresh's).
+    updated stack.
     """
     w = np.array(w_stack, copy=True)
     n_targets = target_covs.shape[0]
     for k in range(n_targets):
         w[..., :, k] = ip0_update_row(w, target_covs[k], k)
-        w[..., :, n_targets:], gram = update_wz_fast(w[..., :, :n_targets], noise_cov)
-    return w, gram
+        w[..., :, n_targets:] = update_wz_fast(w[..., :, :n_targets], noise_cov)
+    return w
 
 
 def auxiva_sweep(w_stack, target_covs, noise_inv):
@@ -312,16 +304,16 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
     (..., M, M), which run() forms once per run (it is not read when
     K = M). Per sweep that is K + 1 batched LU solves instead of M.
 
-    Returns the updated stack and its log|det W| less that of w_stack,
-    (...), found without forming a determinant:
-    with W^H a_k = e_k, the matrix determinant lemma makes each row
-    update multiply det W by a_k^H w_k,new = sqrt(q), so the change is
-    the sum of log(q) / 2 over the rows.
+    Returns the updated stack. Each noise row is solved from
+    W^H G_z w_j = e_j (up to its scale) after every target, and each
+    later row from the same condition with w_j in W, so after the sweep
+    W_z^H G_z W_z = I and W_s^H G_z W_z = 0. The background is then the
+    profiled optimum for the targets, and run() reads auxiva's cost with
+    the same formula as every method's (_bin_cost).
     """
     w = np.array(w_stack, copy=True)
     m = w.shape[-1]
     n_targets = target_covs.shape[0]
-    logdet_change = np.zeros(w.shape[:-2])
     a = linalg.lu_solve(hermitian_transpose(w), np.eye(m))
     for k in range(m):
         ak = a[..., :, k, None]
@@ -331,7 +323,6 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
             u = noise_inv @ ak
         q = (hermitian_transpose(ak) @ u)[..., 0, 0].real
         _require_positive(q, "normalization quadratic is not positive")
-        logdet_change += 0.5 * np.log(q)
         root = np.sqrt(q)[..., None, None]
         new = u / root
         if k < m - 1:
@@ -339,7 +330,7 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
             d = new - w[..., :, k, None]
             a -= (ak / root) @ (hermitian_transpose(d) @ a)
         w[..., :, k] = new[..., 0]
-    return w, logdet_change
+    return w
 
 
 def ip2_update(target_cov, noise_root):
@@ -359,15 +350,14 @@ def ip2_update(target_cov, noise_root):
     ordering wins, as in linalg.gev_largest, so a zero G_z, where every
     eigenvalue is 0, gives w along e_1.
 
-    Returns w, (..., M), and the largest eigenvalue lambda, (...), which
-    is w^H G_z w of that w.
+    Returns w, (..., M).
     """
-    value, u = linalg.gev_largest_factored(noise_root, target_cov)
+    _, u = linalg.gev_largest_factored(noise_root, target_cov)
     q = _quad(u, target_cov)
     _require_positive(
         q, "target covariance is not positive along the extracted direction"
     )
-    return u / np.sqrt(q)[..., None], value
+    return u / np.sqrt(q)[..., None]
 
 
 def projection_back(w_stack, x, k, a=None, out=None):
@@ -430,20 +420,16 @@ def _unmask(exc, mask):
 
 
 def _schedule(method, n_targets):
-    """What run() does differently per method: (operand, sweep, profile,
-    finish). Built per call, so run() calls the module's functions as
-    they are bound when it starts (a tracer's or a test's wrapper).
+    """What run() does differently per method: (operand, sweep, finish).
+    Built per call, so run() calls the module's functions as they are
+    bound when it starts (a tracer's or a test's wrapper).
 
     operand(sweep_cov): what the sweeps read of the fixed G_z, formed
     once per run: sweep_cov itself (ip1, ip3), a factor R of
     sweep_cov = R R^H (ip2, linalg.psd_factor), or its inverse for
     auxiva's background rows (sweep_cov, unread, when K = M).
     sweep(w, target_covs, noise): one sweep of a chunk, noise being its
-    slice of the operand. Returns the new stack and what the cost reads:
-    the Gram matrix W_s^H G_z W_s, (..., K, K) (ip1, ip3), its one entry
-    lambda, (...) (ip2), or the change of log|det W|, (...) (auxiva).
-    profile(swept, mask): log det(W_s^H G_z W_s) on the bins in mask
-    (_bin_cost); None for auxiva, whose change run() carries instead.
+    slice of the operand; returns the new stack.
     finish(w, sweep_cov, noise_cov): once after the loop, the stack and
     its K mixing columns, (F, M, K), or None to solve for them. ip2
     fills its background block; auxiva puts its K most powerful outputs
@@ -458,26 +444,25 @@ def _schedule(method, n_targets):
             order, kept = _auxiva_order(w, noise_cov, n_targets)
             return w[:, :, order], kept
 
-        return inverse, auxiva_sweep, None, reorder
+        return inverse, auxiva_sweep, reorder
     if method is Method.IP2:
         def ip2_sweep(w, target_covs, noise_root):
             out = np.array(w, copy=True)
-            out[..., :, 0], value = ip2_update(target_covs[0], noise_root)
-            return out, value
+            out[..., :, 0] = ip2_update(target_covs[0], noise_root)
+            return out
 
         def complete(w, sweep_cov, noise_cov):
-            w[:, :, 1:], _ = update_wz_fast(w[:, :, :1], sweep_cov)
+            w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
             return w, None
 
-        return linalg.psd_factor, ip2_sweep, (lambda v, m: np.log(v[m])), complete
+        return linalg.psd_factor, ip2_sweep, complete
     sweep = ip1_sweep if method is Method.IP1 else ip3_sweep
-    return (lambda cov: cov), sweep, _masked_logabsdet, (lambda w, *_: (w, None))
+    return (lambda cov: cov), sweep, (lambda w, *_: (w, None))
 
 
-def _bin_cost(profile, w, n_targets, ridge, swept, offset, noise_cov, profiled):
+def _bin_cost(w, n_targets, ridge, offset, noise_cov, profiled):
     """Per-bin objective, (F,), less the factor T and the variance term,
-    from what the sweep computed; no covariance is read on a bin whose
-    G_z is regular.
+    as a function of the stack and G_z alone, the same for every method.
 
     The target term is sum_k w_k^H (G_k - ridge I) w_k, with ridge the
     scalar weighted_covariance added to G_k. Every sweep normalizes each
@@ -486,35 +471,29 @@ def _bin_cost(profile, w, n_targets, ridge, swept, offset, noise_cov, profiled):
     w_k^H G_k w_k = 1 and the term is K - ridge sum_k ||w_k||^2. On a
     silent bin, G_k = ridge I and both forms are 0.
 
-    auxiva's background term is tr(W_z^H G_z W_z) - 2 log|det W|. The
-    trace is offset: M - K on live bins, where each background row is
-    normalized with G_z, and 0 on silent bins, whose G_z is 0. swept is
-    log|det W|, which run() carries from W = I through every row update
-    (auxiva_sweep) and rescale.
-
-    ip1, ip2 and ip3 profile the background on bins whose G_z is regular
-    (profiled): the term minimized over the block at fixed span,
+    On bins whose G_z is regular (profiled) the background is profiled
+    out: the term minimized over the block at fixed span,
     (M - K) + log det G_z - log det(W_s^H G_z W_s), which update_wz_full
-    attains. offset holds its first two terms and profile(swept,
-    profiled) the last. On the other bins, silent or with a copied
-    channel, the term is the explicit tr(W_z^H G_z W_z) - 2 log|det W|,
-    the only place the trace takes a determinant of W.
+    attains. offset holds its first two terms; the Gram matrix
+    W_s^H G_z W_s is formed here. auxiva's own background after a sweep
+    is that optimum (auxiva_sweep), and at K = M the term is
+    -2 log|det W|. On the other bins, silent or with a copied channel,
+    the term is the explicit tr(W_z^H G_z W_z) - 2 log|det W|, the only
+    place the trace takes a determinant of W.
 
     On a bin whose G_z is regular but ill-conditioned, the row
     normalizations hold only to about cond(G_z) eps, and the bin's term
     carries an error of that order, as the explicit formula's does.
     """
-    if profile is None:
-        background = offset - 2.0 * swept
-    else:
-        background = offset.copy()
-        background[profiled] -= profile(swept, profiled)
-        explicit = ~profiled
-        if np.any(explicit):
-            wz = w[explicit][..., :, n_targets:]
-            tr = np.sum(np.conj(wz) * (noise_cov[explicit] @ wz), axis=(-2, -1))
-            background[explicit] += tr.real - 2.0 * _masked_logabsdet(w, explicit)
     ws = w[..., :, :n_targets]
+    gram = (hermitian_transpose(ws) @ noise_cov) @ ws
+    background = offset.copy()
+    background[profiled] -= _masked_logabsdet(gram, profiled)
+    explicit = ~profiled
+    if np.any(explicit):
+        wz = w[explicit][..., :, n_targets:]
+        tr = np.sum(np.conj(wz) * (noise_cov[explicit] @ wz), axis=(-2, -1))
+        background[explicit] += tr.real - 2.0 * _masked_logabsdet(w, explicit)
     return n_targets - ridge * np.sum(np.abs(ws) ** 2, axis=(-2, -1)) + background
 
 
@@ -579,7 +558,7 @@ def run(x, n_targets, config=RunConfig()):
     if not isinstance(x, Spectrogram):
         _require_finite(data)
     check_targets(config.method, n_targets, n_chan)
-    operand, sweep, profile, finish = _schedule(config.method, n_targets)
+    operand, sweep, finish = _schedule(config.method, n_targets)
 
     t0 = time.perf_counter()
     pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
@@ -599,16 +578,9 @@ def run(x, n_targets, config=RunConfig()):
             raise _shift_bin(exc, 0) from None
         # The part of each bin's background cost fixed for the run
         # (_bin_cost).
-        n_background = n_chan - n_targets
-        profiled = np.zeros(n_bins, dtype=bool)
-        offset = np.where(silent, 0.0, float(n_background))
-        if profile is not None:
-            sign, offset = np.linalg.slogdet(noise_cov)
-            profiled = sign != 0
-            offset = np.where(profiled, offset + n_background, 0.0)
-        # log|det W| per bin when the schedule has no profile (auxiva),
-        # carried from W = I through the sweeps and rescales.
-        logdet_w = np.zeros(n_bins) if profile is None else None
+        sign, offset = np.linalg.slogdet(noise_cov)
+        profiled = sign != 0
+        offset = np.where(profiled, offset + n_chan - n_targets, 0.0)
         bin_cost = np.empty(n_bins)
         w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
         chunks = _bin_chunks(n_bins, config.threads)
@@ -625,13 +597,10 @@ def run(x, n_targets, config=RunConfig()):
                     ]
                 )
                 try:
-                    w[sl], swept = sweep(w[sl], covs, noise[sl])
-                    if profile is None:
-                        logdet_w[sl] += swept
-                        swept = logdet_w[sl]
+                    w[sl] = sweep(w[sl], covs, noise[sl])
                     bin_cost[sl] = _bin_cost(
-                        profile, w[sl], n_targets, config.eps2, swept,
-                        offset[sl], noise_cov[sl], profiled[sl],
+                        w[sl], n_targets, config.eps2, offset[sl],
+                        noise_cov[sl], profiled[sl],
                     )
                 except NumericalError as exc:
                     raise _shift_bin(exc, sl.start) from None
@@ -645,10 +614,7 @@ def run(x, n_targets, config=RunConfig()):
             cost_trace.append(
                 float(n_frames * bin_cost.sum() + n_bins * np.sum(np.log(lam)))
             )
-            scale = lam.mean(axis=1)
-            w[:, :, :n_targets] *= scale ** -0.5
-            if profile is None:
-                logdet_w -= 0.5 * np.sum(np.log(scale))
+            w[:, :, :n_targets] *= lam.mean(axis=1) ** -0.5
 
         try:
             w, kept = finish(w, sweep_cov, noise_cov)

@@ -24,7 +24,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.signal import butter, fftconvolve, sosfilt
 
-from .errors import InvalidSpec, ShapeMismatch, TooManySources, ZeroReference
+from .errors import (
+    InvalidSpec,
+    ShapeMismatch,
+    TooManySources,
+    ZeroReference,
+    check_number,
+)
 from .io import AudioBuffer, read_wav, write_wav
 
 PRNG_NAME = "numpy-pcg64"
@@ -48,8 +54,9 @@ class SceneSpec:
         noise with n_noises = 0, not an infinite SINR)
     rt60_ms : reverberation time of the synthetic impulse responses
 
-    The counts, sample_rate and seed are Python or numpy integers, not
-    bools, and are stored as Python ints.
+    The counts, sample_rate and seed are Python or numpy integers, and
+    sinr_db, rt60_ms and duration_s real numbers, none of them a bool or
+    a string; they are stored as Python ints and floats.
     """
 
     n_sources: int
@@ -62,13 +69,13 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_sources", "n_noises", "n_mics", "sample_rate", "seed"):
-            value = getattr(self, name)
-            # bool is an int, but True is no count.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
-            # A plain int, so that save_scene can write it as JSON.
-            object.__setattr__(self, name, int(value))
+        integers = ("n_sources", "n_noises", "n_mics", "sample_rate", "seed")
+        for name in integers + ("sinr_db", "rt60_ms", "duration_s"):
+            # Plain ints and floats, so that save_scene can write them as JSON.
+            value = check_number(
+                name, getattr(self, name), integer=name in integers, error=InvalidSpec
+            )
+            object.__setattr__(self, name, value)
         # Each rule is written so that NaN fails it.
         for name, ok, rule in (
             ("n_sources", self.n_sources >= 1, "be >= 1"),

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeMismatch, SignalTooShort
+from .errors import ShapeMismatch, SignalTooShort, check_number
 
 # Frames per block of analysis and synthesis work. Results do not depend
 # on it; at the default frame length a block's temporaries stay near a
@@ -57,15 +57,19 @@ class StftConfig:
     frame_len : power-of-two frame length in samples
     hop : frame advance in samples; must divide frame_len; defaults to
         frame_len // 4
+
+    Both are Python or numpy integers, not bools, stored as Python ints.
     """
 
     frame_len: int = 4096
     hop: int = None
 
     def __post_init__(self):
-        if self.hop is None:
-            object.__setattr__(self, "hop", self.frame_len // 4)
-        n, hop = self.frame_len, self.hop
+        n = check_number("frame_len", self.frame_len, integer=True)
+        hop = self.hop
+        hop = n // 4 if hop is None else check_number("hop", hop, integer=True)
+        object.__setattr__(self, "frame_len", n)
+        object.__setattr__(self, "hop", hop)
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"frame_len must be a power of two, got {n}")
         if hop < 1 or n % hop != 0:

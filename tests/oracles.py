@@ -45,9 +45,7 @@ def ip1_full_sweep(w, target_covs, noise_cov):
     """
     n_targets = target_covs.shape[0]
     out = np.array(w, copy=True)
-    out[..., :, :n_targets] = ip1_sweep(w, target_covs, noise_cov)[0][
-        ..., :, :n_targets
-    ]
+    out[..., :, :n_targets] = ip1_sweep(w, target_covs, noise_cov)[..., :, :n_targets]
     out[..., :, n_targets:] = update_wz_full(out, noise_cov, n_targets)
     return out
 

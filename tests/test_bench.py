@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import pytest
 
+from overiva import bench as bench_module
 from overiva.bench import run_benchmark
+from overiva.errors import InvalidSpec
 from overiva.simulate import SceneSpec
 from overiva.stft import StftConfig
 
@@ -50,3 +52,17 @@ def test_trial_t_renders_the_spec_at_seed_plus_t(spec):
         expected = (singles[0][i]["mean_sdr"] + singles[1][i]["mean_sdr"]) / 2
         assert row["mean_sdr"] == pytest.approx(expected, rel=1e-12, abs=1e-12)
     assert ip2["mean_sdr"] != singles[0][0]["mean_sdr"]
+
+
+@pytest.mark.parametrize("trials", [0, -1, True, 1.0, "2"])
+def test_bad_trials_raise_before_any_scene(monkeypatch, trials):
+    """trials follows RunConfig's rule for counts, an integer >= 1 and not
+    a bool, checked before any scene is rendered: 0 would write NaN means
+    and True a trial count of True."""
+
+    def no_scene(*args, **kwargs):
+        raise AssertionError("scene rendered")
+
+    monkeypatch.setattr(bench_module, "synthesize", no_scene)
+    with pytest.raises(InvalidSpec, match="trials must be an integer"):
+        bench(SPECS, trials)

@@ -582,6 +582,11 @@ class TestBench:
             ({"K": 0, "L": 1, "M": 2, "sinr": 0}, "n_sources must be >= 1"),
             ({"K": 1, "L": 1, "M": 2, "sinr": float("nan")}, "sinr_db"),
             ({"K": 7, "L": 1, "M": 8, "sinr": 0}, "at most 6 sources"),
+            (
+                {"K": 1, "L": 1, "M": 2, "sinr": "3"},
+                "cell 1: sinr_db must be a real number, got '3'",
+            ),
+            ({"K": 1, "L": 1, "M": 2, "sinr": True}, "cell 1: sinr_db"),
         ],
     )
     def test_bad_cell_is_usage_error_before_any_scene(

@@ -50,6 +50,11 @@ class TestSceneSpec:
             dict(n_sources=1, n_noises=1, n_mics=2, seed=1.5),
             dict(n_sources=1, n_noises=1, n_mics=2, sample_rate=8000.5),
             dict(n_sources=1, n_noises=1, n_mics=True),
+            dict(n_sources=1, n_noises=1, n_mics=2, sinr_db=True),
+            dict(n_sources=1, n_noises=1, n_mics=2, sinr_db="3"),
+            dict(n_sources=1, n_noises=1, n_mics=2, rt60_ms=None),
+            dict(n_sources=1, n_noises=1, n_mics=2, duration_s="3"),
+            dict(n_sources=1, n_noises=1, n_mics=2, duration_s=np.bool_(True)),
         ],
     )
     def test_invalid_specs(self, kwargs):

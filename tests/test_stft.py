@@ -44,6 +44,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             StftConfig(256, 100)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((4096, 1024.0), "hop"),
+            ((4096, True), "hop"),
+            ((4096.0,), "frame_len"),
+            ((True,), "frame_len"),
+            (("4096",), "frame_len"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, args, name):
+        """A float, bool or string size fails at construction, not in
+        stft."""
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            StftConfig(*args)
+
+    def test_numpy_integer_sizes_stored_as_ints(self):
+        cfg = StftConfig(np.int64(256), np.int32(64))
+        assert (type(cfg.frame_len), type(cfg.hop)) == (int, int)
+
     def test_frame_count_formula(self):
         """160000 samples at 4096/1024 analyze into 159 frames."""
         cfg = StftConfig(4096, 1024)
