@@ -61,7 +61,8 @@ forms no (K, F, T, M) stack: stft.istft synthesizes an image from its
 factors (stft.RankOneImage), and SeparationResult.images forms the
 dense stack only when read. auxiva first reorders the stack's columns
 so the K outputs with the most powerful images lead (_auxiva_order),
-ranked from G_z without demixing all M outputs.
+ranked from G_z without demixing all M outputs; its image factors then
+come from projection_back like every other method's.
 """
 
 from __future__ import annotations
@@ -360,7 +361,7 @@ def ip2_update(target_cov, noise_root):
     return u / np.sqrt(q)[..., None]
 
 
-def projection_back(w_stack, x, k, a=None, out=None):
+def projection_back(w_stack, x, k, out=None):
     """Spatial image of output k on the array, as its two factors.
 
     Undoes the arbitrary per-bin scale of the demixing filters by mapping
@@ -368,8 +369,8 @@ def projection_back(w_stack, x, k, a=None, out=None):
     (W^{-H} e_k) (w_k^H x), the rank-one component of x captured by
     output k. Summed over all M outputs the images reconstruct x.
 
-    Returns the mixing column a = W^{-H} e_k, (..., M), solved for
-    unless given, and the output s = w_k^H x, (...) for vectors
+    Returns the mixing column a = W^{-H} e_k, (..., M), from one LU
+    solve of W^H, and the output s = w_k^H x, (...) for vectors
     x (..., M) or (..., T) for frames x (..., T, M) matching w_stack's
     batch, written into out if given. The image is a * s[..., None] for
     vectors and s[..., None] * a[..., None, :] for frames
@@ -381,9 +382,7 @@ def projection_back(w_stack, x, k, a=None, out=None):
         raise ShapeMismatch(
             f"signal shape {x.shape} does not match stack shape {mats.shape}"
         )
-    if a is None:
-        m = mats.shape[-1]
-        a = linalg.lu_solve(hermitian_transpose(mats), np.eye(m)[:, k])
+    a = linalg.lu_solve(hermitian_transpose(mats), np.eye(mats.shape[-1])[:, k])
     wk = np.conj(mats[..., :, k])
     if x.ndim == mats.ndim - 1:
         return a, np.einsum("...m,...m->...", wk, x, out=out)
@@ -430,10 +429,10 @@ def _schedule(method, n_targets):
     auxiva's background rows (sweep_cov, unread, when K = M).
     sweep(w, target_covs, noise): one sweep of a chunk, noise being its
     slice of the operand; returns the new stack.
-    finish(w, sweep_cov, noise_cov): once after the loop, the stack and
-    its K mixing columns, (F, M, K), or None to solve for them. ip2
-    fills its background block; auxiva puts its K most powerful outputs
-    first (_auxiva_order).
+    finish(w, sweep_cov, noise_cov): once after the loop, the stack whose
+    leading K columns projection_back maps to the images. ip2 fills its
+    background block; auxiva puts its K most powerful outputs first
+    (_auxiva_order).
     """
     if method is Method.AUXIVA:
         def inverse(cov):
@@ -441,8 +440,7 @@ def _schedule(method, n_targets):
             return cov if n_targets == len(eye) else linalg.lu_solve(cov, eye)
 
         def reorder(w, sweep_cov, noise_cov):
-            order, kept = _auxiva_order(w, noise_cov, n_targets)
-            return w[:, :, order], kept
+            return w[:, :, _auxiva_order(w, noise_cov, n_targets)]
 
         return inverse, auxiva_sweep, reorder
     if method is Method.IP2:
@@ -453,11 +451,11 @@ def _schedule(method, n_targets):
 
         def complete(w, sweep_cov, noise_cov):
             w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
-            return w, None
+            return w
 
         return linalg.psd_factor, ip2_sweep, complete
     sweep = ip1_sweep if method is Method.IP1 else ip3_sweep
-    return (lambda cov: cov), sweep, (lambda w, *_: (w, None))
+    return (lambda cov: cov), sweep, (lambda w, *_: w)
 
 
 def _bin_cost(w, n_targets, ridge, offset, noise_cov, profiled):
@@ -509,9 +507,11 @@ def _masked_logabsdet(a, mask):
 
 
 def check_targets(method, n_targets, n_chan):
-    """Raise InvalidK unless method can extract n_targets sources from
-    n_chan channels: ip2 takes K = 1 only, auxiva any 1 <= K <= M, and
-    ip1 and ip3 need a nonempty background, 1 <= K < M."""
+    """n_targets as a Python int, or raise InvalidK unless it is a Python
+    or numpy integer (not a bool) that method can extract from n_chan
+    channels: ip2 takes K = 1 only, auxiva any 1 <= K <= M, and ip1 and
+    ip3 need a nonempty background, 1 <= K < M."""
+    n_targets = check_number("n_targets", n_targets, integer=True, error=InvalidK)
     if n_targets < 1:
         raise InvalidK(f"n_targets must be >= 1, got {n_targets}")
     if method is Method.IP2 and n_targets != 1:
@@ -524,6 +524,7 @@ def check_targets(method, n_targets, n_chan):
             f"{method.value} needs a nonempty background: K={n_targets} "
             f"must be < M={n_chan}"
         )
+    return n_targets
 
 
 def run(x, n_targets, config=RunConfig()):
@@ -542,7 +543,7 @@ def run(x, n_targets, config=RunConfig()):
     Parameters
     ----------
     x : Spectrogram or (F, T, M) complex array
-    n_targets : number of sources to extract (K)
+    n_targets : number of sources to extract (K), a Python or numpy integer
     config : RunConfig
 
     Returns
@@ -557,7 +558,7 @@ def run(x, n_targets, config=RunConfig()):
     # A Spectrogram was checked when it was built.
     if not isinstance(x, Spectrogram):
         _require_finite(data)
-    check_targets(config.method, n_targets, n_chan)
+    n_targets = check_targets(config.method, n_targets, n_chan)
     operand, sweep, finish = _schedule(config.method, n_targets)
 
     t0 = time.perf_counter()
@@ -605,11 +606,7 @@ def run(x, n_targets, config=RunConfig()):
                 except NumericalError as exc:
                     raise _shift_bin(exc, sl.start) from None
 
-            if pool is None:
-                for sl in chunks:
-                    stage_sweep(sl)
-            else:
-                list(pool.map(stage_sweep, chunks))
+            list((map if pool is None else pool.map)(stage_sweep, chunks))
             # Taken before the rescale below, which leaves it unchanged.
             cost_trace.append(
                 float(n_frames * bin_cost.sum() + n_bins * np.sum(np.log(lam)))
@@ -617,15 +614,13 @@ def run(x, n_targets, config=RunConfig()):
             w[:, :, :n_targets] *= lam.mean(axis=1) ** -0.5
 
         try:
-            w, kept = finish(w, sweep_cov, noise_cov)
+            w = finish(w, sweep_cov, noise_cov)
         except NumericalError as exc:
             raise _shift_bin(exc, 0) from None
         mixing = np.empty((n_targets, n_chan, n_bins), dtype=np.complex128)
         outputs = np.empty((n_targets, n_frames, n_bins), dtype=np.complex128)
         for k in range(n_targets):
-            a = None if kept is None else kept[:, :, k]
-            a, _ = projection_back(w, data, k, a, out=outputs[k].T)
-            mixing[k] = a.T
+            mixing[k] = projection_back(w, data, k, out=outputs[k].T)[0].T
     finally:
         if pool is not None:
             pool.shutdown()
@@ -641,10 +636,7 @@ def run(x, n_targets, config=RunConfig()):
 
 def _auxiva_order(w, noise_cov, n_targets):
     """Column order that puts the n_targets outputs with the most powerful
-    images first (ties to the lowest index), then the rest in order, and
-    the mixing columns W^{-H} e_j of those n_targets outputs, (F, M, K),
-    in that order: permuting W's columns permutes W^{-H}'s the same way,
-    so the reordered stack's image factors need no second solve.
+    images first (ties to the lowest index), then the rest in order.
 
     In bin f, output j's image has power |a_j|^2 sum_t |w_j^H x_t|^2
     = T |a_j|^2 w_j^H G_z w_j, with a_j = W^{-H} e_j and G_z = noise_cov;
@@ -657,5 +649,4 @@ def _auxiva_order(w, noise_cov, n_targets):
     output_pow = _quad(np.moveaxis(w, -1, 0), noise_cov).T
     powers = np.sum(filter_pow * output_pow, axis=0)
     picked = _top_indices(powers, n_targets)
-    order = list(picked) + [j for j in range(n_chan) if j not in picked]
-    return order, mixing[:, :, list(picked)]
+    return list(picked) + [j for j in range(n_chan) if j not in picked]

@@ -11,7 +11,6 @@ import numpy as np
 from .errors import NoConvergence
 from .io import AudioBuffer, read_wav, write_wav
 from .optimizer import RunConfig, run
-from .simulate import rtf
 from .stft import RankOneImage, StftConfig, istft, stft
 
 # Relative cost increases above this are treated as a failed descent.
@@ -105,13 +104,14 @@ def separate_file(
         "out_dir": str(out_dir),
         "outputs": outputs,
         "method": run_config.method.value,
-        "sources": n_targets,
+        "sources": result.demixing.n_targets,
         "iterations": int(len(result.cost_trace)),
         "sample_rate": rate,
         "duration_s": duration,
         "cost_trace": [float(c) for c in result.cost_trace],
         "wall_time_s": result.wall_time,
-        "rtf": rtf(result.wall_time, duration),
+        # stft refused a signal shorter than one frame, so duration > 0.
+        "rtf": result.wall_time / duration,
         "verify_monotone": bool(verify_monotone),
         "config": {
             **asdict(run_config),

@@ -11,6 +11,8 @@ bit-exact.
 
 All randomness flows through a single seeded numpy PCG64 generator per
 scene; the generator name is recorded alongside exported scenes.
+Only synthesis needs scipy.signal, which the two functions that call it
+import, so the separation path (pipeline, cli separate) never loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.signal import butter, fftconvolve, sosfilt
 
 from .errors import (
     InvalidSpec,
@@ -145,6 +146,8 @@ def modulated_noise_sources(n_sources, n_samples, sample_rate, rng):
     """Speech-like test sources: lowpassed noise under a random energy
     envelope with burst/pause structure on the half-second scale plus a
     4 Hz syllabic wobble, unit variance, shape (K, n)."""
+    from scipy.signal import butter, sosfilt
+
     t = np.arange(n_samples) / sample_rate
     out = np.empty((n_sources, n_samples))
     for k in range(n_sources):
@@ -173,6 +176,8 @@ def synthesize(spec, sources=None):
         modulated noise sources. The same spec (and sources) always
         renders bit-identical scenes.
     """
+    from scipy.signal import fftconvolve
+
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
     if sources is None:

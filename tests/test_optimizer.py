@@ -555,8 +555,8 @@ class TestProjectionBack:
             )
 
     def test_returns_the_mixing_column_and_the_output(self):
-        """The factors are W^{-H} e_k and w_k^H x. A given mixing column
-        is returned as is, and the output is written into out."""
+        """The factors are W^{-H} e_k and w_k^H x, and the output is
+        written into out."""
         rng = np.random.default_rng(23)
         m, t = 3, 7
         x = random_complex(rng, (5, t, m))
@@ -569,9 +569,8 @@ class TestProjectionBack:
             s, np.einsum("fm,ftm->ft", w[:, :, 1].conj(), x), atol=1e-13
         )
         out = np.empty((5, t), dtype=complex)
-        given, written = projection_back(w, x, 1, a=2 * a, out=out)
+        _, written = projection_back(w, x, 1, out=out)
         assert written is out
-        np.testing.assert_array_equal(given, 2 * a)
         np.testing.assert_array_equal(out, s)
 
 
@@ -607,7 +606,7 @@ class TestPickTopK:
             w = random_complex(rng, (16, m, m), 0.3) + np.eye(m)
             gz = model.noise_covariance(x)
             for k in range(1, m + 1):
-                order, _ = optimizer._auxiva_order(w, gz, k)
+                order = optimizer._auxiva_order(w, gz, k)
                 assert order == auxiva_order_demixed(w, x, k)
                 orders.add(tuple(order))
         assert len(orders) > 1
@@ -857,10 +856,10 @@ class TestRunCallCounts:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_auxiva_lu_solves(self, monkeypatch, k):
         """K + 1 batched LU solves per sweep (W^H and one per target), one
-        for G_z^{-1} when there are background rows, and one for the
-        mixing matrix that ranks the outputs (_auxiva_order), whose kept
-        columns are the images' mixing columns; silent bins (0-1 in the
-        second input) take the same sweep and add none."""
+        for G_z^{-1} when there are background rows, one for the mixing
+        matrix that ranks the outputs (_auxiva_order), and one per
+        target for its mixing column (projection_back); silent bins (0-1
+        in the second input) take the same sweep and add none."""
         x = self.make_x()
         quiet = x.copy()
         quiet[:2] = 0
@@ -868,7 +867,7 @@ class TestRunCallCounts:
         for data in (x, quiet):
             lu.clear()
             run(data, k, RunConfig(method="auxiva", iterations=5))
-            assert len(lu) == 5 * (k + 1) + (k < 4) + 1
+            assert len(lu) == 5 * (k + 1) + (k < 4) + 1 + k
 
     @pytest.mark.parametrize("method", ["ip1", "ip3"])
     @pytest.mark.parametrize("k", [1, 2])
@@ -1020,6 +1019,12 @@ class TestRun:
             run(x, 2, RunConfig(method="ip2"))
         with pytest.raises(InvalidK):
             run(x, 4, RunConfig(method="auxiva"))
+        for method in ("ip1", "auxiva"):
+            for bad in (1.5, 2.0, True, "1"):
+                with pytest.raises(InvalidK, match="n_targets must be an integer"):
+                    run(x, bad, RunConfig(method=method, iterations=1))
+        res = run(x, np.int64(1), RunConfig(method="ip1", iterations=1))
+        assert type(res.demixing.n_targets) is int
 
     def test_auxiva_allows_determined_case(self):
         x, _ = self.make_x(m=3)

@@ -2,7 +2,12 @@
 and the separate_file report contract."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from overiva.simulate import SceneSpec, sdr, synthesize
 from overiva.stft import StftConfig, istft, n_frames_for
 
 STFT = StftConfig(1024, 256)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +204,51 @@ class TestSeparateFile:
             verify_monotone=True,
         )
         assert report["verify_monotone"] is True
+
+    def test_numpy_integer_target_count(self, scene, tmp_path):
+        """A numpy integer K runs and is reported as a JSON int; the
+        report's rtf is the solver's wall time over the duration."""
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, AudioBuffer(16000, scene.mixture))
+        report = separate_file(
+            wav, np.int64(1), RunConfig(method="ip2"), STFT,
+            out_dir=tmp_path / "out", json_path=tmp_path / "report.json",
+        )
+        assert json.loads((tmp_path / "report.json").read_text())["sources"] == 1
+        assert report["rtf"] == report["wall_time_s"] / report["duration_s"]
+
+
+def test_separation_imports_no_scipy(tmp_path):
+    """In a fresh interpreter, importing the package and its CLI and
+    separating a file loads no scipy; scene synthesis still imports it
+    where it is needed."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import overiva, overiva.cli
+        from overiva.io import AudioBuffer, write_wav
+        from overiva.optimizer import RunConfig
+        from overiva.pipeline import separate_file
+        from overiva.simulate import SceneSpec, synthesize
+        from overiva.stft import StftConfig
+
+        noise = 0.1 * np.random.default_rng(0).standard_normal((16000, 4))
+        write_wav("mix.wav", AudioBuffer(16000, noise))
+        separate_file(
+            "mix.wav", 1, RunConfig(iterations=2), StftConfig(512), out_dir="out"
+        )
+        assert "scipy" not in sys.modules, sorted(
+            m for m in sys.modules if m.startswith("scipy")
+        )[:5]
+        synthesize(SceneSpec(1, 1, 2, duration_s=0.5, sample_rate=8000))
+        assert "scipy.signal" in sys.modules
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
