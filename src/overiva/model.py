@@ -31,12 +31,12 @@ EPS_VARIANCE = 1e-5
 EPS_RIDGE = 1e-1
 
 # Size of weighted_covariance's per-block scratch buffer. The weighted
-# copy of a block is read back by the matmul while it is still in L2.
-# On a 2-core Xeon with one BLAS thread, 256 KiB took one call from
-# 35 to 20 ms at F=2049, T=159, M=7, from 8.9 to 5.8 ms at F=1025,
-# T=96, M=8 and from 11.9 to 7.7 ms at F=2049, T=81, M=6, against
-# weighting all bins at once; block sizes from 128 to 512 KiB timed
-# within 8 % of each other.
+# copy of a block is read back by the real matmul while it is still in
+# L2, and only that block's (2M, 2M) products are held. On a 2-core
+# Xeon with one BLAS thread, 256 KiB took one call from 24 to 13 ms at
+# F=2049, T=159, M=7, from 7.9 to 4.9 ms at F=1025, T=96, M=8 and from
+# 10.9 to 6.6 ms at F=2049, T=81, M=6, against weighting all bins at
+# once; 128 and 512 KiB timed within 15 % of it.
 COVARIANCE_BLOCK_BYTES = 256 * 1024
 
 
@@ -140,17 +140,31 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
     Averages x x^H / lam_k(t) over frames, symmetrizes, and adds a ridge
     eps2 * I. The result is exactly Hermitian.
 
+    The arithmetic is real. On the float64 view of the bin-major data,
+    a bin is a (T, 2M) matrix A whose columns interleave the real and
+    imaginary parts of the channels. One real (2M, T) @ (T, 2M) matmul
+    per bin forms R = A^T diag(1 / lam_k) A, and with r_ab the (M, M)
+    matrix of R's rows 2i + a and columns 2j + b, P = r_00 + r_11 and
+    Q = r_10 - r_01 are the real and imaginary parts of the frame sum.
+    G = (P + P^T) / 2 + i (Q - Q^T) / 2, divided by T, plus the ridge:
+    Hermitian by construction.
+
     The bins are processed in blocks whose weighted data fills at most
     COVARIANCE_BLOCK_BYTES (256 KiB), or one bin if a bin is larger
-    (bin_blocks). For each block, one pass forms conj(x) / lam_k on the
-    float64 view of the bin-major data into a buffer reused across
-    blocks, and a batched (M, T) @ (T, M) matmul reads it back while it
-    is still in cache. The
-    symmetrization and the ridge then work in place on the result. Each
-    bin's matmul is the same as in one unblocked call, so the result
-    does not depend on the block size. Against weighting all bins at
-    once this took a call from 35 to 20 ms at F=2049, T=159, M=7 (2-core
-    Xeon, one BLAS thread); see COVARIANCE_BLOCK_BYTES.
+    (bin_blocks). For each block, one pass weights A by 1 / lam_k into
+    a buffer reused across blocks, the batched matmul reads it back
+    while it is still in cache, and P and Q are read off the block's
+    product; only one block's product is held. Each bin's matmul is the
+    same as in one unblocked call, so the result does not depend on the
+    block size. On a 2-core Xeon with one BLAS thread, a call took
+    5.2 ms at F=2049, T=81, M=6, 4.0 ms at F=1025, T=96, M=8 and 11.8 ms
+    at F=2049, T=159, M=7, against 5.7, 4.8 and 15.3 ms for one complex
+    matmul per bin on conj(x) / lam_k.
+
+    The weighted copy is made even for unit weights (noise_covariance):
+    a matmul of A^T with A itself takes OpenBLAS's syrk, which timed
+    8.3 ms at F=2049, T=162, M=6, against 6.9 ms for the copy and gemm
+    together.
 
     lam_k : (T,) positive frame variances of the target
     """
@@ -164,24 +178,31 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
     # Written so that NaN fails it.
     if not np.all(lam_k > 0):
         raise ValueError("lam_k must be strictly positive")
-    # (T, 2M) row (w, -w, w, -w, ...) with w = 1 / lam_k: applied to the
-    # interleaved (re, im) pairs it conjugates and weights at once.
+    # The whole (T, 2M) array, not a (T, 1) column: the multiply then
+    # runs over each bin as one loop, not one per frame (2.5 against
+    # 3.6 ms per pass at F=2049, T=81, M=6).
     weights = np.repeat(1.0 / lam_k, 2 * m).reshape(n_frames, 2 * m)
-    weights[:, 1::2] *= -1.0
     blocks = bin_blocks(n_bins, n_frames, m)
-    buf = np.empty((blocks[0].stop if blocks else 0, n_frames, 2 * m))
+    block = blocks[0].stop if blocks else 0
+    buf = np.empty((block, n_frames, 2 * m))
+    prod = np.empty((block, 2 * m, 2 * m))
     g = np.empty((n_bins, m, m), dtype=np.complex128)
     real = data.view(np.float64)
+    parts = g.view(np.float64)
     for sl in blocks:
-        scaled = buf[: sl.stop - sl.start]
-        np.multiply(real[sl], weights, out=scaled)
-        np.matmul(
-            data[sl].transpose(0, 2, 1), scaled.view(np.complex128), out=g[sl]
-        )
-    g /= n_frames
-    g += linalg.hermitian_transpose(g)
-    g *= 0.5
-    g.reshape(n_bins, m * m)[:, :: m + 1] += eps2
+        n = sl.stop - sl.start
+        np.multiply(real[sl], weights, out=buf[:n])
+        r = np.matmul(real[sl].transpose(0, 2, 1), buf[:n], out=prod[:n])
+        p = r[:, 0::2, 0::2] + r[:, 1::2, 1::2]
+        q = r[:, 1::2, 0::2] - r[:, 0::2, 1::2]
+        np.add(p, p.transpose(0, 2, 1), out=parts[sl, :, 0::2])
+        np.subtract(q, q.transpose(0, 2, 1), out=parts[sl, :, 1::2])
+    parts *= 0.5
+    parts /= n_frames
+    # One diagonal entry at a time: numpy copies the 2-D strided view of
+    # all diagonals before adding into it, an (F, M) transient.
+    for i in range(m):
+        g[:, i, i] += eps2
     return g
 
 
@@ -194,10 +215,13 @@ def update_variances(x, w_cols, eps1=EPS_VARIANCE):
 
     The outputs are demixed one block of bins at a time into a scratch
     of at most COVARIANCE_BLOCK_BYTES (bin_blocks of their (T, K) rows)
-    and never whole. The running power sum is carried into each block as
-    the first row of its reduction, so the bins are added one at a time
-    in order, as a reduction over the whole bin axis adds them; the
-    result does not depend on the block size.
+    and never whole. Each power is re^2 + im^2, squared in place on the
+    scratch's float64 view, which spares np.abs its hypot and square
+    root (a call took 4.0 ms against 4.3 ms at F=2049, T=81, M=6, K=2,
+    2-core Xeon, one BLAS thread). The running power sum is carried
+    into each block as the first row of its reduction, so the bins are
+    added one at a time in order, as a reduction over the whole bin axis
+    adds them; the result does not depend on the block size.
     """
     data = _spec_data(x)
     w_conj = np.conj(w_cols)
@@ -208,12 +232,13 @@ def update_variances(x, w_cols, eps1=EPS_VARIANCE):
     y = np.empty((block, n_frames, n_outputs), dtype=np.complex128)
     rows = np.empty((block + 1, n_frames, n_outputs))
     power = np.zeros((n_frames, n_outputs))
+    parts = y.view(np.float64)
     for sl in blocks:
         n = sl.stop - sl.start
         np.matmul(data[sl], w_conj[sl], out=y[:n])
         rows[0] = power
-        np.abs(y[:n], out=rows[1 : n + 1])
-        np.square(rows[1 : n + 1], out=rows[1 : n + 1])
+        np.square(parts[:n], out=parts[:n])
+        np.add(parts[:n, :, 0::2], parts[:n, :, 1::2], out=rows[1 : n + 1])
         np.sum(rows[: n + 1], axis=0, out=power)
     return np.maximum(power.T / n_bins, eps1)
 

@@ -121,12 +121,12 @@ def demix(x, w, n_outputs=None):
 
 def update_variances_unblocked(s, eps1=EPS_VARIANCE):
     """model.update_variances from the separated target spectra s,
-    (K, F, T), themselves: one reduction of |s|^2 over the whole bin
-    axis. Returns (K, T), the mean over bins floored at eps1."""
+    (K, F, T), themselves: one reduction of |s|^2 = re^2 + im^2 over the
+    whole bin axis. Returns (K, T), the mean over bins floored at eps1."""
     s = np.asarray(s)
     if s.ndim != 3:
         raise ShapeMismatch(f"expected (K, F, T) spectra, got {s.shape}")
-    return np.maximum(np.sum(np.abs(s) ** 2, axis=1) / s.shape[1], eps1)
+    return np.maximum(np.sum(s.real**2 + s.imag**2, axis=1) / s.shape[1], eps1)
 
 
 def projection_back_image(w_stack, x, k):
@@ -140,7 +140,8 @@ def projection_back_image(w_stack, x, k):
 
 def weighted_covariance_unblocked(x, lam_k, eps2):
     """weighted_covariance weighting every bin in one pass, then one
-    batched matmul over all bins."""
+    batched real matmul over all bins, whose whole (F, 2M, 2M) product
+    gives the real and imaginary parts."""
     data = _spec_data(x)
     lam_k = np.asarray(lam_k, dtype=np.float64)
     n_bins, n_frames, m = data.shape
@@ -150,15 +151,15 @@ def weighted_covariance_unblocked(x, lam_k, eps2):
         )
     if np.any(lam_k <= 0):
         raise ValueError("lam_k must be strictly positive")
-    # (T, 2M) row (w, -w, w, -w, ...) with w = 1 / lam_k: applied to the
-    # interleaved (re, im) pairs it conjugates and weights at once.
-    weights = np.repeat(1.0 / lam_k, 2 * m).reshape(n_frames, 2 * m)
-    weights[:, 1::2] *= -1.0
-    scaled = (data.view(np.float64) * weights).view(np.complex128)
-    g = data.transpose(0, 2, 1) @ scaled
-    g /= n_frames
-    g += linalg.hermitian_transpose(g)
-    g *= 0.5
+    # Interleaved (re, im) columns: rows 2i + a and columns 2j + b of r
+    # hold sum_t part_a(x_i) part_b(x_j) / lam_k(t).
+    real = data.view(np.float64)
+    r = real.transpose(0, 2, 1) @ (real * (1.0 / lam_k)[:, None])
+    p = r[:, 0::2, 0::2] + r[:, 1::2, 1::2]
+    q = r[:, 1::2, 0::2] - r[:, 0::2, 1::2]
+    g = np.empty((n_bins, m, m), dtype=np.complex128)
+    g.real = (p + p.transpose(0, 2, 1)) * 0.5 / n_frames
+    g.imag = (q - q.transpose(0, 2, 1)) * 0.5 / n_frames
     g.reshape(n_bins, m * m)[:, :: m + 1] += eps2
     return g
 

@@ -224,6 +224,47 @@ class TestWeightedCovarianceProperty:
             g, weighted_covariance_unblocked(data, lam, eps2)
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_bins=st.integers(1, 5),
+        n_frames=st.integers(1, 30),
+        m=st.integers(1, 8),
+        silent=st.integers(0, 4),
+        eps2=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_arithmetic_matches_complex_einsum(
+        self, n_bins, n_frames, m, silent, eps2, seed
+    ):
+        """The real matmul and its 2 x 2 blocks give the complex frame
+        sum of x x^H / lam within 1e-14 of each bin's largest entry, a
+        silent bin gives eps2 I exactly, and the result is exactly
+        Hermitian."""
+        rng = np.random.default_rng(seed)
+        data = random_complex(rng, (n_bins, n_frames, m))
+        silent %= n_bins
+        data[silent] = 0
+        lam = rng.uniform(0.05, 20.0, n_frames)
+        g = weighted_covariance(data, lam, eps2)
+        ref = np.einsum("ftm,ftn->fmn", data / lam[:, None], data.conj())
+        ref = ref / n_frames + eps2 * np.eye(m)
+        err = np.abs(g - ref).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.abs(ref).max(axis=(1, 2)))
+        np.testing.assert_array_equal(g[silent], eps2 * np.eye(m))
+        np.testing.assert_array_equal(g, g.conj().transpose(0, 2, 1))
+
+    def test_allocates_result_and_block_scratch_only(self, traced_peak):
+        """Only one block's weighted data and (2M, 2M) products are held:
+        the call allocates its result and at most two blocks of scratch,
+        less than the (F, 2M, 2M) product of all bins at once."""
+        rng = np.random.default_rng(4)
+        n_bins, n_frames, m = 2049, 200, 8
+        data = random_complex(rng, (n_bins, n_frames, m))
+        lam = rng.uniform(0.5, 2.0, n_frames)
+        g, peak = traced_peak(weighted_covariance, data, lam)
+        product = 8 * n_bins * (2 * m) ** 2
+        assert peak < g.nbytes + 2 * model.COVARIANCE_BLOCK_BYTES < product
+
     @pytest.mark.parametrize("shape", [(3, 0, 2), (3, 4, 0), (0, 4, 2)])
     def test_empty_axes_match_unblocked(self, shape):
         """T = 0 (0 / 0 covariances), M = 0 and F = 0 go through the
@@ -298,12 +339,35 @@ class TestOutputPower:
         s = demix(x, w, k)
         np.testing.assert_array_equal(
             update_variances(x, w[:, :, :k], 0.0),
-            np.sum(np.abs(s) ** 2, axis=0).T / n_bins,
+            np.sum(s.real**2 + s.imag**2, axis=0).T / n_bins,
         )
         np.testing.assert_array_equal(
             update_variances(x, w[:, :, :k], 1e-5),
             update_variances_unblocked(np.transpose(s, (2, 0, 1)), 1e-5),
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_bins=st.integers(1, 6),
+        n_frames=st.integers(1, 30),
+        m=st.integers(1, 8),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_complex_einsum(self, n_bins, n_frames, m, k, seed):
+        """re^2 + im^2 of the blocked outputs gives the mean over bins of
+        |w_k^H x|^2, within 1e-14 of its Cauchy-Schwarz bound, the mean
+        of ||x||^2 ||w_k||^2."""
+        rng = np.random.default_rng(seed)
+        x = random_complex(rng, (n_bins, n_frames, m))
+        w = random_complex(rng, (n_bins, m, k))
+        y = np.einsum("ftm,fmk->ktf", x, w.conj())
+        ref = np.mean(np.abs(y) ** 2, axis=-1)
+        bound = np.einsum(
+            "ft,fk->kt", np.sum(np.abs(x) ** 2, axis=-1), np.sum(np.abs(w) ** 2, axis=1)
+        ) / n_bins
+        err = np.abs(update_variances(x, w, 0.0) - ref)
+        assert np.all(err <= 1e-14 * bound)
 
     def test_allocates_no_output_sized_array(self, traced_peak):
         """The demixed outputs are formed a block at a time: the call

@@ -14,6 +14,7 @@ from overiva.errors import (
     InvalidK,
     NotPositiveDefinite,
     NumericalError,
+    ShapeMismatch,
     SingularMatrix,
 )
 from overiva.model import stationarity_residual
@@ -572,6 +573,42 @@ class TestProjectionBack:
         _, written = projection_back(w, x, 1, out=out)
         assert written is out
         np.testing.assert_array_equal(out, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_bins=st.integers(1, 6),
+        n_frames=st.integers(1, 30),
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_complex_einsum(self, n_bins, n_frames, m, seed):
+        """Every output w_k^H x is the einsum's within 1e-14 of
+        ||w_k|| ||x||, and the one written into a strided out is the
+        same bits as the one projection_back allocates."""
+        rng = np.random.default_rng(seed)
+        x = random_complex(rng, (n_bins, n_frames, m))
+        w = random_complex(rng, (n_bins, m, m)) + 2 * np.eye(m)
+        out = np.empty((m, n_frames, n_bins), dtype=complex)
+        for k in range(m):
+            _, s = projection_back(w, x, k)
+            ref = np.einsum("fm,ftm->ft", w[:, :, k].conj(), x)
+            bound = np.linalg.norm(w[:, :, k], axis=-1)[:, None] * np.linalg.norm(
+                x, axis=-1
+            )
+            assert np.all(np.abs(s - ref) <= 1e-14 * bound)
+            _, written = projection_back(w, x, k, out=out[k].T)
+            np.testing.assert_array_equal(written, s)
+
+    def test_out_allocates_no_output_sized_array(self, traced_peak):
+        """With out given, the (F, T) output is written in place: the
+        call allocates well under its size."""
+        rng = np.random.default_rng(5)
+        n_bins, n_frames, m = 513, 400, 4
+        x = random_complex(rng, (n_bins, n_frames, m))
+        w = random_complex(rng, (n_bins, m, m)) + 2 * np.eye(m)
+        out = np.empty((n_frames, n_bins), dtype=complex)
+        _, peak = traced_peak(projection_back, w, x, 1, out=out.T)
+        assert peak < out.nbytes / 4
 
 
 class TestPickTopK:
@@ -1158,6 +1195,26 @@ class TestRun:
                 ValueError, match="frequency bin 5, frame 7, channel 2"
             ):
                 run(x, 1, RunConfig(method=method, iterations=2))
+
+    @pytest.mark.parametrize(
+        "shape,axis",
+        [((0, 50, 3), "frequency bins"), ((16, 0, 3), "frames"),
+         ((0, 0, 3), "frequency bins")],
+    )
+    def test_empty_spectrogram_names_the_axis(self, monkeypatch, shape, axis):
+        """F = 0 or T = 0 is refused before any arithmetic, for every
+        method, instead of a NaN cost trace (F = 0) or a singular bin 0
+        (T = 0)."""
+
+        def no_arithmetic(*args, **kwargs):
+            raise AssertionError("covariance formed for an empty spectrogram")
+
+        monkeypatch.setattr(model, "noise_covariance", no_arithmetic)
+        x = np.zeros(shape, complex)
+        for method in Method:
+            for k in (1,) if method is Method.IP2 else (1, 2):
+                with pytest.raises(ShapeMismatch, match=f"has no {axis}"):
+                    run(x, k, RunConfig(method=method, iterations=2))
 
     def test_accepts_string_and_enum_methods(self):
         x, _ = self.make_x()
