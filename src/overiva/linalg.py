@@ -12,6 +12,9 @@ Singularity rule: a matrix is singular when its LU factorization meets
 an exactly zero pivot, or, for a solve, when a pivot lost to rounding
 shows in the solution as max|x| * max|A| * SINGULARITY_RTOL > max|b| for
 some right-hand-side column (a NaN in x counts as a failure).
+psd_logdet, for positive semidefinite matrices, reads eigenvalues
+instead: such a matrix is singular when its smallest eigenvalue is at
+most SINGULARITY_RTOL times its largest.
 
 Failures carry the flattened batch index of the first offending matrix so
 callers can report the frequency bin.
@@ -158,6 +161,37 @@ def logabsdet(a):
     if idx is not None:
         raise _singular(idx)
     return out if out.ndim else float(out)
+
+
+def psd_logdet(a):
+    """log det A of batched Hermitian positive semidefinite A, and a mask
+    of the matrices that are singular to working precision.
+
+    Returns (logdet, singular), both over a's batch axes. A matrix is
+    singular when its smallest eigenvalue is at most SINGULARITY_RTOL
+    times its largest, a zero matrix included, and its logdet is then
+    -inf. The rule reads no pivot: whether LU meets an exactly zero
+    pivot on a matrix with a copied row, or only a tiny one, depends on
+    the last bits of the matrix.
+
+    logdet comes from one LU (np.linalg.slogdet), which also screens the
+    batch. A singular matrix has det A <= SINGULARITY_RTOL tr(A)^M /
+    (M - 1)^(M - 1) (its largest eigenvalue is at most tr A, and the
+    product of the M - 1 largest is at most (tr A / (M - 1))^(M - 1)), so
+    only the matrices at or below that bound, or with a zero pivot, take
+    an eigvalsh.
+    """
+    a = _as_matrix_batch(a, "a")
+    m = a.shape[-1]
+    sign, logdet = np.linalg.slogdet(a)
+    trace = np.einsum("...ii->...", a).real
+    with np.errstate(divide="ignore"):
+        bound = np.log(SINGULARITY_RTOL / (m - 1) ** (m - 1)) + m * np.log(trace)
+    screened = (sign == 0) | (logdet <= bound)
+    values = np.linalg.eigvalsh(a[screened])
+    singular = np.zeros(sign.shape, dtype=bool)
+    singular[screened] = values[..., 0] <= SINGULARITY_RTOL * values[..., -1]
+    return np.where(singular, -np.inf, logdet), singular
 
 
 def cholesky(a):

@@ -49,7 +49,8 @@ the background is profiled out, leaving log det(W_s^H G_z W_s) of the
 K x K Gram matrix of the targets. The background block only matters
 through its span, and auxiva's own background is the profiled optimum
 after each sweep. Only bins with a singular G_z (silent, or with a
-copied channel) take a determinant of W.
+copied channel), told by G_z's eigenvalues (linalg.psd_logdet), take a
+determinant of W.
 
 After the loop run() returns each target's image in factored form. In
 every bin the image of output k is rank one, (W^{-H} e_k)(w_k^H x): the
@@ -490,9 +491,10 @@ def _bin_cost(w, n_targets, ridge, offset, noise_cov, profiled):
     the term is the explicit tr(W_z^H G_z W_z) - 2 log|det W|, the only
     place the trace takes a determinant of W.
 
-    On a bin whose G_z is regular but ill-conditioned, the row
-    normalizations hold only to about cond(G_z) eps, and the bin's term
-    carries an error of that order, as the explicit formula's does.
+    On a bin whose G_z is regular but ill-conditioned (cond(G_z) below
+    1 / linalg.SINGULARITY_RTOL), the row normalizations hold only to
+    about cond(G_z) eps, and the bin's term carries an error of that
+    order, as the explicit formula's does.
     """
     ws = w[..., :, :n_targets]
     gram = (hermitian_transpose(ws) @ noise_cov) @ ws
@@ -593,10 +595,11 @@ def run(x, n_targets, config=RunConfig()):
         except NumericalError as exc:
             raise _shift_bin(exc, 0) from None
         # The part of each bin's background cost fixed for the run
-        # (_bin_cost).
-        sign, offset = np.linalg.slogdet(noise_cov)
-        profiled = sign != 0
-        offset = np.where(profiled, offset + n_chan - n_targets, 0.0)
+        # (_bin_cost), on the bins whose G_z is regular by an eigenvalue
+        # rule (linalg.psd_logdet), not by rounding.
+        logdet, singular = linalg.psd_logdet(noise_cov)
+        profiled = ~singular
+        offset = np.where(profiled, logdet + n_chan - n_targets, 0.0)
         bin_cost = np.empty(n_bins)
         w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
         chunks = _bin_chunks(n_bins, config.threads)

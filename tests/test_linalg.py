@@ -179,6 +179,61 @@ class TestLogAbsDet:
             linalg.logabsdet(np.array([[1.0, 2.0], [0.5, 1.0]]))
 
 
+def with_spectrum(rng, values):
+    """Hermitian matrix with the given eigenvalues, in a random basis."""
+    q, _ = np.linalg.qr(random_complex(rng, (len(values), len(values))))
+    return (q * np.asarray(values)) @ q.conj().T
+
+
+class TestPsdLogdet:
+    def test_regular_batch_is_slogdet(self):
+        rng = np.random.default_rng(110)
+        a = np.stack([random_hpd(rng, 5) for _ in range(6)])
+        logdet, singular = linalg.psd_logdet(a)
+        np.testing.assert_array_equal(logdet, np.linalg.slogdet(a)[1])
+        assert not singular.any()
+
+    @pytest.mark.parametrize("m", [2, 4, 7])
+    def test_copied_channel_is_singular_whatever_the_pivot(self, m):
+        """Sample covariances with one channel copied: LU meets an exactly
+        zero pivot on some and only a tiny one on others (asserted), and
+        every one is singular, with logdet -inf."""
+        rng = np.random.default_rng(120 + m)
+        x = random_complex(rng, (60, 50, m - 1))
+        x = np.concatenate([x, x[..., :1]], axis=-1)
+        a = np.conj(np.swapaxes(x, -1, -2)) @ x / 50
+        sign = np.linalg.slogdet(a)[0]
+        assert np.any(sign == 0) and np.any(sign != 0)
+        logdet, singular = linalg.psd_logdet(a)
+        assert singular.all()
+        assert np.all(logdet == -np.inf)
+
+    def test_zero_matrix_is_singular(self):
+        logdet, singular = linalg.psd_logdet(np.zeros((2, 3, 3)))
+        assert singular.all() and np.all(logdet == -np.inf)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_rule_is_the_eigenvalue_ratio(self, m):
+        """Spectra spread from 1 down to 1e-9 ... 1e-17, with one or all
+        small eigenvalues: the mask is the eigenvalue rule applied to
+        every matrix, so the slogdet screen drops none."""
+        rng = np.random.default_rng(130 + m)
+        mats = []
+        for low in 10.0 ** -np.arange(9, 18):
+            mats.append(with_spectrum(rng, [1.0] + [low] * (m - 1)))
+            mats.append(with_spectrum(rng, [1.0] * (m - 1) + [low]))
+        a = np.stack(mats)
+        values = np.linalg.eigvalsh(a)
+        expect = values[:, 0] <= linalg.SINGULARITY_RTOL * values[:, -1]
+        logdet, singular = linalg.psd_logdet(a)
+        np.testing.assert_array_equal(singular, expect)
+        if m > 1:
+            assert expect.any() and not expect.all()
+        np.testing.assert_array_equal(
+            logdet[~singular], np.linalg.slogdet(a[~singular])[1]
+        )
+
+
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_allclose(linalg.cholesky(np.eye(3)), np.eye(3), atol=0)

@@ -673,17 +673,21 @@ def near_copy(x, f, level):
     return out
 
 
-def reference_trace(x, n_targets, method, iterations):
+def reference_trace(x, n_targets, method, iterations, singular=()):
     """cost_total after each iteration of a plain run() loop: variances,
     sweep, rescale. The sweeps read the identity for a silent bin's G_z.
-    For ip1, ip2 and ip3 the cost is taken with the fully normalized
-    background on every bin with a regular G_z, and with the stack's own
-    background elsewhere; for auxiva always with the stack's own."""
+    For ip1, ip2 and ip3 the cost is taken with the stack's own
+    background on the silent bins and on the bins listed in singular
+    (those the caller built with a singular G_z), and with the fully
+    normalized background on every other bin; for auxiva always with the
+    stack's own. No bin is classified from G_z's rounding."""
     n_bins, _, m = x.shape
     gz = model.noise_covariance(x)
+    silent = np.einsum("fmm->f", gz).real == 0
     sweep_gz = gz.copy()
-    sweep_gz[np.einsum("fmm->f", gz).real == 0] = np.eye(m)
-    profiled = np.linalg.slogdet(gz)[0] != 0
+    sweep_gz[silent] = np.eye(m)
+    profiled = ~silent
+    profiled[list(singular)] = False
     w = eye_stack(m, (n_bins,))
     trace = []
     for _ in range(iterations):
@@ -1129,21 +1133,42 @@ class TestRun:
         near = near_copy(plain, 5, 1e-2)
         schedules = [("ip1", 2), ("ip2", 1), ("ip3", 2), ("auxiva", 2), ("auxiva", 4)]
         inputs = [
-            ("plain", plain), ("silent", silent), ("copied", copied), ("near", near)
+            ("plain", plain, ()), ("silent", silent, ()), ("copied", copied, [5]),
+            ("near", near, ()),
         ]
         cases = [
-            (method, k, name, x)
+            (method, k, name, x, singular)
             for method, k in schedules
-            for name, x in inputs
+            for name, x, singular in inputs
             if not (method == "auxiva" and name == "copied")
         ]
-        for method, k, name, x in cases:
-            ref = reference_trace(x, k, method, 12)
+        for method, k, name, x, singular in cases:
+            ref = reference_trace(x, k, method, 12, singular)
             for threads in (1, 2):
                 cfg = RunConfig(method=method, iterations=12, threads=threads)
                 got = run(x, k, cfg).cost_trace
                 rel = np.abs(got - ref) / np.abs(ref)
                 assert rel.max() <= 1e-10, (method, k, name, threads, rel.max())
+
+    def test_copied_microphone_bins_take_the_explicit_cost(self):
+        """Microphone 3 copies microphone 0 in every bin, so every G_z is
+        singular and every bin must take the explicit formula. LU meets
+        an exactly zero pivot on only some of these G_z (asserted), so a
+        rule read from the pivots would score the others with a
+        meaningless log det G_z."""
+        plain, _ = self.make_x(seed=6, m=4)
+        x = plain.copy()
+        x[:, :, 3] = x[:, :, 0]
+        n_bins = len(x)
+        sign = np.linalg.slogdet(model.noise_covariance(x))[0]
+        assert 0 < np.sum(sign != 0) < n_bins
+        for method, k in [("ip1", 2), ("ip2", 1), ("ip3", 2)]:
+            ref = reference_trace(x, k, method, 12, range(n_bins))
+            for threads in (1, 2):
+                cfg = RunConfig(method=method, iterations=12, threads=threads)
+                got = run(x, k, cfg).cost_trace
+                rel = np.abs(got - ref) / np.abs(ref)
+                assert rel.max() <= 1e-10, (method, k, threads, rel.max())
 
     def test_cost_trace_on_an_ill_conditioned_bin(self):
         """Bin 5 holds a microphone copied with noise 1e-3 or 1e-4 below
