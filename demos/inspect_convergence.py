@@ -1,16 +1,20 @@
 """Watch the solver converge from the inside.
 
-Three diagnostics tell the whole story. The objective trace must never
-increase: each sweep minimizes an exact upper bound of the objective.
-The stationarity residual measures how close the final filters are to a
-fixed point of the update equations. run() keeps the orthogonal-
-complement background, which spans the right subspace but is not
-normalized, so the residual is taken with that background replaced by
-the fully normalized one (update_wz_full); the target and background
-parts are printed apart. And during fast background updates, the
-separated targets must stay uncorrelated with the background outputs,
-a constraint the update enforces by construction; the filters an ip3
-run returns are checked against it.
+Three diagnostics tell the whole story. The objective trace is checked
+for rises on this scene, and none occurs. Descent is not guaranteed
+elsewhere: each sweep minimizes a surrogate carrying the absolute ridge
+eps2, which the objective lacks, and the per-iteration rescale of the
+targets is a symmetry of the objective but not of that surrogate, so at
+the default ridge the trace can rise, most on quiet input (README
+"Methods", ROADMAP item 2). The stationarity residual measures how
+close the final filters are to a fixed point of the update equations.
+run() keeps the orthogonal-complement background, which spans the right
+subspace but is not normalized, so the residual is taken with that
+background replaced by the fully normalized one (update_wz_full); the
+target and background parts are printed apart. And during fast
+background updates, the separated targets must stay uncorrelated with
+the background outputs, a constraint the update enforces by
+construction; the filters an ip3 run returns are checked against it.
 """
 
 import numpy as np

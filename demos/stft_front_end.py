@@ -9,15 +9,9 @@ machine precision.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from overiva.stft import (
-    StftConfig,
-    istft,
-    n_frames_for,
-    sqrt_hann_window,
-    stft,
-    windowed_frames,
-)
+from overiva.stft import StftConfig, istft, n_frames_for, sqrt_hann_window, stft
 
 cfg = StftConfig(frame_len=1024, hop=256)
 win = sqrt_hann_window(cfg.frame_len)
@@ -45,8 +39,10 @@ rel = np.sqrt(np.mean((y - x) ** 2) / np.mean(x**2))
 print(f"round-trip relative RMS error: {rel:.3e}")
 
 # Parseval per frame: windowed-frame energy equals the one-sided
-# spectral sum with interior bins doubled.
-frames = windowed_frames(x[:, 0], cfg)[:, :, 0]
+# spectral sum with interior bins doubled. Frame t is the window times
+# samples t * hop .. t * hop + frame_len - 1 of the padded channel.
+padded = np.pad(x[:, 0], cfg.pad)
+frames = sliding_window_view(padded, cfg.frame_len)[:: cfg.hop] * win
 mags = np.abs(stft(x[:, 0], cfg).data[:, :, 0]) ** 2
 weights = np.full(cfg.n_bins, 2.0)
 weights[0] = weights[-1] = 1.0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -32,24 +31,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-
-THREADS_ENV = "OVERIVA_THREADS"
-
-
-def _threads(text):
-    """Thread count of --threads, or of $OVERIVA_THREADS as its default."""
-    if text == "auto":
-        return os.cpu_count() or 1
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # rejected below, with the same message
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto' (from the flag or "
-            f"${THREADS_ENV}), got {text!r}"
-        )
-    return value
 
 
 def _positive_int(text):
@@ -80,11 +61,8 @@ def _build_parser():
                        help="STFT frame length")
     solve.add_argument("--hop-div", type=_positive_int, default=4,
                        help="hop = frame_len / hop_div (default 4)")
-    # A string default goes through _threads, so a bad value in the
-    # environment is a usage error like a bad --threads.
-    solve.add_argument("--threads", type=_threads,
-                       default=os.environ.get(THREADS_ENV) or 1,
-                       help=f"worker threads or 'auto' (default ${THREADS_ENV} or 1)")
+    solve.add_argument("--threads", type=_positive_int, default=1,
+                       help="worker threads (default 1)")
 
     # Flags of a synthetic scene, shared by make-mix and bench.
     scene = argparse.ArgumentParser(add_help=False)
@@ -140,11 +118,12 @@ def _build_parser():
 
 def _stft_config(args):
     """The StftConfig of --frame-len and --hop-div."""
-    if args.frame_len % args.hop_div:
-        raise InvalidSpec(
-            f"--hop-div {args.hop_div} must divide --frame-len {args.frame_len}"
-        )
-    return StftConfig(args.frame_len, args.frame_len // args.hop_div)
+    n = args.frame_len
+    if n < 2 or n & (n - 1):
+        raise InvalidSpec(f"--frame-len must be a power of two, got {n}")
+    if n % args.hop_div:
+        raise InvalidSpec(f"--hop-div {args.hop_div} must divide --frame-len {n}")
+    return StftConfig(n, n // args.hop_div)
 
 
 def _cmd_separate(args):
@@ -233,8 +212,6 @@ def _parse_grid(args):
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"{path} is not valid JSON: {exc}") from None
-    if isinstance(payload, dict):
-        payload = payload.get("cells")
     if not isinstance(payload, list) or not payload:
         raise InvalidSpec(f"{path}: grid must be a nonempty list of cells")
     specs = []

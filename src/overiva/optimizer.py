@@ -54,11 +54,11 @@ determinant of W.
 
 After the loop run() returns each target's image in factored form. In
 every bin the image of output k is rank one, (W^{-H} e_k)(w_k^H x): the
-mixing column times the output spectrum, the two factors
-projection_back returns (called once per target). run() keeps the K
-mixing columns and output spectra, bins innermost, each spectrum
-written by matmul straight into place (no (F, T) transient), and
-forms no (K, F, T, M) stack: stft.istft synthesizes an image from its
+mixing column times the output spectrum. One projection_back call per
+run returns both factors for all K targets, the K mixing columns from
+one LU solve of W^H and the K output spectra, bins innermost, each
+written by matmul straight into place (no (F, T) transient). No
+(K, F, T, M) stack is formed: stft.istft synthesizes an image from its
 factors (stft.RankOneImage), and SeparationResult.images forms the
 dense stack only when read. auxiva first reorders the stack's columns
 so the K outputs with the most powerful images lead (_auxiva_order),
@@ -362,43 +362,47 @@ def ip2_update(target_cov, noise_root):
     return u / np.sqrt(q)[..., None]
 
 
-def projection_back(w_stack, x, k, out=None):
-    """Spatial image of output k on the array, as its two factors.
+def projection_back(w_stack, x, n_targets):
+    """Spatial images of the leading n_targets outputs on the array, as
+    their two factors.
 
     Undoes the arbitrary per-bin scale of the demixing filters by mapping
-    the output back through the mixing system estimate: the image is
-    (W^{-H} e_k) (w_k^H x), the rank-one component of x captured by
-    output k. Summed over all M outputs the images reconstruct x.
+    each output back through the mixing system estimate: the image of
+    output k is (W^{-H} e_k) (w_k^H x), the rank-one component of x
+    captured by output k. Summed over all M outputs the images
+    reconstruct x. run() calls this once per run, for all K targets.
 
-    Returns the mixing column a = W^{-H} e_k, (..., M), from one LU
-    solve of W^H, and the output s = w_k^H x, (...) for vectors
-    x (..., M) or (..., T) for frames x (..., T, M) matching w_stack's
-    batch, written into out if given. The image is a * s[..., None] for
-    vectors and s[..., None] * a[..., None, :] for frames
+    w_stack : (F, M, M); x : (F, T, M) frames.
+
+    Returns mixing (K, M, F), the columns W^{-H} e_k from one LU solve
+    of W^H against the first K columns of the identity, and outputs
+    (K, T, F), the spectra w_k^H x; both hold the bins innermost. Target
+    k's image is outputs[k, t, f] * mixing[k, :, f]
     (stft.RankOneImage holds it unformed).
 
-    For frames, s is one matrix-vector product per bin,
+    The solve comes first, so its scratch is freed before outputs is
+    allocated. Each spectrum is one matrix-vector product per bin,
     x @ conj(w_k)[..., None], which matmul writes through out= straight
-    into place, also into the strided (F, T) view of a (T, F) array that
-    run() passes: no (..., T) transient. On a 2-core Xeon with one BLAS
-    thread, into that view, it took 5.4 ms at F=2049, T=159, M=7 against
-    8.8 ms for an einsum over m; the two differ by about 3e-16 of the
-    largest output.
+    into the strided (F, T) view of outputs[k]: no (F, T) transient. On
+    a 2-core Xeon with one BLAS thread, into that view, it took 5.4 ms
+    at F=2049, T=159, M=7 against 8.8 ms for an einsum over m; the two
+    differ by about 3e-16 of the largest output.
     """
     mats = np.asarray(w_stack)
     x = np.asarray(x)
-    if x.ndim not in (mats.ndim - 1, mats.ndim):
+    if x.ndim != 3 or mats.shape != (x.shape[0], x.shape[2], x.shape[2]):
         raise ShapeMismatch(
             f"signal shape {x.shape} does not match stack shape {mats.shape}"
         )
-    a = linalg.lu_solve(hermitian_transpose(mats), np.eye(mats.shape[-1])[:, k])
-    wk = np.conj(mats[..., :, k])
-    if x.ndim == mats.ndim - 1:
-        return a, np.einsum("...m,...m->...", wk, x, out=out)
-    if out is None:
-        out = np.empty(x.shape[:-1], dtype=np.result_type(wk, x))
-    np.matmul(x, wk[..., None], out=out[..., None])
-    return a, out
+    n_bins, n_frames, n_chan = x.shape
+    eye = np.eye(n_chan)[:, :n_targets]
+    mixing = np.ascontiguousarray(
+        linalg.lu_solve(hermitian_transpose(mats), eye).transpose(2, 1, 0)
+    )
+    outputs = np.empty((n_targets, n_frames, n_bins), dtype=np.complex128)
+    for k in range(n_targets):
+        np.matmul(x, np.conj(mats[:, :, k, None]), out=outputs[k].T[..., None])
+    return mixing, outputs
 
 
 def _top_indices(powers, n_pick):
@@ -547,8 +551,8 @@ def run(x, n_targets, config=RunConfig()):
     the configured schedule, normalizing the per-target scales each
     iteration, for exactly config.iterations iterations (the cost trace
     is recorded, never read back). Then projects the target outputs back
-    onto the array, returning each image as its two rank-one factors
-    (SeparationResult).
+    onto the array with one projection_back call, returning each image
+    as its two rank-one factors (SeparationResult).
     For the auxiva baseline all M outputs are updated and the n_targets
     with the most powerful images are kept; the returned stack's columns
     are reordered so the kept filters come first.
@@ -629,16 +633,16 @@ def run(x, n_targets, config=RunConfig()):
             cost_trace.append(
                 float(n_frames * bin_cost.sum() + n_bins * np.sum(np.log(lam)))
             )
-            w[:, :, :n_targets] *= lam.mean(axis=1) ** -0.5
+            # One target at a time: a strided (F, M, K) view scaled in
+            # place is copied first, the operands overlapping.
+            for k, scale in enumerate(lam.mean(axis=1) ** -0.5):
+                w[:, :, k] *= scale
 
         try:
             w = finish(w, sweep_cov, noise_cov)
         except NumericalError as exc:
             raise _shift_bin(exc, 0) from None
-        mixing = np.empty((n_targets, n_chan, n_bins), dtype=np.complex128)
-        outputs = np.empty((n_targets, n_frames, n_bins), dtype=np.complex128)
-        for k in range(n_targets):
-            mixing[k] = projection_back(w, data, k, out=outputs[k].T)[0].T
+        mixing, outputs = projection_back(w, data, n_targets)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -169,29 +169,14 @@ def _require_one_frame(n_samples, config):
         )
 
 
-def windowed_frames(signal, config):
-    """Slice the padded signal into windowed frames of shape (T, frame_len, M).
-
-    The definition stft computes block by block: the signal is
-    zero-padded by config.pad on each end, and frame t is the window
-    times samples t * hop .. t * hop + frame_len - 1 of the padded
-    signal. The result
-    is a view of a (T, M, frame_len) array, so each channel's frame is
-    one contiguous row for the FFT.
-    """
-    x = _as_multichannel(signal)
-    _require_one_frame(x.shape[0], config)
-    pad = config.pad
-    x = np.pad(x, ((pad, pad), (0, 0)))
-    frames = sliding_window_view(x, config.frame_len, axis=0)[:: config.hop]
-    return (frames * sqrt_hann_window(config.frame_len)).transpose(0, 2, 1)
-
-
 def stft(signal, config=StftConfig()):
     """Analyze a (n_samples, n_channels) signal into a Spectrogram.
 
-    Equal bit for bit to the rfft of windowed_frames, taken a block of
-    BLOCK_FRAMES frames at a time. A block's frames span
+    Equal bit for bit to the rfft of all windowed frames at once (the
+    tests' oracles.windowed_frames and stft_unblocked), taken a block of
+    BLOCK_FRAMES frames at a time. Frame t is the window times samples
+    t * hop .. t * hop + frame_len - 1 of the signal zero-padded by
+    config.pad on each end. A block's frames span
     (BLOCK_FRAMES - 1) * hop + frame_len samples of the padded signal;
     they are copied from the signal into a scratch of that length, with
     zeros where the span reaches into the padding, so the padded signal

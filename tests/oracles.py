@@ -8,13 +8,14 @@ check the objective and the stationarity conditions on the whole stack.
 cost_jw and gradient_jw_row are the per-bin surrogate objective and its
 gradient, which no run path evaluates. weighted_covariance_unblocked,
 update_variances_unblocked, auxiva_sweep_ip0, ip2_update_gev,
-auxiva_order_demixed, stft_unblocked and istft_unblocked are the
-earlier, plainer forms of run-path kernels, which the faster forms must
-reproduce. demix and projection_back_image form the dense outputs and
-images that run() never holds whole.
+auxiva_order_demixed, windowed_frames, stft_unblocked and
+istft_unblocked are the earlier, plainer forms of run-path kernels,
+which the faster forms must reproduce. demix and projection_back_image
+form the dense outputs and images that run() never holds whole.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from overiva import linalg
 from overiva.errors import ShapeMismatch
@@ -31,8 +32,9 @@ from overiva.optimizer import (
 from overiva.stft import (
     Spectrogram,
     StftConfig,
+    _as_multichannel,
+    _require_one_frame,
     sqrt_hann_window,
-    windowed_frames,
 )
 
 
@@ -130,12 +132,10 @@ def update_variances_unblocked(s, eps1=EPS_VARIANCE):
 
 
 def projection_back_image(w_stack, x, k):
-    """Output k's dense image, formed from projection_back's factors: it
-    has x's shape, (..., M) vectors or (..., T, M) frames."""
-    a, s = projection_back(w_stack, x, k)
-    if s.ndim < a.ndim:
-        return a * s[..., None]
-    return s[..., None] * a[..., None, :]
+    """Output k's dense image, (F, T, M) like x, formed from the k-th
+    factors of projection_back(w_stack, x, k + 1)."""
+    mixing, outputs = projection_back(w_stack, x, k + 1)
+    return outputs[k].T[..., None] * mixing[k].T[:, None, :]
 
 
 def weighted_covariance_unblocked(x, lam_k, eps2):
@@ -197,6 +197,23 @@ def auxiva_order_demixed(w, data, n_targets):
     powers = np.sum(filter_pow * output_pow, axis=0)
     picked = _top_indices(powers, n_targets)
     return list(picked) + [j for j in range(n_chan) if j not in picked]
+
+
+def windowed_frames(signal, config):
+    """Slice the padded signal into windowed frames of shape (T, frame_len, M).
+
+    The definition stft computes block by block: the signal is
+    zero-padded by config.pad on each end, and frame t is the window
+    times samples t * hop .. t * hop + frame_len - 1 of the padded
+    signal. The result is a view of a (T, M, frame_len) array, so each
+    channel's frame is one contiguous row for the FFT.
+    """
+    x = _as_multichannel(signal)
+    _require_one_frame(x.shape[0], config)
+    pad = config.pad
+    x = np.pad(x, ((pad, pad), (0, 0)))
+    frames = sliding_window_view(x, config.frame_len, axis=0)[:: config.hop]
+    return (frames * sqrt_hann_window(config.frame_len)).transpose(0, 2, 1)
 
 
 def stft_unblocked(signal, config=StftConfig()):

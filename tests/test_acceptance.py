@@ -28,12 +28,13 @@ from overiva.optimizer import (
 )
 from overiva.pipeline import separate_buffer
 from overiva.simulate import SceneSpec, rtf, sdr, synthesize
-from overiva.stft import Spectrogram, StftConfig, istft, stft, windowed_frames
+from overiva.stft import Spectrogram, StftConfig, istft, stft
 
 from oracles import (
     cost_jw,
     gradient_jw_row,
     ip1_full_sweep,
+    windowed_frames,
     with_full_background,
 )
 

@@ -283,23 +283,33 @@ class TestSeparate:
         assert f"--hop-div {value} must divide --frame-len 512" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "abc"])
-    def test_bad_threads_env_is_usage_error(
-        self, scene_dir, tmp_path, capsys, monkeypatch, value
+    @pytest.mark.parametrize("value", ["6", "3"])
+    def test_frame_len_not_power_of_two_is_usage_error(
+        self, scene_dir, tmp_path, capsys, value
     ):
-        monkeypatch.setenv("OVERIVA_THREADS", value)
+        """The message names --frame-len and the power-of-two rule, not
+        the default --hop-div, whether or not that divides it."""
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as info:
-            main(separate_args(scene_dir, out))
-        assert info.value.code == EXIT_USAGE
+        args = separate_args(scene_dir, out)
+        args[args.index("--frame-len") + 1] = value
+        assert main(args) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "OVERIVA_THREADS" in err and repr(value) in err
+        assert f"--frame-len must be a power of two, got {value}" in err
+        assert "--hop-div" not in err
         assert not out.exists()
 
-    def test_threads_flag_overrides_bad_env(self, scene_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("OVERIVA_THREADS", "abc")
-        code = main(separate_args(scene_dir, tmp_path / "out", "--threads", "2"))
+    def test_threads_environment_variable_is_not_read(
+        self, scene_dir, tmp_path, monkeypatch
+    ):
+        """The run's settings come from argv alone: without --threads the
+        report reads 1 thread whatever $OVERIVA_THREADS holds."""
+        monkeypatch.setenv("OVERIVA_THREADS", "2")
+        report_path = tmp_path / "report.json"
+        code = main(
+            separate_args(scene_dir, tmp_path / "out", "--json", str(report_path))
+        )
         assert code == EXIT_OK
+        assert json.loads(report_path.read_text())["config"]["threads"] == 1
 
     def test_auxiva_with_as_many_bins_as_mics(self, tmp_path):
         """frame_len 8 gives F = 5 bins on a 5-mic scene."""
@@ -325,27 +335,6 @@ class TestSeparate:
             ]
         )
         assert code == EXIT_OK
-
-    def test_threads_env_applies(self, scene_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("OVERIVA_THREADS", "2")
-        report_path = tmp_path / "report.json"
-        code = main(
-            separate_args(scene_dir, tmp_path / "out", "--json", str(report_path))
-        )
-        assert code == EXIT_OK
-        assert json.loads(report_path.read_text())["config"]["threads"] == 2
-
-    def test_threads_flag_overrides_env(self, scene_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("OVERIVA_THREADS", "2")
-        report_path = tmp_path / "report.json"
-        code = main(
-            separate_args(
-                scene_dir, tmp_path / "out",
-                "--threads", "3", "--json", str(report_path),
-            )
-        )
-        assert code == EXIT_OK
-        assert json.loads(report_path.read_text())["config"]["threads"] == 3
 
 
 class TestMakeMix:
@@ -507,12 +496,16 @@ class TestBench:
             outs.append(rows)
         assert outs[0] == outs[1]
 
-    def test_grid_dict_form_accepted(self, tmp_path):
+    def test_grid_dict_form_is_usage_error(self, tmp_path, capsys):
+        """The grid is a list of cells; an object holding one is not."""
         grid = tmp_path / "grid.json"
         grid.write_text(
             json.dumps({"cells": [{"K": 1, "L": 1, "M": 2, "sinr": 0}]})
         )
-        assert main(bench_args(grid, tmp_path / "out.csv")) == EXIT_OK
+        out = tmp_path / "out.csv"
+        assert main(bench_args(grid, out)) == EXIT_USAGE
+        assert "grid must be a nonempty list of cells" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_rejected(self, grid, tmp_path, capsys):
         code = main(
@@ -521,10 +514,11 @@ class TestBench:
         assert code == EXIT_USAGE
         assert "warp" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--hop-div", "--trials"])
+    @pytest.mark.parametrize("flag", ["--hop-div", "--trials", "--threads"])
     def test_nonpositive_count_is_usage_error(self, grid, tmp_path, capsys, flag):
-        """--hop-div 0 would divide by zero and --trials 0 would average
-        no trials; the parser rejects both."""
+        """--hop-div 0 would divide by zero, --trials 0 would average no
+        trials and --threads 0 would start no worker; the parser rejects
+        all three."""
         out = tmp_path / "out.csv"
         with pytest.raises(SystemExit) as info:
             main(bench_args(grid, out, flag, "0"))
@@ -563,17 +557,6 @@ class TestBench:
         code = main(bench_args(grid, out, "--hop-div", "3"))
         assert code == EXIT_USAGE
         assert "--hop-div 3 must divide --frame-len 512" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_bad_threads_env_is_usage_error(
-        self, grid, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("OVERIVA_THREADS", "0")
-        out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as info:
-            main(bench_args(grid, out))
-        assert info.value.code == EXIT_USAGE
-        assert "OVERIVA_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

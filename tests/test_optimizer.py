@@ -517,17 +517,17 @@ class TestIp2FactoredProperty:
 class TestProjectionBack:
     def test_identity_demixing(self):
         rng = np.random.default_rng(18)
-        x = random_complex(rng, (6, 3))
+        x = random_complex(rng, (6, 3))[:, None, :]
         w = eye_stack(3, (6,))
         img = projection_back_image(w, x, 1)
         ref = np.zeros_like(x)
-        ref[:, 1] = x[:, 1]
+        ref[..., 1] = x[..., 1]
         np.testing.assert_allclose(img, ref, atol=1e-14)
 
     def test_images_partition_input(self):
         rng = np.random.default_rng(19)
         m = 4
-        x = random_complex(rng, (5, m))
+        x = random_complex(rng, (5, m))[:, None, :]
         w = random_complex(rng, (5, m, m)) + 2 * np.eye(m)
         total = sum(projection_back_image(w, x, k) for k in range(m))
         np.testing.assert_allclose(total, x, atol=1e-12)
@@ -535,7 +535,7 @@ class TestProjectionBack:
     def test_invariant_to_filter_scale(self):
         rng = np.random.default_rng(20)
         m = 3
-        x = random_complex(rng, (4, m))
+        x = random_complex(rng, (4, m))[:, None, :]
         w = random_complex(rng, (4, m, m)) + 2 * np.eye(m)
         base = projection_back_image(w, x, 0)
         w2 = w.copy()
@@ -544,35 +544,34 @@ class TestProjectionBack:
             projection_back_image(w2, x, 0), base, atol=1e-12
         )
 
-    def test_frame_axis_matches_vector_path(self):
-        rng = np.random.default_rng(21)
-        m, t = 3, 7
-        x = random_complex(rng, (5, t, m))
-        w = random_complex(rng, (5, m, m)) + 2 * np.eye(m)
-        framed = projection_back_image(w, x, 2)
-        for j in range(t):
-            np.testing.assert_allclose(
-                framed[:, j], projection_back_image(w, x[:, j], 2), atol=1e-13
-            )
-
     def test_returns_the_mixing_column_and_the_output(self):
-        """The factors are W^{-H} e_k and w_k^H x, and the output is
-        written into out."""
+        """The factors are W^{-H} e_j and w_j^H x for the leading k
+        outputs, each C-contiguous with the bins innermost."""
         rng = np.random.default_rng(23)
         m, t = 3, 7
         x = random_complex(rng, (5, t, m))
         w = random_complex(rng, (5, m, m)) + 2 * np.eye(m)
-        a, s = projection_back(w, x, 1)
-        np.testing.assert_allclose(
-            a, np.linalg.inv(w.conj().transpose(0, 2, 1))[:, :, 1], atol=1e-13
-        )
-        np.testing.assert_allclose(
-            s, np.einsum("fm,ftm->ft", w[:, :, 1].conj(), x), atol=1e-13
-        )
-        out = np.empty((5, t), dtype=complex)
-        _, written = projection_back(w, x, 1, out=out)
-        assert written is out
-        np.testing.assert_array_equal(out, s)
+        inv = np.linalg.inv(w.conj().transpose(0, 2, 1))
+        for k in range(1, m + 1):
+            mixing, outputs = projection_back(w, x, k)
+            assert mixing.shape == (k, m, 5) and outputs.shape == (k, t, 5)
+            assert mixing.flags.c_contiguous and outputs.flags.c_contiguous
+            np.testing.assert_allclose(
+                mixing, inv[:, :, :k].transpose(2, 1, 0), atol=1e-13
+            )
+            np.testing.assert_allclose(
+                outputs,
+                np.einsum("fmk,ftm->ktf", w[:, :, :k].conj(), x),
+                atol=1e-13,
+            )
+
+    def test_shape_mismatch(self):
+        rng = np.random.default_rng(24)
+        x = random_complex(rng, (5, 7, 3))
+        w = eye_stack(3, (5,))
+        for bad in (x[:, 0], x[:4], x[..., :2]):
+            with pytest.raises(ShapeMismatch):
+                projection_back(w, bad, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -582,33 +581,31 @@ class TestProjectionBack:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_complex_einsum(self, n_bins, n_frames, m, seed):
-        """Every output w_k^H x is the einsum's within 1e-14 of
-        ||w_k|| ||x||, and the one written into a strided out is the
-        same bits as the one projection_back allocates."""
+        """Every output w_k^H x of the M that one call returns is the
+        einsum's within 1e-14 of ||w_k|| ||x||."""
         rng = np.random.default_rng(seed)
         x = random_complex(rng, (n_bins, n_frames, m))
         w = random_complex(rng, (n_bins, m, m)) + 2 * np.eye(m)
-        out = np.empty((m, n_frames, n_bins), dtype=complex)
+        _, outputs = projection_back(w, x, m)
         for k in range(m):
-            _, s = projection_back(w, x, k)
             ref = np.einsum("fm,ftm->ft", w[:, :, k].conj(), x)
             bound = np.linalg.norm(w[:, :, k], axis=-1)[:, None] * np.linalg.norm(
                 x, axis=-1
             )
-            assert np.all(np.abs(s - ref) <= 1e-14 * bound)
-            _, written = projection_back(w, x, k, out=out[k].T)
-            np.testing.assert_array_equal(written, s)
+            assert np.all(np.abs(outputs[k].T - ref) <= 1e-14 * bound)
 
-    def test_out_allocates_no_output_sized_array(self, traced_peak):
-        """With out given, the (F, T) output is written in place: the
-        call allocates well under its size."""
+    def test_allocates_its_results_and_little_else(self, traced_peak):
+        """The call allocates less than its two results plus one
+        (F, M, M) array: each output is written in place, with no (F, T)
+        transient, and the solve's scratch is freed before the outputs
+        are allocated."""
         rng = np.random.default_rng(5)
         n_bins, n_frames, m = 513, 400, 4
         x = random_complex(rng, (n_bins, n_frames, m))
         w = random_complex(rng, (n_bins, m, m)) + 2 * np.eye(m)
-        out = np.empty((n_frames, n_bins), dtype=complex)
-        _, peak = traced_peak(projection_back, w, x, 1, out=out.T)
-        assert peak < out.nbytes / 4
+        for k in (1, 2, m):
+            (mixing, outputs), peak = traced_peak(projection_back, w, x, k)
+            assert peak < mixing.nbytes + outputs.nbytes + w.nbytes, k
 
 
 class TestPickTopK:
@@ -807,7 +804,7 @@ class TestRunCallCounts:
         self, monkeypatch, threads
     ):
         """Every method takes each iteration's variances from one
-        model.update_variances call and each target's image factors from
+        model.update_variances call and all K targets' image factors from
         one projection_back call, by their module names, so a wrapper set
         on the module (as a tracer sets) sees every call."""
         x = self.make_x()
@@ -818,8 +815,8 @@ class TestRunCallCounts:
                 variances.clear()
                 factors.clear()
                 run(x, k, RunConfig(method=method, iterations=3, threads=threads))
-                assert (len(variances), len(factors)) == (3, k), (method, k)
-                assert [args[2] for args in factors] == list(range(k))
+                assert (len(variances), len(factors)) == (3, 1), (method, k)
+                assert factors[0][2] == k
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_auxiva_images_come_from_projection_back(self, monkeypatch, k):
@@ -898,9 +895,9 @@ class TestRunCallCounts:
     def test_auxiva_lu_solves(self, monkeypatch, k):
         """K + 1 batched LU solves per sweep (W^H and one per target), one
         for G_z^{-1} when there are background rows, one for the mixing
-        matrix that ranks the outputs (_auxiva_order), and one per
-        target for its mixing column (projection_back); silent bins (0-1
-        in the second input) take the same sweep and add none."""
+        matrix that ranks the outputs (_auxiva_order), and one for the K
+        mixing columns (projection_back); silent bins (0-1 in the second
+        input) take the same sweep and add none."""
         x = self.make_x()
         quiet = x.copy()
         quiet[:2] = 0
@@ -908,7 +905,7 @@ class TestRunCallCounts:
         for data in (x, quiet):
             lu.clear()
             run(data, k, RunConfig(method="auxiva", iterations=5))
-            assert len(lu) == 5 * (k + 1) + (k < 4) + 1 + k
+            assert len(lu) == 5 * (k + 1) + (k < 4) + 1 + 1
 
     @pytest.mark.parametrize("method", ["ip1", "ip3"])
     @pytest.mark.parametrize("k", [1, 2])

@@ -6,7 +6,7 @@ import importlib
 import numpy as np
 import pytest
 
-from oracles import istft_unblocked, stft_unblocked
+from oracles import istft_unblocked, stft_unblocked, windowed_frames
 from overiva.errors import ShapeMismatch, SignalTooShort
 from overiva.stft import (
     RankOneImage,
@@ -16,7 +16,6 @@ from overiva.stft import (
     n_frames_for,
     sqrt_hann_window,
     stft,
-    windowed_frames,
 )
 
 # The package exports the stft function under the module's name.
