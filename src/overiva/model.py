@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import InvalidK, ShapeMismatch
+from .errors import InvalidK, ShapeMismatch, check_number
 from .stft import Spectrogram
 
 # Variance floor and covariance ridge defaults, overridable per run.
@@ -38,6 +38,31 @@ EPS_RIDGE = 1e-1
 # 10.9 to 6.6 ms at F=2049, T=81, M=6, against weighting all bins at
 # once; 128 and 512 KiB timed within 15 % of it.
 COVARIANCE_BLOCK_BYTES = 256 * 1024
+
+
+def _check_eps(name, value):
+    """eps1 or eps2 as a float, or raise ValueError naming it: eps1, the
+    variance floor, must be positive and finite, and eps2, the covariance
+    ridge, nonnegative and finite. The rule RunConfig, update_variances
+    and weighted_covariance share."""
+    value = check_number(name, value)
+    # Each check is written so that NaN fails it.
+    if name == "eps1" and not 0 < value < np.inf:
+        raise ValueError(f"eps1 must be positive and finite, got {value}")
+    if name == "eps2" and not 0 <= value < np.inf:
+        raise ValueError(f"eps2 must be nonnegative and finite, got {value}")
+    return value
+
+
+def _check_n_targets(n_targets, n_chan):
+    """n_targets as a Python int, or raise InvalidK unless it is a Python
+    or numpy integer (not a bool) with 1 <= n_targets <= n_chan. The rule
+    for K that DemixingStack, optimizer.projection_back and
+    optimizer.run (check_targets) share."""
+    n_targets = check_number("n_targets", n_targets, integer=True, error=InvalidK)
+    if not 1 <= n_targets <= n_chan:
+        raise InvalidK(f"n_targets={n_targets} not in [1, {n_chan}]")
+    return n_targets
 
 
 def bin_blocks(n_bins, n_frames, width):
@@ -83,10 +108,9 @@ class DemixingStack:
             raise ShapeMismatch(
                 f"demixing stack must be (F, M, M), got {w.shape}"
             )
-        if not 1 <= self.n_targets <= w.shape[-1]:
-            raise InvalidK(
-                f"n_targets={self.n_targets} not in [1, {w.shape[-1]}]"
-            )
+        object.__setattr__(
+            self, "n_targets", _check_n_targets(self.n_targets, w.shape[-1])
+        )
         object.__setattr__(self, "matrices", w.astype(np.complex128, copy=False))
 
     @property
@@ -167,7 +191,9 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
     together.
 
     lam_k : (T,) positive frame variances of the target
+    eps2 : nonnegative, finite ridge (_check_eps)
     """
+    eps2 = _check_eps("eps2", eps2)
     data = _spec_data(x)
     lam_k = np.asarray(lam_k, dtype=np.float64)
     n_bins, n_frames, m = data.shape
@@ -212,6 +238,7 @@ def update_variances(x, w_cols, eps1=EPS_VARIANCE):
 
     x : (F, T, M) spectrogram (or Spectrogram)
     w_cols : (F, M, K) filter columns, e.g. DemixingStack.targets
+    eps1 : positive, finite variance floor (_check_eps)
 
     The outputs are demixed one block of bins at a time into a scratch
     of at most COVARIANCE_BLOCK_BYTES (bin_blocks of their (T, K) rows)
@@ -223,6 +250,7 @@ def update_variances(x, w_cols, eps1=EPS_VARIANCE):
     added one at a time in order, as a reduction over the whole bin axis
     adds them; the result does not depend on the block size.
     """
+    eps1 = _check_eps("eps1", eps1)
     data = _spec_data(x)
     w_conj = np.conj(w_cols)
     n_bins, n_frames = data.shape[:2]

@@ -30,13 +30,21 @@ iteration). It demixes fixed blocks of bins (model.bin_blocks, set by
 the data's shape) into a small scratch and adds the bins one at a time
 in bin order. No (F, T, K) array of target outputs is formed, and the
 variances, hence the images and cost trace, are the same bits at every
-threads setting: the thread pool splits only the sweeps, by frequency
-chunk.
+threads setting.
+
+The sweeps run in frequency chunks at every threads setting
+(_bin_chunks): the fewest chunks that keep one (chunk, M, M) complex
+array within stft.SCRATCH_BYTES, or threads of them if that is more,
+each chunk's K weighted covariances in one array of that many bins.
+So a sweep's temporaries are bounded by the budget, not by F M^2, and
+threads > 1 only runs the chunks on a pool. Every bin's arithmetic is
+the same in any chunk, so no output depends on the chunking.
 
 _schedule is the one place where a method's operand, sweep and finish
 live; run() compares no Method. G_z does not change during a run, so
 run() forms the operand (G_z, its factor or its inverse) once, before
-the loop, and hands each frequency chunk its slice. Silent bins
+the loop, and hands each frequency chunk its slice; it frees the
+operand before the finish, and G_z before projection_back. Silent bins
 (all-zero input, G_z = 0) take the same sweep as every other bin, with
 G_z read as the identity there; their images are zero whatever the
 filters.
@@ -88,7 +96,7 @@ from .errors import (
 )
 from .linalg import hermitian_transpose
 from .model import DemixingStack
-from .stft import Spectrogram, _require_finite
+from .stft import Spectrogram, _fitting, _require_finite
 
 
 class Method(Enum):
@@ -113,9 +121,10 @@ class RunConfig:
     """Parameters of one separation run.
 
     iterations defaults to DEFAULT_ITERATIONS of the method; the run
-    takes exactly that many. threads > 1 splits the sweeps' frequency
-    axis across a thread pool; images and cost trace are identical to
-    the sequential run.
+    takes exactly that many. The sweeps run in frequency chunks at every
+    setting (_bin_chunks); threads > 1 makes at least that many chunks
+    and runs them on a thread pool. Images and cost trace are identical
+    at every setting. eps1 and eps2 follow model._check_eps.
     """
 
     method: Method = Method.IP1
@@ -137,16 +146,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
             object.__setattr__(self, name, value)
         for name in ("eps1", "eps2"):
-            object.__setattr__(self, name, check_number(name, getattr(self, name)))
-        # Each check is written so that NaN fails it.
-        if not 0 < self.eps1 < np.inf:
-            raise ValueError(
-                f"eps1 must be positive and finite, got {self.eps1}"
-            )
-        if not 0 <= self.eps2 < np.inf:
-            raise ValueError(
-                f"eps2 must be nonnegative and finite, got {self.eps2}"
-            )
+            value = model._check_eps(name, getattr(self, name))
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -372,7 +373,8 @@ def projection_back(w_stack, x, n_targets):
     captured by output k. Summed over all M outputs the images
     reconstruct x. run() calls this once per run, for all K targets.
 
-    w_stack : (F, M, M); x : (F, T, M) frames.
+    w_stack : (F, M, M); x : (F, T, M) frames; n_targets : a Python or
+    numpy integer, 1 <= K <= M (model._check_n_targets, else InvalidK).
 
     Returns mixing (K, M, F), the columns W^{-H} e_k from one LU solve
     of W^H against the first K columns of the identity, and outputs
@@ -395,6 +397,7 @@ def projection_back(w_stack, x, n_targets):
             f"signal shape {x.shape} does not match stack shape {mats.shape}"
         )
     n_bins, n_frames, n_chan = x.shape
+    n_targets = model._check_n_targets(n_targets, n_chan)
     eye = np.eye(n_chan)[:, :n_targets]
     mixing = np.ascontiguousarray(
         linalg.lu_solve(hermitian_transpose(mats), eye).transpose(2, 1, 0)
@@ -414,7 +417,12 @@ def _top_indices(powers, n_pick):
     return tuple(int(i) for i in order[:n_pick])
 
 
-def _bin_chunks(n_bins, n_chunks):
+def _bin_chunks(n_bins, n_chan, threads):
+    """The frequency chunks run() sweeps, consecutive and of nearly equal
+    size: the fewest that keep one (chunk, M, M) complex array within
+    stft.SCRATCH_BYTES, or threads of them if that is more."""
+    per_chunk = _fitting(16 * n_chan * n_chan)
+    n_chunks = max(threads, -(-n_bins // per_chunk))
     edges = np.linspace(0, n_bins, min(n_chunks, n_bins) + 1).astype(int)
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
@@ -526,17 +534,13 @@ def _masked_logabsdet(a, mask):
 def check_targets(method, n_targets, n_chan):
     """n_targets as a Python int, or raise InvalidK unless it is a Python
     or numpy integer (not a bool) that method can extract from n_chan
-    channels: ip2 takes K = 1 only, auxiva any 1 <= K <= M, and ip1 and
-    ip3 need a nonempty background, 1 <= K < M."""
-    n_targets = check_number("n_targets", n_targets, integer=True, error=InvalidK)
-    if n_targets < 1:
-        raise InvalidK(f"n_targets must be >= 1, got {n_targets}")
+    channels: 1 <= K <= M for every method (model._check_n_targets), and
+    further ip2 takes K = 1 only and ip1 and ip3 need a nonempty
+    background, K < M."""
+    n_targets = model._check_n_targets(n_targets, n_chan)
     if method is Method.IP2 and n_targets != 1:
         raise InvalidK("ip2 requires K=1")
-    if method is Method.AUXIVA:
-        if n_targets > n_chan:
-            raise InvalidK(f"K={n_targets} exceeds {n_chan} channels")
-    elif n_targets >= n_chan:
+    if method is not Method.AUXIVA and n_targets >= n_chan:
         raise InvalidK(
             f"{method.value} needs a nonempty background: K={n_targets} "
             f"must be < M={n_chan}"
@@ -606,19 +610,19 @@ def run(x, n_targets, config=RunConfig()):
         offset = np.where(profiled, logdet + n_chan - n_targets, 0.0)
         bin_cost = np.empty(n_bins)
         w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
-        chunks = _bin_chunks(n_bins, config.threads)
+        chunks = _bin_chunks(n_bins, n_chan, config.threads)
         cost_trace = []
 
         for _ in range(config.iterations):
             lam = model.update_variances(data, w[:, :, :n_targets], config.eps1)
 
             def stage_sweep(sl, lam=lam):
-                covs = np.stack(
-                    [
-                        model.weighted_covariance(data[sl], lam[k], config.eps2)
-                        for k in range(n_targets)
-                    ]
+                covs = np.empty(
+                    (n_targets, sl.stop - sl.start, n_chan, n_chan),
+                    dtype=np.complex128,
                 )
+                for k in range(n_targets):
+                    covs[k] = model.weighted_covariance(data[sl], lam[k], config.eps2)
                 try:
                     w[sl] = sweep(w[sl], covs, noise[sl])
                     bin_cost[sl] = _bin_cost(
@@ -638,10 +642,16 @@ def run(x, n_targets, config=RunConfig()):
             for k, scale in enumerate(lam.mean(axis=1) ** -0.5):
                 w[:, :, k] *= scale
 
+        # Each (F, M, M) operand is freed once its last reader is done
+        # (del clears stage_sweep's cells too): the sweeps' operand before
+        # finish, G_z and its silent-bin copy before projection_back
+        # allocates the output spectra.
+        del noise
         try:
             w = finish(w, sweep_cov, noise_cov)
         except NumericalError as exc:
             raise _shift_bin(exc, 0) from None
+        del noise_cov, sweep_cov
         mixing, outputs = projection_back(w, data, n_targets)
     finally:
         if pool is not None:

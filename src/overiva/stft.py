@@ -10,7 +10,11 @@ enough frames for the windowed overlap-add to invert exactly (synthesis
 divides by the accumulated squared window rather than assuming a constant
 overlap sum, so edges and non-aligned tails reconstruct too).
 
-Both directions work on BLOCK_FRAMES frames at a time, so no
+Both directions work a block of frames at a time. A block holds as
+many frames as keep its (frames, M, frame_len) float64 samples within
+SCRATCH_BYTES, and at least one (_block_frames): 4 frames of 4096
+samples on 7 channels, 8 of 2048 on 8. So a block's scratch is about
+SCRATCH_BYTES whatever the channel count and frame length, and no
 spectrogram-sized or signal-sized intermediate is made. stft copies the
 samples one block of frames covers into a block-sized scratch, zeroing
 only what falls in the padding (the padded signal is never formed),
@@ -33,10 +37,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatch, SignalTooShort, check_number
 
-# Frames per block of analysis and synthesis work. Results do not depend
-# on it; at the default frame length a block's temporaries stay near a
-# few MB.
-BLOCK_FRAMES = 16
+# Bytes one block of work may fill: a block of frames in stft and istft,
+# and one (chunk, M, M) complex array of run()'s sweeps. No result depends
+# on it. At 1 MiB each benchmark shape sweeps in 2 bin chunks, and run()
+# took within 1 % of one chunk's time; at 512 KiB (3 or 4 chunks) it took
+# 2-5 % more (2-core Xeon, one BLAS thread).
+SCRATCH_BYTES = 1 << 20
+
+
+def _fitting(item_bytes):
+    """How many items of item_bytes bytes fit in SCRATCH_BYTES; at least
+    one."""
+    return max(1, SCRATCH_BYTES // item_bytes)
+
+
+def _block_frames(n_chan, frame_len):
+    """Frames per block of stft and istft: as many as keep the block's
+    float64 frames, (frames, n_chan, frame_len), within SCRATCH_BYTES."""
+    return _fitting(8 * n_chan * frame_len)
 
 
 def _require_finite(data):
@@ -174,16 +192,17 @@ def stft(signal, config=StftConfig()):
 
     Equal bit for bit to the rfft of all windowed frames at once (the
     tests' oracles.windowed_frames and stft_unblocked), taken a block of
-    BLOCK_FRAMES frames at a time. Frame t is the window times samples
-    t * hop .. t * hop + frame_len - 1 of the signal zero-padded by
-    config.pad on each end. A block's frames span
-    (BLOCK_FRAMES - 1) * hop + frame_len samples of the padded signal;
-    they are copied from the signal into a scratch of that length, with
-    zeros where the span reaches into the padding, so the padded signal
-    is never formed. Each block is windowed into one reused
-    (BLOCK_FRAMES, M, frame_len) buffer, and np.fft.rfft writes its
-    transform through out= into the bin-major output. Beyond the output,
-    stft allocates only these two buffers and the window.
+    B = _block_frames(M, frame_len) frames at a time (all T frames if
+    T < B). Frame t is the window times samples t * hop .. t * hop +
+    frame_len - 1 of the signal zero-padded by config.pad on each end.
+    A block's frames span
+    (B - 1) * hop + frame_len samples of the padded signal; they are
+    copied from the signal into a scratch of that length, with zeros
+    where the span reaches into the padding, so the padded signal is
+    never formed. Each block is windowed into one reused
+    (B, M, frame_len) buffer of at most SCRATCH_BYTES, and np.fft.rfft
+    writes its transform through out= into the bin-major output. Beyond
+    the output, stft allocates only these two buffers and the window.
 
     Raises SignalTooShort when the signal does not fill one frame, and
     ValueError naming the first non-finite spectrogram entry. The
@@ -198,11 +217,12 @@ def stft(signal, config=StftConfig()):
     frame_len, hop, pad = config.frame_len, config.hop, config.pad
     n_frames = n_frames_for(n_samples, config)
     win = sqrt_hann_window(frame_len)
-    span = np.empty(((BLOCK_FRAMES - 1) * hop + frame_len, n_chan))
-    windowed = np.empty((BLOCK_FRAMES, n_chan, frame_len))
+    block = min(_block_frames(n_chan, frame_len), n_frames)
+    span = np.empty(((block - 1) * hop + frame_len, n_chan))
+    windowed = np.empty((block, n_chan, frame_len))
     data = np.empty((config.n_bins, n_frames, n_chan), dtype=np.complex128)
-    for t in range(0, n_frames, BLOCK_FRAMES):
-        n_block = min(BLOCK_FRAMES, n_frames - t)
+    for t in range(0, n_frames, block):
+        n_block = min(block, n_frames - t)
         # The block covers signal samples first .. last - 1, some of
         # which may lie in the padding on either side.
         first = t * hop - pad
@@ -244,12 +264,12 @@ def istft(spec, config=StftConfig(), length=None):
     Parameters
     ----------
     spec : Spectrogram, (F, T, M) complex array or RankOneImage, T >= 1.
-        Blocks of BLOCK_FRAMES frames are read as (frames, channels,
-        bins), which is contiguous when spec is an (F, T, M) view of a
-        (T, M, F) array (SeparationResult.images); any other layout is
-        gathered block by block. A RankOneImage's block is formed as
-        outputs[t:t + BLOCK_FRAMES, None, :] * mixing, the values the
-        dense image holds.
+        Blocks of B = _block_frames(M, frame_len) frames are read as
+        (frames, channels, bins), which is contiguous when spec is an
+        (F, T, M) view of a (T, M, F) array (SeparationResult.images);
+        any other layout is gathered block by block. A RankOneImage's
+        block is formed as outputs[t:t + B, None, :] * mixing, the values
+        the dense image holds.
     length : int >= 0, optional
         Number of samples to return. Defaults to the length the padding
         convention implies, (T - 1) * hop + frame_len - 2 * (frame_len - hop),
@@ -269,8 +289,8 @@ def istft(spec, config=StftConfig(), length=None):
             )
         shape = (outputs.shape[1], outputs.shape[0], mixing.shape[0])
 
-        def block(start):
-            return outputs[start : start + BLOCK_FRAMES, None, :] * mixing
+        def block(start, n):
+            return outputs[start : start + n, None, :] * mixing
 
     else:
         data = spec.data if isinstance(spec, Spectrogram) else np.asarray(spec)
@@ -281,8 +301,8 @@ def istft(spec, config=StftConfig(), length=None):
         shape = data.shape
         rows = data.transpose(1, 2, 0)
 
-        def block(start):
-            return rows[start : start + BLOCK_FRAMES]
+        def block(start, n):
+            return rows[start : start + n]
 
     n_bins, n_frames, n_chan = shape
     if n_bins != config.n_bins:
@@ -301,8 +321,9 @@ def istft(spec, config=StftConfig(), length=None):
     total = (n_frames - 1) * hop + n
     buf = np.zeros((n_chan, total))
     wsum = np.zeros(total)
-    for start in range(0, n_frames, BLOCK_FRAMES):
-        frames = np.fft.irfft(block(start), n=n, axis=-1)
+    n_block = _block_frames(n_chan, n)
+    for start in range(0, n_frames, n_block):
+        frames = np.fft.irfft(block(start, n_block), n=n, axis=-1)
         frames *= win
         for t, frame in enumerate(frames, start):
             buf[:, t * hop : t * hop + n] += frame

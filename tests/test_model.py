@@ -17,6 +17,7 @@ from overiva.model import (
     update_variances,
     weighted_covariance,
 )
+from overiva.optimizer import RunConfig
 from overiva.stft import Spectrogram
 
 from oracles import (
@@ -74,6 +75,56 @@ class TestDemixingStack:
     def test_shape_guard(self):
         with pytest.raises(ShapeMismatch):
             DemixingStack(np.zeros((2, 3, 4), complex), 1)
+
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0, "1", None])
+    def test_non_integer_count_is_invalid_k(self, k):
+        """n_targets follows run()'s rule for K: a bool or a float is
+        refused when the stack is built, not accepted as is."""
+        w = np.tile(np.eye(3, dtype=complex), (2, 1, 1))
+        with pytest.raises(InvalidK, match="n_targets must be an integer"):
+            DemixingStack(w, k)
+
+    def test_numpy_count_stored_as_int(self):
+        w = np.tile(np.eye(3, dtype=complex), (2, 1, 1))
+        stack = DemixingStack(w, np.int64(2))
+        assert type(stack.n_targets) is int and stack.targets.shape == (2, 3, 2)
+
+
+class TestRegularizerRule:
+    """update_variances and weighted_covariance take RunConfig's rule for
+    eps1 (positive and finite) and eps2 (nonnegative and finite), with
+    its messages."""
+
+    @pytest.mark.parametrize("eps1", [0.0, -1e-5, np.nan, np.inf, True, "1e-5"])
+    def test_update_variances_rejects_bad_floor(self, eps1):
+        rng = np.random.default_rng(12)
+        x = make_spec(rng, 3, 5, 2)
+        w = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+        with pytest.raises(ValueError, match="^eps1 must be") as kernel:
+            update_variances(x, w[:, :, :1], eps1)
+        with pytest.raises(ValueError) as config:
+            RunConfig(eps1=eps1)
+        assert str(kernel.value) == str(config.value)
+
+    @pytest.mark.parametrize("eps2", [-1.0, np.nan, np.inf, True, "0.1"])
+    def test_weighted_covariance_rejects_bad_ridge(self, eps2):
+        rng = np.random.default_rng(13)
+        x = make_spec(rng, 3, 5, 2)
+        with pytest.raises(ValueError, match="^eps2 must be") as kernel:
+            weighted_covariance(x, np.ones(5), eps2)
+        with pytest.raises(ValueError) as config:
+            RunConfig(eps2=eps2)
+        assert str(kernel.value) == str(config.value)
+
+    def test_boundary_values_accepted(self):
+        rng = np.random.default_rng(14)
+        x = make_spec(rng, 3, 5, 2)
+        w = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+        tiny = np.finfo(np.float64).smallest_subnormal
+        assert np.all(update_variances(x, w[:, :, :1], tiny) > 0)
+        np.testing.assert_array_equal(
+            weighted_covariance(x, np.ones(5), 0.0), noise_covariance(x)
+        )
 
 
 class TestCovariances:
@@ -318,6 +369,11 @@ class TestVarianceUpdate:
             assert cost_total(DemixingStack(w, 1), trial, x) >= best - 1e-9
 
 
+# The least eps1 update_variances takes (it must be positive): it floors
+# no nonzero power.
+NO_FLOOR = np.finfo(np.float64).smallest_subnormal
+
+
 class TestOutputPower:
     """update_variances sums the output power a block of bins at a time."""
 
@@ -338,8 +394,8 @@ class TestOutputPower:
         assert model.bin_blocks(n_bins, n_frames, k)[0] == slice(0, min(5, n_bins))
         s = demix(x, w, k)
         np.testing.assert_array_equal(
-            update_variances(x, w[:, :, :k], 0.0),
-            np.sum(s.real**2 + s.imag**2, axis=0).T / n_bins,
+            update_variances(x, w[:, :, :k], NO_FLOOR),
+            np.maximum(np.sum(s.real**2 + s.imag**2, axis=0).T / n_bins, NO_FLOOR),
         )
         np.testing.assert_array_equal(
             update_variances(x, w[:, :, :k], 1e-5),
@@ -366,7 +422,7 @@ class TestOutputPower:
         bound = np.einsum(
             "ft,fk->kt", np.sum(np.abs(x) ** 2, axis=-1), np.sum(np.abs(w) ** 2, axis=1)
         ) / n_bins
-        err = np.abs(update_variances(x, w, 0.0) - ref)
+        err = np.abs(update_variances(x, w, NO_FLOOR) - ref)
         assert np.all(err <= 1e-14 * bound)
 
     def test_allocates_no_output_sized_array(self, traced_peak):

@@ -3,6 +3,8 @@ forms, sweep-level invariants (monotonicity, schedule equivalences,
 orthogonality), the eigenvector-based single-target update, and the
 end-to-end run() driver on planted scenes."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,6 +35,7 @@ from overiva.optimizer import (
     update_wz_full,
 )
 from overiva import linalg, model, optimizer
+from overiva.stft import Spectrogram
 
 from oracles import (
     auxiva_order_demixed,
@@ -44,6 +47,9 @@ from oracles import (
     update_variances_unblocked,
     with_full_background,
 )
+
+# The package exports the stft function under the module's name.
+stft_module = importlib.import_module("overiva.stft")
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -573,6 +579,23 @@ class TestProjectionBack:
             with pytest.raises(ShapeMismatch):
                 projection_back(w, bad, 1)
 
+    @pytest.mark.parametrize("k", [4, 5, 0, -1, True, 2.0, 1.5, "1", None])
+    def test_bad_target_count_is_invalid_k(self, k):
+        """K follows run()'s rule for every method, 1 <= K <= M for a
+        Python or numpy integer that is not a bool, so each bad K raises
+        InvalidK, not whatever numpy raises first."""
+        rng = np.random.default_rng(25)
+        x = random_complex(rng, (4, 5, 3))
+        w = eye_stack(3, (4,))
+        with pytest.raises(InvalidK, match="n_targets"):
+            projection_back(w, x, k)
+
+    def test_numpy_target_count_accepted(self):
+        rng = np.random.default_rng(26)
+        x = random_complex(rng, (4, 5, 3))
+        mixing, outputs = projection_back(eye_stack(3, (4,)), x, np.int64(3))
+        assert mixing.shape == (3, 3, 4) and outputs.shape == (3, 5, 4)
+
     @settings(max_examples=100, deadline=None)
     @given(
         n_bins=st.integers(1, 6),
@@ -753,7 +776,8 @@ class TestRunCallCounts:
         chol = count_calls(monkeypatch, np.linalg, "cholesky")
         lu = count_calls(monkeypatch, linalg, "lu_solve")
         run(x, 1, RunConfig(method="ip2", iterations=3, threads=threads))
-        assert len(chol) == 1 + 3 * threads
+        n_chunks = len(optimizer._bin_chunks(len(x), x.shape[-1], threads))
+        assert len(chol) == 1 + 3 * n_chunks
         np.testing.assert_array_equal(chol[0][0], gz)
         for (g1,) in chol[1:]:
             gap = np.abs(g1[:, None] - gz[None]).max(axis=(-2, -1))
@@ -768,12 +792,12 @@ class TestRunCallCounts:
         root = linalg.psd_factor(model.noise_covariance(x))
         steps = count_calls(monkeypatch, optimizer, "ip2_update")
         run(x, 1, RunConfig(method="ip2", iterations=3, threads=threads))
-        chunks = optimizer._bin_chunks(len(x), threads)
+        chunks = optimizer._bin_chunks(len(x), x.shape[-1], threads)
         used = sorted(
             next(i for i, sl in enumerate(chunks) if np.array_equal(r, root[sl]))
             for _, r in steps
         )
-        assert used == sorted(3 * list(range(threads)))
+        assert used == sorted(3 * list(range(len(chunks))))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_each_step_is_called_through_the_module(self, monkeypatch, threads):
@@ -791,7 +815,7 @@ class TestRunCallCounts:
         calls = {
             name: count_calls(monkeypatch, optimizer, name) for name in steps.values()
         }
-        n_chunks = len(optimizer._bin_chunks(len(x), threads))
+        n_chunks = len(optimizer._bin_chunks(len(x), x.shape[-1], threads))
         for method, name in steps.items():
             for seen in calls.values():
                 seen.clear()
@@ -1027,6 +1051,42 @@ class TestRun:
                 np.testing.assert_array_equal(runs[0].images, par.images)
                 np.testing.assert_array_equal(runs[0].cost_trace, par.cost_trace)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bit_identical_across_sweep_chunk_counts(self, monkeypatch, threads):
+        """The sweeps run in the fewest bin chunks whose (chunk, M, M)
+        array fits stft.SCRATCH_BYTES, at every threads setting. At
+        F = 1025, M = 8 that is 2 chunks by default and 26 at 40 KiB; a
+        budget that holds every bin gives 1 chunk (threads of them at
+        threads > 1). Images, demixing and cost trace are the same bits
+        for each, for every method, with three silent bins."""
+        rng = np.random.default_rng(31)
+        n_bins, m = 1025, 8
+        x = planted_scene(rng, n_bins, 24, m)[0]
+        x[:3] = 0
+        budgets = {
+            "one": 1 << 40, "default": stft_module.SCRATCH_BYTES, "small": 40 << 10
+        }
+        chunks = {}
+        for name, budget in budgets.items():
+            monkeypatch.setattr(stft_module, "SCRATCH_BYTES", budget)
+            chunks[name] = len(optimizer._bin_chunks(n_bins, m, threads))
+        assert chunks == {"one": threads, "default": 2, "small": 26}
+        cases = [(1, method) for method in Method]
+        cases += [(2, method) for method in Method if method is not Method.IP2]
+        for k, method in cases:
+            config = RunConfig(method=method, iterations=3, threads=threads)
+            results = []
+            for budget in budgets.values():
+                monkeypatch.setattr(stft_module, "SCRATCH_BYTES", budget)
+                results.append(run(x, k, config))
+            ref = results[0]
+            for res in results[1:]:
+                np.testing.assert_array_equal(res.images, ref.images)
+                np.testing.assert_array_equal(
+                    res.demixing.matrices, ref.demixing.matrices
+                )
+                np.testing.assert_array_equal(res.cost_trace, ref.cost_trace)
+
     def test_non_contiguous_input_bit_identical(self):
         """A strided (F, T, M) view runs exactly like its contiguous copy."""
         x, _ = self.make_x()
@@ -1255,6 +1315,41 @@ class TestRun:
             res = run(x, k, RunConfig(method="auxiva", iterations=5))
             assert res.images.shape == (k, n_bins, 200, 4)
             assert np.all(np.isfinite(res.images))
+
+
+class TestRunMemory:
+    """With many bins and few frames the per-bin state, not the
+    spectrogram, sets run()'s peak (F = 2049, M = 7, T = 20: one
+    (F, M, M) array is 1.6 MB, the input 4.6 MB)."""
+
+    n_bins, n_frames, m = 2049, 20, 7
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "method,k",
+        [("ip1", 1), ("ip1", 2), ("ip2", 1), ("ip3", 1), ("ip3", 2),
+         ("auxiva", 1), ("auxiva", 2)],
+    )
+    def test_peak_is_run_state_and_bounded_scratch(
+        self, traced_peak, method, k, threads
+    ):
+        """Above its input, run() holds its results, the stack W, G_z
+        and the sweeps' operand (G_z's factor or inverse; ip1 and ip3
+        read G_z itself), and each sweeping thread one chunk's scratch,
+        under 5 * SCRATCH_BYTES. Here the sweep is 2 chunks of at most
+        1025 bins. Formed over all bins at once, the sweeps' temporaries
+        reached 5.4 to 9.0 MiB above the same state; chunked they reach
+        at most 4.2 MiB (ip2)."""
+        rng = np.random.default_rng(32)
+        shape = (self.n_bins, self.n_frames, self.m)
+        x = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert len(optimizer._bin_chunks(self.n_bins, self.m, threads)) == 2
+        config = RunConfig(method=method, iterations=2, threads=threads)
+        res, peak = traced_peak(run, x, k, config)
+        stack = res.demixing.matrices.nbytes
+        n_state = 2 if method in ("ip1", "ip3") else 3
+        state = res.mixing.nbytes + res.outputs.nbytes + n_state * stack
+        assert peak - state < 5 * threads * stft_module.SCRATCH_BYTES
 
 
 class TestRunConfig:

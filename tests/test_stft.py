@@ -325,11 +325,15 @@ def frame_counts(block):
 
 @pytest.fixture(params=["module", 4])
 def block(request, monkeypatch):
-    """The module's block size, and a small one that splits every test
-    input into several blocks."""
+    """Frames per block for the tests that take this fixture, which use 3
+    channels and 64-sample frames: at the module's SCRATCH_BYTES, and at
+    a budget of 4 such frames, which splits every test input into
+    several blocks."""
     if request.param != "module":
-        monkeypatch.setattr(stft_module, "BLOCK_FRAMES", request.param)
-    return stft_module.BLOCK_FRAMES
+        monkeypatch.setattr(
+            stft_module, "SCRATCH_BYTES", request.param * 8 * 3 * 64
+        )
+    return stft_module._block_frames(3, 64)
 
 
 class TestBlocking:
@@ -358,10 +362,11 @@ class TestBlocking:
     def test_stft_is_rfft_of_windowed_frames(self, hop_div, case):
         """Padding each block's span on its own changes no bit of the
         transform: a signal of exactly frame_len samples, lengths that
-        are not a multiple of hop, fewer frames than one block
-        (BLOCK_FRAMES is 16) and exactly two blocks."""
+        are not a multiple of hop, fewer frames than one block (170
+        frames of 256 samples on 3 channels, at SCRATCH_BYTES = 1 MiB)
+        and exactly two blocks."""
         cfg = StftConfig(256, 256 // hop_div)
-        blocks = stft_module.BLOCK_FRAMES
+        blocks = stft_module._block_frames(3, cfg.frame_len)
 
         def length(n_frames, tail):
             return (n_frames - 1) * cfg.hop + cfg.frame_len - 2 * cfg.pad + tail
@@ -451,6 +456,32 @@ class TestMemory:
         x = np.random.default_rng(45).standard_normal((96000, 4))
         spec, peak = traced_peak(stft, x, self.cfg)
         assert peak - spec.data.nbytes < x.nbytes / 2
+
+    def test_block_scratch_is_bounded_by_the_budget(self, traced_peak):
+        """At 7 channels and 4096-sample frames a block is 4 frames: stft
+        allocates under 2 * SCRATCH_BYTES beyond its output (the block's
+        span of samples and its windowed frames; 1.53 MB here against
+        4.97 MB for 16-frame blocks), and istft of a factored image under
+        2 * SCRATCH_BYTES beyond its overlap-add buffers and its output
+        (the block's image and its inverse transform; 1.03 MB against
+        9.29 MB)."""
+        cfg = StftConfig(4096, 1024)
+        x = np.random.default_rng(46).standard_normal((32000, 7))
+        assert stft_module._block_frames(7, 4096) == 4
+        spec, peak = traced_peak(stft, x, cfg)
+        assert peak - spec.data.nbytes < 2 * stft_module.SCRATCH_BYTES
+
+        n_bins, n_frames, n_chan = spec.data.shape
+        rng = np.random.default_rng(47)
+        mixing, outputs = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in [(n_chan, n_bins), (n_frames, n_bins)]
+        )
+        image = RankOneImage(mixing, outputs)
+        out, peak = traced_peak(istft, image, cfg, length=len(x))
+        total = (n_frames - 1) * cfg.hop + cfg.frame_len
+        overlap_add = 8 * (n_chan + 1) * total
+        assert peak - overlap_add - out.nbytes < 2 * stft_module.SCRATCH_BYTES
 
     def test_istft_peak_below_the_image_size(self, traced_peak):
         data = stft(self.signal(), self.cfg).data

@@ -22,10 +22,12 @@ and runs that checkout's src/, so save with a copy of it placed in the
 other checkout.
 
 Cases: every method at K = 1 and 2 (ip2 at K = 1 only, auxiva also at
-K = M), at threads 1 and 2, 6 iterations each, on three synthesized
-scenes (K/M = 1/7, 2/6 and 2/8; 1.5 s; frame 1024, hop 256). Each scene
-runs as it is, with bins 0-2 silent, and with those bins silent plus
-microphone 1 copying microphone 0 in bin 5.
+K = M), at threads 1 and 2, 6 iterations each, on four synthesized
+1.5 s scenes: K/M = 1/7, 2/6 and 2/8 at frame 1024, and 1/7 at frame
+4096, whose 2049 bins run() sweeps in two chunks even at threads 1
+(optimizer._bin_chunks); hop is a quarter frame. Each scene runs as it
+is, with bins 0-2 silent, and with those bins silent plus microphone 1
+copying microphone 0 in bin 5.
 """
 
 import argparse
@@ -43,8 +45,7 @@ from overiva.optimizer import Method, RunConfig, run  # noqa: E402
 from overiva.simulate import SceneSpec, synthesize  # noqa: E402
 from overiva.stft import StftConfig, stft  # noqa: E402
 
-SCENES = [(1, 6, 7), (2, 4, 6), (2, 6, 8)]  # (K, noises, M)
-STFT = StftConfig(1024, 256)
+SCENES = [(1, 6, 7, 1024), (2, 4, 6, 1024), (2, 6, 8, 1024), (1, 6, 7, 4096)]
 ITERATIONS = 6
 
 
@@ -52,12 +53,12 @@ def _hash(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
 
 
-def _inputs(n_sources, n_noises, n_mics, seed):
+def _inputs(n_sources, n_noises, n_mics, frame_len, seed):
     spec = SceneSpec(
         n_sources=n_sources, n_noises=n_noises, n_mics=n_mics,
         duration_s=1.5, seed=seed,
     )
-    data = np.array(stft(synthesize(spec).mixture, STFT).data)
+    data = np.array(stft(synthesize(spec).mixture, StftConfig(frame_len)).data)
     silent = data.copy()
     silent[:3] = 0
     copied = silent.copy()
@@ -105,11 +106,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
-    for seed, (n_sources, n_noises, n_mics) in enumerate(SCENES):
-        for name, data in _inputs(n_sources, n_noises, n_mics, seed).items():
+    for seed, (n_sources, n_noises, n_mics, frame_len) in enumerate(SCENES):
+        inputs = _inputs(n_sources, n_noises, n_mics, frame_len, seed)
+        # The frame is named only where it is not 1024, so the 1024 scenes'
+        # lines read the same in every checkout of this file.
+        scene = f"{n_sources}/{n_mics}"
+        if frame_len != 1024:
+            scene += f"/{frame_len}"
+        for name, data in inputs.items():
             for method, k, threads in _cases(n_mics):
                 head = (
-                    f"scene={n_sources}/{n_mics} input={name} "
+                    f"scene={scene} input={name} "
                     f"method={method.value} K={k} threads={threads}"
                 )
                 file = re.sub(r"[^\w.-]+", "_", head) + ".npz"
