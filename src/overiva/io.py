@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFile, IoFailure, ShapeMismatch, UnsupportedFormat
+from .errors import (
+    CorruptFile,
+    IoFailure,
+    ShapeMismatch,
+    UnsupportedFormat,
+    check_number,
+)
 
 _PCM = 1
 _IEEE_FLOAT = 3
@@ -28,7 +34,8 @@ _EXTENSIBLE = 0xFFFE
 class AudioBuffer:
     """Multichannel audio in memory.
 
-    sample_rate : Hz
+    sample_rate : Hz, a Python or numpy integer >= 1, stored as a
+        Python int (errors.check_number)
     samples : (n_samples, n_channels) float64; 1-D input is promoted to
         a single channel
     """
@@ -44,8 +51,10 @@ class AudioBuffer:
             raise ShapeMismatch(
                 f"samples must be (n,) or (n, channels), got {x.shape}"
             )
-        if self.sample_rate < 1:
-            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
+        rate = check_number("sample_rate", self.sample_rate, integer=True)
+        if rate < 1:
+            raise ValueError(f"sample_rate must be >= 1, got {rate}")
+        self.sample_rate = rate
         self.samples = x
 
     @property

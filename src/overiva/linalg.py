@@ -245,67 +245,22 @@ def gev_largest(a, b):
     Returns
     -------
     GevResult
-        Largest eigenvalue and a unit-norm eigenvector. The pencil is
-        reduced with the Cholesky factor of B to an ordinary Hermitian
-        problem; among tied maximal eigenvalues the one with the lowest
-        index in the reduced problem's ascending ordering is taken, so
-        degenerate pencils resolve deterministically.
+        Largest eigenvalue and a unit-norm eigenvector. With B = L L^H
+        (cholesky, whose checks apply to b), the pencil reduces to the
+        Hermitian C = L^{-1} A L^{-H}, formed by two matmuls with one
+        inverse of L, and u = L^{-H} v from C's top eigenvector v.
+        Among tied maximal eigenvalues the one with the lowest index in
+        C's ascending ordering is taken, so degenerate pencils resolve
+        deterministically: A = 0 gives u along L^{-H} e_1, which is e_1.
+
+    Each matrix is reduced on its own, so no entry of a batch depends
+    on the others, and the error of u stays at rounding level whatever
+    the condition or rank of A.
     """
     a = _as_matrix_batch(a, "a")
-    b = _as_matrix_batch(b, "b")
     _check_hermitian(a, "a")
-    ell = cholesky(b)
-    y = np.linalg.solve(ell, a)
-    c = hermitian_transpose(np.linalg.solve(ell, hermitian_transpose(y)))
-    c = 0.5 * (c + hermitian_transpose(c))
-    value, v = _largest_eigpair(c)
-    u = np.linalg.solve(hermitian_transpose(ell), v)[..., 0]
-    return _gev_result(value, u)
-
-
-def psd_factor(a):
-    """A factor R with A = R R^H of batched Hermitian positive semidefinite A.
-
-    R is the lower Cholesky factor when every matrix in the batch is
-    positive definite, else V diag(sqrt(max(lambda, 0))) from A's
-    eigendecomposition, which factors singular and zero matrices too.
-    """
-    a = _hermitian_batch(a)
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigendecomposition failed: {exc}") from None
-    return vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]
-
-
-def gev_largest_factored(root, b):
-    """gev_largest for A = R R^H given by a factor R (psd_factor).
-
-    Parameters
-    ----------
-    root : (..., M, N) array_like, a factor of the positive semidefinite A
-    b : (..., M, M) array_like, Hermitian positive definite
-
-    Returns
-    -------
-    GevResult, as gev_largest(R R^H, b). The reduced matrix L^{-1} A L^{-H}
-    (B = L L^H) is formed as C C^H with C = L^{-1} R, from one inverse of
-    L, and u = L^{-H} v. Ties resolve as in gev_largest: the lowest index
-    in the reduced problem's ascending ordering. A = 0 ties every
-    eigenvalue at 0 and gives u along L^{-H} e_1, which is e_1.
-
-    The largest eigenpair keeps the error of u at rounding level whatever
-    the condition of A; the smallest eigenpair of the pencil whitened by
-    R, R^{-1} B R^{-H}, would lose accuracy in proportion to cond(A).
-    """
-    root = np.asarray(root, dtype=np.complex128)
     ell_inv = np.linalg.inv(cholesky(b))
-    c = ell_inv @ root
-    value, v = _largest_eigpair(c @ hermitian_transpose(c))
+    value, v = _largest_eigpair(ell_inv @ a @ hermitian_transpose(ell_inv))
     u = (hermitian_transpose(ell_inv) @ v)[..., 0]
     return _gev_result(value, u)
 

@@ -14,9 +14,9 @@ Four schedules share the same per-bin building blocks:
 - ``ip1``: row updates for the K targets followed by one orthogonal-
   complement background update per sweep.
 - ``ip2``: single-target extraction (K = 1) via the largest eigenpair of
-  the pencil (G_z, G_1). G_z = R R^H is factored once per run and each
-  step is one ip2_update(G_1, R): one Cholesky factorization of G_1, one
-  inverse of that factor and one eigh; the background block is
+  the pencil (G_z, G_1). Each step is one ip2_update(G_1, G_z): one
+  Cholesky factorization of G_1, one inverse of that factor, two matmuls
+  and one eigh (linalg.gev_largest); the background block is
   materialized once after the loop.
 - ``ip3``: row updates interleaved with a background refresh after every
   target, keeping the background orthogonally constrained throughout.
@@ -42,8 +42,8 @@ the same in any chunk, so no output depends on the chunking.
 
 _schedule is the one place where a method's operand, sweep and finish
 live; run() compares no Method. G_z does not change during a run, so
-run() forms the operand (G_z, its factor or its inverse) once, before
-the loop, and hands each frequency chunk its slice; it frees the
+run() forms the operand (G_z itself, or its inverse for auxiva) once,
+before the loop, and hands each frequency chunk its slice; it frees the
 operand before the finish, and G_z before projection_back. Silent bins
 (all-zero input, G_z = 0) take the same sweep as every other bin, with
 G_z read as the identity there; their images are zero whatever the
@@ -336,7 +336,7 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
     return w
 
 
-def ip2_update(target_cov, noise_root):
+def ip2_update(target_cov, noise_cov):
     """Single-target filter from the largest eigenpair of (G_z, G_1).
 
     The maximizing direction u of the generalized Rayleigh quotient
@@ -344,18 +344,16 @@ def ip2_update(target_cov, noise_root):
     completed background this is the global per-bin minimizer of the
     surrogate, and coincides with a maximum-SNR beamformer up to scale.
 
-    noise_root : a factor R of G_z = R R^H (linalg.psd_factor), which
-    run() forms once per run. One step costs a Cholesky factorization of
-    G_1 (with its Hermitian and positive-definiteness checks), one
-    inverse of that factor and one eigh (linalg.gev_largest_factored);
-    nothing is formed from G_z. Tie rule: among exactly tied largest
-    eigenvalues the lowest index of the reduced problem's ascending
-    ordering wins, as in linalg.gev_largest, so a zero G_z, where every
-    eigenvalue is 0, gives w along e_1.
+    target_cov : G_1, (..., M, M); noise_cov : G_z, (..., M, M),
+    positive semidefinite. One step is linalg.gev_largest(G_z, G_1): a
+    Cholesky factorization of G_1 (with its checks), one inverse of that
+    factor, two matmuls and one eigh, per bin on its own, so a singular
+    G_z in one bin changes no other bin's filter. By gev_largest's tie
+    rule a zero G_z, where every eigenvalue is 0, gives w along e_1.
 
     Returns w, (..., M).
     """
-    _, u = linalg.gev_largest_factored(noise_root, target_cov)
+    _, u = linalg.gev_largest(noise_cov, target_cov)
     q = _quad(u, target_cov)
     _require_positive(
         q, "target covariance is not positive along the extracted direction"
@@ -448,8 +446,7 @@ def _schedule(method, n_targets):
     bound when it starts (a tracer's or a test's wrapper).
 
     operand(sweep_cov): what the sweeps read of the fixed G_z, formed
-    once per run: sweep_cov itself (ip1, ip3), a factor R of
-    sweep_cov = R R^H (ip2, linalg.psd_factor), or its inverse for
+    once per run: sweep_cov itself (ip1, ip2, ip3), or its inverse for
     auxiva's background rows (sweep_cov, unread, when K = M).
     sweep(w, target_covs, noise): one sweep of a chunk, noise being its
     slice of the operand; returns the new stack.
@@ -468,16 +465,16 @@ def _schedule(method, n_targets):
 
         return inverse, auxiva_sweep, reorder
     if method is Method.IP2:
-        def ip2_sweep(w, target_covs, noise_root):
+        def ip2_sweep(w, target_covs, noise_cov):
             out = np.array(w, copy=True)
-            out[..., :, 0] = ip2_update(target_covs[0], noise_root)
+            out[..., :, 0] = ip2_update(target_covs[0], noise_cov)
             return out
 
         def complete(w, sweep_cov, noise_cov):
             w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
             return w
 
-        return linalg.psd_factor, ip2_sweep, complete
+        return (lambda cov: cov), ip2_sweep, complete
     sweep = ip1_sweep if method is Method.IP1 else ip3_sweep
     return (lambda cov: cov), sweep, (lambda w, *_: w)
 

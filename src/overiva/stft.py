@@ -271,7 +271,8 @@ def istft(spec, config=StftConfig(), length=None):
         block is formed as outputs[t:t + B, None, :] * mixing, the values
         the dense image holds.
     length : int >= 0, optional
-        Number of samples to return. Defaults to the length the padding
+        Number of samples to return, a Python or numpy integer
+        (errors.check_number). Defaults to the length the padding
         convention implies, (T - 1) * hop + frame_len - 2 * (frame_len - hop),
         or 0 when fewer than frame_len / hop - 1 frames make that
         negative; longer requests are zero-extended.
@@ -313,8 +314,10 @@ def istft(spec, config=StftConfig(), length=None):
         raise ShapeMismatch(
             f"spectrogram must have at least one frame, got shape {shape}"
         )
-    if length is not None and length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
+    if length is not None:
+        length = check_number("length", length, integer=True)
+        if length < 0:
+            raise ValueError(f"length must be >= 0, got {length}")
     n, hop = config.frame_len, config.hop
     win = sqrt_hann_window(n)
     win2 = win**2

@@ -7,8 +7,8 @@ fully normalized background explicitly (update_wz_full), so tests can
 check the objective and the stationarity conditions on the whole stack.
 cost_jw and gradient_jw_row are the per-bin surrogate objective and its
 gradient, which no run path evaluates. weighted_covariance_unblocked,
-update_variances_unblocked, auxiva_sweep_ip0, ip2_update_gev,
-auxiva_order_demixed, windowed_frames, stft_unblocked and
+update_variances_unblocked, auxiva_sweep_ip0, gev_largest_solves,
+ip2_update_gev, auxiva_order_demixed, windowed_frames, stft_unblocked and
 istft_unblocked are the earlier, plainer forms of run-path kernels,
 which the faster forms must reproduce. demix and projection_back_image
 form the dense outputs and images that run() never holds whole.
@@ -175,10 +175,27 @@ def auxiva_sweep_ip0(w_stack, target_covs, noise_cov):
     return w
 
 
+def gev_largest_solves(a, b):
+    """linalg.gev_largest reducing the pencil with three triangular-system
+    solves against B's Cholesky factor L instead of one inverse of L:
+    C = L^{-1} A L^{-H} from two solves, made exactly Hermitian, and
+    u = L^{-H} v from a third. Same checks and tie rule."""
+    a = np.asarray(a, dtype=np.complex128)
+    linalg._check_hermitian(a, "a")
+    ell = linalg.cholesky(b)
+    y = np.linalg.solve(ell, a)
+    c = linalg.hermitian_transpose(
+        np.linalg.solve(ell, linalg.hermitian_transpose(y))
+    )
+    c = 0.5 * (c + linalg.hermitian_transpose(c))
+    value, v = linalg._largest_eigpair(c)
+    u = np.linalg.solve(linalg.hermitian_transpose(ell), v)[..., 0]
+    return linalg._gev_result(value, u)
+
+
 def ip2_update_gev(target_cov, noise_cov):
-    """ip2_update reducing the pencil (G_z, G_1) from G_z itself on every
-    call, through linalg.gev_largest."""
-    _, u = linalg.gev_largest(noise_cov, target_cov)
+    """ip2_update with the pencil (G_z, G_1) reduced by gev_largest_solves."""
+    _, u = gev_largest_solves(noise_cov, target_cov)
     q = _quad(u, target_cov)
     _require_positive(
         q, "target covariance is not positive along the extracted direction"

@@ -197,7 +197,7 @@ def test_criterion_06_ip2_is_the_per_bin_global_optimum():
         w = np.eye(m, dtype=complex)
         for _ in range(100):
             w = ip1_full_sweep(w, covs, gz)
-        u1 = ip2_update(g1, linalg.psd_factor(gz))
+        u1 = ip2_update(g1, gz)
         w2 = with_full_background(u1, gz)
         worst_gap = max(worst_gap, cost_jw(w2, covs, gz) - cost_jw(w, covs, gz))
         lam, _ = linalg.gev_largest(gz, g1)

@@ -26,6 +26,22 @@ class TestAudioBuffer:
         assert buf.n_channels == 2
         np.testing.assert_allclose(buf.duration, 0.02)
 
+    @pytest.mark.parametrize("rate", [True, 16000.5, 16000.0, "16000", None])
+    def test_non_integer_rate_is_value_error(self, rate):
+        with pytest.raises(ValueError, match="^sample_rate must be an integer, got "):
+            AudioBuffer(rate, np.zeros(10))
+
+    @pytest.mark.parametrize("rate", [0, -8000])
+    def test_rate_below_one_is_value_error(self, rate):
+        with pytest.raises(ValueError, match=f"^sample_rate must be >= 1, got {rate}$"):
+            AudioBuffer(rate, np.zeros(10))
+
+    def test_numpy_rate_stored_as_int(self, tmp_path):
+        buf = AudioBuffer(np.int64(8000), np.zeros(10))
+        assert type(buf.sample_rate) is int and buf.sample_rate == 8000
+        write_wav(tmp_path / "x.wav", buf)
+        assert read_wav(tmp_path / "x.wav").sample_rate == 8000
+
 
 class TestQuantize:
     def test_rounds_half_away_from_zero(self):

@@ -7,6 +7,8 @@ import scipy.linalg
 from overiva import linalg
 from overiva.errors import NotPositiveDefinite, SingularMatrix
 
+from oracles import gev_largest_solves
+
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -266,68 +268,6 @@ class TestCholesky:
             linalg.cholesky(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-class TestPsdFactor:
-    @pytest.mark.parametrize("m", [2, 4, 7])
-    def test_positive_definite_is_the_cholesky_factor(self, m):
-        rng = np.random.default_rng(80 + m)
-        a = np.stack([random_hpd(rng, m) for _ in range(5)])
-        np.testing.assert_array_equal(linalg.psd_factor(a), linalg.cholesky(a))
-
-    @pytest.mark.parametrize("rank", [0, 1, 3])
-    def test_singular_batch_factors_through_eigh(self, rank):
-        """One singular matrix sends the batch to the eigendecomposition;
-        R R^H still rebuilds every matrix, the zero one included."""
-        rng = np.random.default_rng(90 + rank)
-        a = np.stack([random_hpd(rng, 4) for _ in range(3)])
-        v = random_complex(rng, (4, rank))
-        a[1] = v @ v.conj().T
-        r = linalg.psd_factor(a)
-        rebuilt = r @ linalg.hermitian_transpose(r)
-        np.testing.assert_allclose(rebuilt, a, rtol=0, atol=1e-12 * np.abs(a).max())
-        if rank == 0:
-            assert np.abs(r[1]).max() == 0.0
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.psd_factor(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-class TestGevLargestFactored:
-    @pytest.mark.parametrize("m", [2, 3, 5, 8])
-    def test_matches_gev_largest(self, m):
-        rng = np.random.default_rng(100 + m)
-        root = random_complex(rng, (20, m, m))
-        a = root @ linalg.hermitian_transpose(root)
-        b = np.stack([random_hpd(rng, m) for _ in range(20)])
-        value, vector = linalg.gev_largest_factored(root, b)
-        ref_value, ref_vector = linalg.gev_largest(a, b)
-        np.testing.assert_allclose(value, ref_value, rtol=1e-12)
-        inner = np.sum(vector.conj() * ref_vector, axis=-1)
-        np.testing.assert_allclose(np.abs(inner), 1.0, rtol=1e-10)
-
-    def test_batched_matches_loop(self):
-        rng = np.random.default_rng(61)
-        root = random_complex(rng, (12, 3, 2))
-        b = np.stack([random_hpd(rng, 3) for _ in range(12)])
-        values, vectors = linalg.gev_largest_factored(root, b)
-        for i in range(12):
-            vi, ui = linalg.gev_largest_factored(root[i], b[i])
-            assert isinstance(vi, float)
-            np.testing.assert_array_equal(values[i], vi)
-            np.testing.assert_array_equal(vectors[i], ui)
-
-    def test_zero_a_gives_the_first_axis(self):
-        value, vector = linalg.gev_largest_factored(
-            np.zeros((3, 3)), np.diag([4.0, 1.0, 9.0])
-        )
-        assert value == 0.0
-        np.testing.assert_array_equal(vector, [1.0, 0.0, 0.0])
-
-    def test_indefinite_b_raises(self):
-        with pytest.raises(NotPositiveDefinite):
-            linalg.gev_largest_factored(np.eye(2), np.diag([1.0, -1.0]))
-
-
 class TestFirstNonPd:
     def test_one_bad_matrix_in_a_long_batch(self):
         rng = np.random.default_rng(30)
@@ -417,16 +357,70 @@ class TestGevLargest:
             qz = scipy.linalg.eig(a, b)[0]
             np.testing.assert_allclose(value, np.max(qz.real), rtol=1e-8, atol=1e-10)
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_matches_the_solve_oracle(self, m):
+        """One inverse of B's Cholesky factor against the reduction by
+        triangular solves, on positive semidefinite A."""
+        rng = np.random.default_rng(100 + m)
+        root = random_complex(rng, (20, m, m))
+        a = root @ linalg.hermitian_transpose(root)
+        b = np.stack([random_hpd(rng, m) for _ in range(20)])
+        value, vector = linalg.gev_largest(a, b)
+        ref_value, ref_vector = gev_largest_solves(a, b)
+        np.testing.assert_allclose(value, ref_value, rtol=1e-12)
+        inner = np.sum(vector.conj() * ref_vector, axis=-1)
+        np.testing.assert_allclose(np.abs(inner), 1.0, rtol=1e-10)
+
     def test_batched_matches_loop(self):
+        """Bit for bit on an indefinite A, for the kernel and its oracle
+        alike."""
         rng = np.random.default_rng(60)
         a = np.stack([random_hermitian(rng, 3) for _ in range(12)])
         b = np.stack([random_hpd(rng, 3) for _ in range(12)])
-        values, vectors = linalg.gev_largest(a, b)
-        for i in range(12):
-            vi, ui = linalg.gev_largest(a[i], b[i])
-            np.testing.assert_allclose(values[i], vi, rtol=0)
-            np.testing.assert_allclose(vectors[i], ui, rtol=0)
+        for kernel in (linalg.gev_largest, gev_largest_solves):
+            values, vectors = kernel(a, b)
+            for i in range(12):
+                vi, ui = kernel(a[i], b[i])
+                assert isinstance(vi, float)
+                np.testing.assert_array_equal(values[i], vi)
+                np.testing.assert_array_equal(vectors[i], ui)
+
+    def test_zero_a_gives_the_first_axis(self):
+        for kernel in (linalg.gev_largest, gev_largest_solves):
+            value, vector = kernel(np.zeros((3, 3)), np.diag([4.0, 1.0, 9.0]))
+            assert value == 0.0
+            np.testing.assert_array_equal(vector, [1.0, 0.0, 0.0])
 
     def test_indefinite_b_raises(self):
-        with pytest.raises(NotPositiveDefinite):
-            linalg.gev_largest(np.eye(2), np.diag([1.0, -1.0]))
+        for kernel in (linalg.gev_largest, gev_largest_solves):
+            with pytest.raises(NotPositiveDefinite):
+                kernel(np.eye(2), np.diag([1.0, -1.0]))
+
+    def test_non_hermitian_a_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.gev_largest(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+
+
+class TestGevLargestFactored:
+    """gev_largest on pencils whose A arrives as R R^H with R tall or
+    rank-deficient, the shape of ip2's mixture covariance G_z."""
+
+    def test_batched_matches_loop(self):
+        rng = np.random.default_rng(61)
+        root = random_complex(rng, (12, 3, 2))
+        a = root @ linalg.hermitian_transpose(root)
+        b = np.stack([random_hpd(rng, 3) for _ in range(12)])
+        for kernel in (linalg.gev_largest, gev_largest_solves):
+            values, vectors = kernel(a, b)
+            for i in range(12):
+                vi, ui = kernel(a[i], b[i])
+                assert isinstance(vi, float)
+                np.testing.assert_array_equal(values[i], vi)
+                np.testing.assert_array_equal(vectors[i], ui)
+
+    def test_indefinite_b_raises(self):
+        root = np.array([[1.0], [1.0j]])
+        a = root @ linalg.hermitian_transpose(root)
+        for kernel in (linalg.gev_largest, gev_largest_solves):
+            with pytest.raises(NotPositiveDefinite):
+                kernel(a, np.diag([1.0, -1.0]))

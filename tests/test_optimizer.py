@@ -377,7 +377,7 @@ class TestIp2:
         eigenvalue is 4 along e_2, scaled to w^H G_1 w = 1."""
         gz = np.diag([2.0, 8.0]).astype(complex)
         g1 = np.diag([1.0, 2.0]).astype(complex)
-        w = ip2_update(g1, linalg.psd_factor(gz))
+        w = ip2_update(g1, gz)
         np.testing.assert_allclose(np.abs(w), [0.0, 2.0**-0.5], atol=1e-12)
         np.testing.assert_allclose((w.conj() @ g1 @ w).real, 1.0, rtol=1e-12)
 
@@ -385,7 +385,7 @@ class TestIp2:
         rng = np.random.default_rng(14)
         g1 = random_hpd(rng, 3)
         gz = random_hpd(rng, 3)
-        w = ip2_update(g1, linalg.psd_factor(gz))
+        w = ip2_update(g1, gz)
         lam, _ = linalg.gev_largest(gz, g1)
 
         def quotient(u):
@@ -403,7 +403,7 @@ class TestIp2:
         for m in (2, 3, 4):
             for _ in range(7):
                 covs, gz = random_instance(rng, m, 1)
-                w1 = ip2_update(covs[0], linalg.psd_factor(gz))
+                w1 = ip2_update(covs[0], gz)
                 w_eig = with_full_background(w1, gz)
                 w_it = eye_stack(m)
                 for _ in range(100):
@@ -417,18 +417,33 @@ class TestIp2:
         for m in (2, 3, 5):
             g1 = random_hpd(rng, m)
             gz = random_hpd(rng, m)
-            w1 = ip2_update(g1, linalg.psd_factor(gz))
+            w1 = ip2_update(g1, gz)
             w = with_full_background(w1, gz)
             lam, _ = linalg.gev_largest(gz, g1)
             lhs = linalg.logabsdet(w)
             rhs = 0.5 * np.log(lam) - 0.5 * np.linalg.slogdet(gz)[1]
             np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
+    def test_singular_bin_changes_no_other_bin(self):
+        """A copied microphone makes one bin's G_z singular; every other
+        bin's filter is the same bits as from the batch without that
+        bin."""
+        rng = np.random.default_rng(17)
+        m, n_bins, bad = 7, 12, 5
+        x = random_complex(rng, (n_bins, 40, m))
+        x[bad, :, 1] = x[bad, :, 0]
+        gz = model.noise_covariance(x)
+        assert linalg.psd_logdet(gz)[1].tolist() == [f == bad for f in range(n_bins)]
+        g1 = random_hpd_batch(rng, n_bins, m)
+        keep = np.arange(n_bins) != bad
+        w = ip2_update(g1, gz)
+        np.testing.assert_array_equal(w[keep], ip2_update(g1[keep], gz[keep]))
+
     def test_indefinite_target_raises(self):
         gz = np.eye(2, dtype=complex)
         g_bad = np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises((NotPositiveDefinite, Exception)):
-            ip2_update(g_bad, linalg.psd_factor(gz))
+            ip2_update(g_bad, gz)
 
 
 def planted_noise_cov(rng, m, log_cond, rank):
@@ -451,8 +466,9 @@ def phase_aligned_error(w, ref):
 
 
 class TestIp2FactoredProperty:
-    """ip2_update against the pencil oracle that reduces (G_z, G_1) from
-    G_z on every call, over the conditioning and rank of G_z."""
+    """ip2_update against the pencil oracle that reduces (G_z, G_1) by
+    triangular solves against G_1's Cholesky factor, over the
+    conditioning and rank of G_z."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -463,10 +479,9 @@ class TestIp2FactoredProperty:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_pencil_oracle(self, m, log_cond, rank, n_bins, seed):
-        """cond(G_z) from 1 to 1e10, and rank-deficient G_z, on which the
-        factor comes from the eigendecomposition instead of Cholesky. The
-        smallest eigenpair of the pencil whitened by G_z's factor would
-        miss 1e-10 here once cond(G_z) passes about 1e5."""
+        """cond(G_z) from 1 to 1e10, and rank-deficient G_z. The
+        smallest eigenpair of the pencil whitened by a factor of G_z
+        would miss 1e-10 here once cond(G_z) passes about 1e5."""
         rng = np.random.default_rng(seed)
         rank = min(rank, m)
         gz = np.stack(
@@ -478,7 +493,7 @@ class TestIp2FactoredProperty:
             [scipy.linalg.eigh(a, b, eigvals_only=True)[-2:] for a, b in zip(gz, g1)]
         )
         assume(np.all(top2[:, 1] - top2[:, 0] > 1e-3 * top2[:, 1]))
-        w = ip2_update(g1, linalg.psd_factor(gz))
+        w = ip2_update(g1, gz)
         assert phase_aligned_error(w, ip2_update_gev(g1, gz)) <= 1e-10
 
     @settings(max_examples=60, deadline=None)
@@ -498,8 +513,8 @@ class TestIp2FactoredProperty:
         rng = np.random.default_rng(seed)
         gz = planted_noise_cov(rng, m, log_cond, m)
         g1 = c * gz
-        w = ip2_update(g1, linalg.psd_factor(gz))
-        np.testing.assert_array_equal(w, ip2_update(g1, linalg.psd_factor(gz)))
+        w = ip2_update(g1, gz)
+        np.testing.assert_array_equal(w, ip2_update(g1, gz))
         np.testing.assert_allclose((w.conj() @ g1 @ w).real, 1.0, rtol=1e-10)
         np.testing.assert_allclose((w.conj() @ gz @ w).real, 1.0 / c, rtol=1e-10)
 
@@ -511,7 +526,7 @@ class TestIp2FactoredProperty:
         rng = np.random.default_rng(70 + m)
         g1 = random_hpd_batch(rng, 4, m)
         gz = np.zeros_like(g1)
-        w = ip2_update(g1, linalg.psd_factor(gz))
+        w = ip2_update(g1, gz)
         expected = np.zeros((4, m), dtype=complex)
         expected[:, 0] = g1[:, 0, 0].real ** -0.5
         np.testing.assert_allclose(w, expected, rtol=1e-14, atol=1e-14)
@@ -722,7 +737,7 @@ def reference_trace(x, n_targets, method, iterations, singular=()):
         elif method == "ip3":
             w = ip3_sweep(w, covs, sweep_gz)
         elif method == "ip2":
-            w[..., 0] = ip2_update(covs[0], linalg.psd_factor(sweep_gz))
+            w[..., 0] = ip2_update(covs[0], sweep_gz)
         else:
             w = auxiva_sweep(
                 w, covs, inverse(sweep_gz) if n_targets < m else sweep_gz
@@ -759,27 +774,26 @@ def count_calls(monkeypatch, owner, name):
 
 
 class TestRunCallCounts:
-    """G_z is fixed for a run, so run() factors or inverts it once,
-    before the iteration loop."""
+    """G_z is fixed for a run, so run() forms what the sweeps read of it
+    (auxiva's inverse) once, before the iteration loop."""
 
     def make_x(self, n_bins=16, m=4):
         rng = np.random.default_rng(30)
         return planted_scene(rng, n_bins, 60, m)[0]
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_ip2_factors_the_mixture_covariance_once(self, monkeypatch, threads):
-        """One Cholesky of G_z before the loop, then one of G_1 per
-        iteration and chunk; no LU solve until the background completion
-        and projection back after the loop."""
+    def test_ip2_factors_only_the_target_covariances(self, monkeypatch, threads):
+        """One Cholesky of G_1 per iteration and chunk and none of G_z;
+        no LU solve until the background completion and projection back
+        after the loop."""
         x = self.make_x()
         gz = model.noise_covariance(x)
         chol = count_calls(monkeypatch, np.linalg, "cholesky")
         lu = count_calls(monkeypatch, linalg, "lu_solve")
         run(x, 1, RunConfig(method="ip2", iterations=3, threads=threads))
         n_chunks = len(optimizer._bin_chunks(len(x), x.shape[-1], threads))
-        assert len(chol) == 1 + 3 * n_chunks
-        np.testing.assert_array_equal(chol[0][0], gz)
-        for (g1,) in chol[1:]:
+        assert len(chol) == 3 * n_chunks
+        for (g1,) in chol:
             gap = np.abs(g1[:, None] - gz[None]).max(axis=(-2, -1))
             assert gap.min() > 0
         assert len(lu) == 2
@@ -787,15 +801,15 @@ class TestRunCallCounts:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_ip2_steps_through_ip2_update(self, monkeypatch, threads):
         """Each iteration takes ip2's step with one ip2_update call per
-        frequency chunk, over that chunk's slice of G_z's factor."""
+        frequency chunk, over that chunk's slice of G_z itself."""
         x = self.make_x()
-        root = linalg.psd_factor(model.noise_covariance(x))
+        gz = model.noise_covariance(x)
         steps = count_calls(monkeypatch, optimizer, "ip2_update")
         run(x, 1, RunConfig(method="ip2", iterations=3, threads=threads))
         chunks = optimizer._bin_chunks(len(x), x.shape[-1], threads)
         used = sorted(
-            next(i for i, sl in enumerate(chunks) if np.array_equal(r, root[sl]))
-            for _, r in steps
+            next(i for i, sl in enumerate(chunks) if np.array_equal(g, gz[sl]))
+            for _, g in steps
         )
         assert used == sorted(3 * list(range(len(chunks))))
 
@@ -1334,12 +1348,11 @@ class TestRunMemory:
         self, traced_peak, method, k, threads
     ):
         """Above its input, run() holds its results, the stack W, G_z
-        and the sweeps' operand (G_z's factor or inverse; ip1 and ip3
-        read G_z itself), and each sweeping thread one chunk's scratch,
-        under 5 * SCRATCH_BYTES. Here the sweep is 2 chunks of at most
-        1025 bins. Formed over all bins at once, the sweeps' temporaries
-        reached 5.4 to 9.0 MiB above the same state; chunked they reach
-        at most 4.2 MiB (ip2)."""
+        and, for auxiva, G_z's inverse (ip1, ip2 and ip3 read G_z
+        itself), and each sweeping thread one chunk's scratch, under
+        5 * SCRATCH_BYTES. Here the sweep is 2 chunks of at most 1025
+        bins. Formed over all bins at once, the sweeps' temporaries
+        reached 5.4 to 9.0 MiB above the same state."""
         rng = np.random.default_rng(32)
         shape = (self.n_bins, self.n_frames, self.m)
         x = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -1347,7 +1360,7 @@ class TestRunMemory:
         config = RunConfig(method=method, iterations=2, threads=threads)
         res, peak = traced_peak(run, x, k, config)
         stack = res.demixing.matrices.nbytes
-        n_state = 2 if method in ("ip1", "ip3") else 3
+        n_state = 3 if method == "auxiva" else 2
         state = res.mixing.nbytes + res.outputs.nbytes + n_state * stack
         assert peak - state < 5 * threads * stft_module.SCRATCH_BYTES
 

@@ -308,6 +308,20 @@ class TestSynthesis:
             istft(spec, cfg, length=-1)
         assert istft(spec, cfg, length=0).shape == (0, 2)
 
+    @pytest.mark.parametrize("length", [2.5, 100.0, True, "5"])
+    def test_non_integer_length_is_value_error(self, length):
+        cfg = StftConfig(256, 64)
+        spec = np.zeros((129, 10, 2), complex)
+        with pytest.raises(ValueError, match="^length must be an integer, got "):
+            istft(spec, cfg, length=length)
+
+    def test_numpy_integer_length_accepted(self):
+        cfg = StftConfig(256, 64)
+        spec = np.random.default_rng(44).standard_normal((129, 10, 2)) + 0j
+        np.testing.assert_array_equal(
+            istft(spec, cfg, length=np.int64(300)), istft(spec, cfg, length=300)
+        )
+
     def test_short_spectrogram_default_length_is_empty(self):
         """Fewer than frame_len / hop - 1 frames imply no sample of the
         padded convention: the default length is 0, an explicit one still
