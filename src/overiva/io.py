@@ -36,8 +36,8 @@ class AudioBuffer:
 
     sample_rate : Hz, a Python or numpy integer >= 1, stored as a
         Python int (errors.check_number)
-    samples : (n_samples, n_channels) float64; 1-D input is promoted to
-        a single channel
+    samples : (n_samples, n_channels) float64 with n_channels >= 1; 1-D
+        input is promoted to a single channel
     """
 
     sample_rate: int
@@ -51,6 +51,8 @@ class AudioBuffer:
             raise ShapeMismatch(
                 f"samples must be (n,) or (n, channels), got {x.shape}"
             )
+        if x.shape[1] == 0:
+            raise ValueError(f"samples must have at least one channel, got {x.shape}")
         rate = check_number("sample_rate", self.sample_rate, integer=True)
         if rate < 1:
             raise ValueError(f"sample_rate must be >= 1, got {rate}")
@@ -147,13 +149,40 @@ def read_wav(path):
     return AudioBuffer(sample_rate, flat.reshape(-1, n_channels))
 
 
+def _check_header(buffer, sample_bytes, header_bytes):
+    """Raise ValueError naming the first WAV header field of buffer that
+    its unsigned field cannot hold: channel count and block align take
+    16 bits, sample rate, byte rate and data size 32. The data size must
+    also leave room for the header_bytes the RIFF size counts besides."""
+    channels, rate = buffer.n_channels, buffer.sample_rate
+    fields = (
+        ("channel count", channels, 0xFFFF),
+        ("sample rate", rate, 0xFFFFFFFF),
+        ("byte rate", rate * channels * sample_bytes, 0xFFFFFFFF),
+        ("block align", channels * sample_bytes, 0xFFFF),
+        ("data size", buffer.n_samples * channels * sample_bytes,
+         0xFFFFFFFF - header_bytes),
+    )
+    for name, value, limit in fields:
+        if value > limit:
+            raise ValueError(
+                f"WAV {name} {value} does not fit its header field (max {limit})"
+            )
+
+
 def write_wav(path, buffer, sample_format="float32"):
     """Write an AudioBuffer as PCM16 or IEEE float32 (default) WAV.
 
     float32 output stores samples verbatim, so values that originated as
     float32 round-trip bit-exactly; pcm16 output clamps and quantizes.
+    A buffer whose header does not fit the format's fields raises
+    ValueError naming the field (_check_header) before path is opened.
     """
+    # The RIFF size counts "WAVE" (4 bytes), the fmt chunk (26 for
+    # float32, 24 for pcm16), float32's fact chunk (12) and the data
+    # chunk's header (8) besides the samples.
     if sample_format == "float32":
+        _check_header(buffer, 4, 4 + 26 + 12 + 8)
         payload = buffer.samples.astype("<f4").tobytes()
         bits = 32
         fmt_body = struct.pack(
@@ -168,6 +197,7 @@ def write_wav(path, buffer, sample_format="float32"):
         )
         fact = struct.pack("<4sII", b"fact", 4, buffer.n_samples)
     elif sample_format == "pcm16":
+        _check_header(buffer, 2, 4 + 24 + 8)
         payload = quantize_pcm16(buffer.samples).astype("<i2").tobytes()
         bits = 16
         fmt_body = struct.pack(

@@ -4,10 +4,11 @@ Four schedules share the same per-bin building blocks:
 
 - ``auxiva``: iterative-projection row updates cycled over all M outputs,
   with the unweighted mixture covariance standing in for the background
-  rows. W^{-H} is inverted once per sweep and kept current by a rank-one
-  update after each row, so a sweep costs K + 1 batched LU solves (one of
-  W^H, one per target) plus O(M^2) work per row and bin; the inverse of
-  the mixture covariance is formed once per run. All M - K background
+  rows. W^{-H} is carried across sweeps, kept current by a rank-one
+  update after each row and solved afresh from W once every
+  AUXIVA_REFRESH_SWEEPS sweeps, so a sweep costs K batched LU solves (one
+  per target) plus O(M^2) work per row and bin; the inverse of the
+  mixture covariance is formed once per run. All M - K background
   rows share that covariance, so for K < M the iterates equal ip1's up
   to rounding: this is ip1 reached by M - K row updates instead of one
   block update, not a determined-IVA baseline.
@@ -22,7 +23,9 @@ Four schedules share the same per-bin building blocks:
   target, keeping the background orthogonally constrained throughout.
 
 All update functions are pure: they take stacked arrays with leading
-batch axes (one entry per frequency bin) and return new arrays.
+batch axes (one entry per frequency bin) and return new arrays. The one
+exception is the W^{-H} that auxiva_sweep carries, which it updates in
+place, so that run() holds it once with no chunk-sized copy beside it.
 
 Each iteration starts from the target variances, the mean over bins of
 |w_k^H x|^2 floored at eps1 (model.update_variances, once per
@@ -43,8 +46,9 @@ the same in any chunk, so no output depends on the chunking.
 _schedule is the one place where a method's operand, sweep and finish
 live; run() compares no Method. G_z does not change during a run, so
 run() forms the operand (G_z itself, or its inverse for auxiva) once,
-before the loop, and hands each frequency chunk its slice; it frees the
-operand before the finish, and G_z before projection_back. Silent bins
+before the loop, and hands each frequency chunk its slice, with its
+slice of auxiva's carried W^{-H}; it frees the operand before the
+finish, and W^{-H} and G_z before projection_back. Silent bins
 (all-zero input, G_z = 0) take the same sweep as every other bin, with
 G_z read as the identity there; their images are zero whatever the
 filters.
@@ -70,8 +74,9 @@ written by matmul straight into place (no (F, T) transient). No
 factors (stft.RankOneImage), and SeparationResult.images forms the
 dense stack only when read. auxiva first reorders the stack's columns
 so the K outputs with the most powerful images lead (_auxiva_order),
-ranked from G_z without demixing all M outputs; its image factors then
-come from projection_back like every other method's.
+ranked from G_z and the carried W^{-H} without demixing all M outputs
+or solving again; its image factors then come from projection_back like
+every other method's.
 """
 
 from __future__ import annotations
@@ -114,6 +119,16 @@ DEFAULT_ITERATIONS = {
     Method.IP2: 3,
     Method.IP3: 50,
 }
+
+# auxiva carries W^{-H} across sweeps by rank-one updates and solves it
+# afresh from W once every this many sweeps. Over 200 iterations on each
+# perfbench workload's scene (0, 0) at K = M, against a solve in every
+# sweep, relative to the largest image: without a refresh the images
+# moved by 1.9e-2 to 1.7e2; refreshed every 8 sweeps, by 1.1e-11 to
+# 6.1e-11, where a relative 1e-15 perturbation of the input moves the
+# solve-every-sweep images by 1.6e-11 to 5.0e-11. At the workloads' own
+# K < M, both moves stay below 4.3e-14.
+AUXIVA_REFRESH_SWEEPS = 8
 
 
 @dataclass(frozen=True)
@@ -293,7 +308,21 @@ def ip3_sweep(w_stack, target_covs, noise_cov):
     return w
 
 
-def auxiva_sweep(w_stack, target_covs, noise_inv):
+def _require_inverse(inverse, w):
+    """Raise SingularMatrix at the first batch entry where inverse, taken
+    for (W^H)^{-1}, fails lu_solve's rule for a solve of W^H against the
+    identity: max|A| max|W| SINGULARITY_RTOL <= 1 (a NaN fails)."""
+    ok = (
+        np.abs(inverse).max(axis=(-2, -1))
+        * np.abs(w).max(axis=(-2, -1))
+        * linalg.SINGULARITY_RTOL
+        <= 1.0
+    )
+    if not np.all(ok):
+        raise linalg._singular(linalg._first(~ok.ravel()))
+
+
+def auxiva_sweep(w_stack, target_covs, noise_inv, inverse):
     """One determined-style sweep over all M rows.
 
     Rows past the targets use the unweighted mixture covariance as their
@@ -301,11 +330,14 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
 
     Each row takes ip0_update_row's update, w_k = u / sqrt(q) with
     u = G^{-1} a_k, a_k = W^{-H} e_k and q = a_k^H u, without its LU
-    solve of W^H G. A = W^{-H} comes from one LU solve at the start of
-    the sweep and follows each new column by a rank-one (Sherman-Morrison)
-    update; the noise rows share noise_inv, the inverse of G_z,
-    (..., M, M), which run() forms once per run (it is not read when
-    K = M). Per sweep that is K + 1 batched LU solves instead of M.
+    solve of W^H G. inverse is A = W^{-H} of w_stack, (..., M, M), as
+    the last sweep left it (run() carries it across sweeps); it must
+    pass lu_solve's singularity rule against W, else SingularMatrix. A
+    follows each new column by a rank-one (Sherman-Morrison) update, in
+    place, so it leaves the sweep as the new stack's W^{-H}. The noise
+    rows share noise_inv, the inverse of G_z, (..., M, M), which run()
+    forms once per run (it is not read when K = M). A sweep therefore
+    makes K batched LU solves, one per target, instead of M.
 
     Returns the updated stack. Each noise row is solved from
     W^H G_z w_j = e_j (up to its scale) after every target, and each
@@ -315,11 +347,10 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
     the same formula as every method's (_bin_cost).
     """
     w = np.array(w_stack, copy=True)
-    m = w.shape[-1]
+    _require_inverse(inverse, w)
     n_targets = target_covs.shape[0]
-    a = linalg.lu_solve(hermitian_transpose(w), np.eye(m))
-    for k in range(m):
-        ak = a[..., :, k, None]
+    for k in range(w.shape[-1]):
+        ak = inverse[..., :, k, None]
         if k < n_targets:
             u = linalg.lu_solve(target_covs[k], ak)
         else:
@@ -328,10 +359,9 @@ def auxiva_sweep(w_stack, target_covs, noise_inv):
         _require_positive(q, "normalization quadratic is not positive")
         root = np.sqrt(q)[..., None, None]
         new = u / root
-        if k < m - 1:
-            # W^H changes by e_k d^H, and w_k,new^H a_k = sqrt(q).
-            d = new - w[..., :, k, None]
-            a -= (ak / root) @ (hermitian_transpose(d) @ a)
+        # W^H changes by e_k d^H, and w_k,new^H a_k = sqrt(q).
+        d = new - w[..., :, k, None]
+        inverse -= (ak / root) @ (hermitian_transpose(d) @ inverse)
         w[..., :, k] = new[..., 0]
     return w
 
@@ -441,42 +471,46 @@ def _unmask(exc, mask):
 
 
 def _schedule(method, n_targets):
-    """What run() does differently per method: (operand, sweep, finish).
-    Built per call, so run() calls the module's functions as they are
-    bound when it starts (a tracer's or a test's wrapper).
+    """What run() does differently per method: (operand, sweep, finish,
+    carries). Built per call, so run() calls the module's functions as
+    they are bound when it starts (a tracer's or a test's wrapper).
 
     operand(sweep_cov): what the sweeps read of the fixed G_z, formed
     once per run: sweep_cov itself (ip1, ip2, ip3), or its inverse for
     auxiva's background rows (sweep_cov, unread, when K = M).
-    sweep(w, target_covs, noise): one sweep of a chunk, noise being its
-    slice of the operand; returns the new stack.
-    finish(w, sweep_cov, noise_cov): once after the loop, the stack whose
-    leading K columns projection_back maps to the images. ip2 fills its
-    background block; auxiva puts its K most powerful outputs first
-    (_auxiva_order).
+    carries: whether the sweeps carry A = W^{-H} (auxiva). run() then
+    holds A, from the identity like W, and solves it fresh from W once
+    every AUXIVA_REFRESH_SWEEPS sweeps.
+    sweep(w, target_covs, noise[, inverse]): one sweep of a chunk, noise
+    being its slice of the operand and inverse its slice of A, which the
+    sweep updates in place; returns the new stack.
+    finish(w, inverse, sweep_cov, noise_cov): once after the loop, the
+    stack whose leading K columns projection_back maps to the images
+    (inverse is None unless carried). ip2 fills its background block;
+    auxiva puts its K most powerful outputs first (_auxiva_order).
     """
     if method is Method.AUXIVA:
-        def inverse(cov):
+        def noise_inverse(cov):
             eye = np.eye(cov.shape[-1])
             return cov if n_targets == len(eye) else linalg.lu_solve(cov, eye)
 
-        def reorder(w, sweep_cov, noise_cov):
-            return w[:, :, _auxiva_order(w, noise_cov, n_targets)]
+        def reorder(w, inverse, sweep_cov, noise_cov):
+            return w[:, :, _auxiva_order(w, inverse, noise_cov, n_targets)]
 
-        return inverse, auxiva_sweep, reorder
+        return noise_inverse, auxiva_sweep, reorder, True
     if method is Method.IP2:
         def ip2_sweep(w, target_covs, noise_cov):
             out = np.array(w, copy=True)
             out[..., :, 0] = ip2_update(target_covs[0], noise_cov)
             return out
 
-        def complete(w, sweep_cov, noise_cov):
+        def complete(w, inverse, sweep_cov, noise_cov):
             w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
             return w
 
-        return (lambda cov: cov), ip2_sweep, complete
+        return (lambda cov: cov), ip2_sweep, complete, False
     sweep = ip1_sweep if method is Method.IP1 else ip3_sweep
-    return (lambda cov: cov), sweep, (lambda w, *_: w)
+    return (lambda cov: cov), sweep, (lambda w, *_: w), False
 
 
 def _bin_cost(w, n_targets, ridge, offset, noise_cov, profiled):
@@ -556,7 +590,10 @@ def run(x, n_targets, config=RunConfig()):
     as its two rank-one factors (SeparationResult).
     For the auxiva baseline all M outputs are updated and the n_targets
     with the most powerful images are kept; the returned stack's columns
-    are reordered so the kept filters come first.
+    are reordered so the kept filters come first. auxiva's sweeps carry
+    W^{-H} from the identity: run() scales its target columns by the
+    reciprocals of W's per-iteration scales and solves it afresh from W
+    at every AUXIVA_REFRESH_SWEEPS-th sweep, in each chunk's slice.
 
     Parameters
     ----------
@@ -581,7 +618,7 @@ def run(x, n_targets, config=RunConfig()):
     if not isinstance(x, Spectrogram):
         _require_finite(data)
     n_targets = check_targets(config.method, n_targets, n_chan)
-    operand, sweep, finish = _schedule(config.method, n_targets)
+    operand, sweep, finish, carries = _schedule(config.method, n_targets)
 
     t0 = time.perf_counter()
     pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
@@ -606,22 +643,33 @@ def run(x, n_targets, config=RunConfig()):
         profiled = ~singular
         offset = np.where(profiled, logdet + n_chan - n_targets, 0.0)
         bin_cost = np.empty(n_bins)
-        w = np.tile(np.eye(n_chan, dtype=np.complex128), (n_bins, 1, 1))
+        eye = np.eye(n_chan, dtype=np.complex128)
+        w = np.tile(eye, (n_bins, 1, 1))
+        # W^{-H}, exact at the start: W is the identity.
+        inverse = w.copy() if carries else None
         chunks = _bin_chunks(n_bins, n_chan, config.threads)
         cost_trace = []
 
-        for _ in range(config.iterations):
+        for it in range(config.iterations):
             lam = model.update_variances(data, w[:, :, :n_targets], config.eps1)
+            refresh = carries and it > 0 and it % AUXIVA_REFRESH_SWEEPS == 0
 
-            def stage_sweep(sl, lam=lam):
-                covs = np.empty(
-                    (n_targets, sl.stop - sl.start, n_chan, n_chan),
-                    dtype=np.complex128,
-                )
-                for k in range(n_targets):
-                    covs[k] = model.weighted_covariance(data[sl], lam[k], config.eps2)
+            def stage_sweep(sl, lam=lam, refresh=refresh):
                 try:
-                    w[sl] = sweep(w[sl], covs, noise[sl])
+                    # Before the covariances exist, so that the solve's
+                    # scratch does not add to theirs.
+                    if refresh:
+                        inverse[sl] = linalg.lu_solve(hermitian_transpose(w[sl]), eye)
+                    covs = np.empty(
+                        (n_targets, sl.stop - sl.start, n_chan, n_chan),
+                        dtype=np.complex128,
+                    )
+                    for k in range(n_targets):
+                        covs[k] = model.weighted_covariance(
+                            data[sl], lam[k], config.eps2
+                        )
+                    carried = (inverse[sl],) if carries else ()
+                    w[sl] = sweep(w[sl], covs, noise[sl], *carried)
                     bin_cost[sl] = _bin_cost(
                         w[sl], n_targets, config.eps2, offset[sl],
                         noise_cov[sl], profiled[sl],
@@ -635,20 +683,23 @@ def run(x, n_targets, config=RunConfig()):
                 float(n_frames * bin_cost.sum() + n_bins * np.sum(np.log(lam)))
             )
             # One target at a time: a strided (F, M, K) view scaled in
-            # place is copied first, the operands overlapping.
+            # place is copied first, the operands overlapping. W^{-H}
+            # takes the reciprocal scales.
             for k, scale in enumerate(lam.mean(axis=1) ** -0.5):
                 w[:, :, k] *= scale
+                if carries:
+                    inverse[:, :, k] /= scale
 
         # Each (F, M, M) operand is freed once its last reader is done
         # (del clears stage_sweep's cells too): the sweeps' operand before
-        # finish, G_z and its silent-bin copy before projection_back
-        # allocates the output spectra.
+        # finish, W^{-H}, G_z and its silent-bin copy before
+        # projection_back allocates the output spectra.
         del noise
         try:
-            w = finish(w, sweep_cov, noise_cov)
+            w = finish(w, inverse, sweep_cov, noise_cov)
         except NumericalError as exc:
             raise _shift_bin(exc, 0) from None
-        del noise_cov, sweep_cov
+        del inverse, noise_cov, sweep_cov
         mixing, outputs = projection_back(w, data, n_targets)
     finally:
         if pool is not None:
@@ -663,18 +714,18 @@ def run(x, n_targets, config=RunConfig()):
     )
 
 
-def _auxiva_order(w, noise_cov, n_targets):
+def _auxiva_order(w, inverse, noise_cov, n_targets):
     """Column order that puts the n_targets outputs with the most powerful
     images first (ties to the lowest index), then the rest in order.
 
     In bin f, output j's image has power |a_j|^2 sum_t |w_j^H x_t|^2
-    = T |a_j|^2 w_j^H G_z w_j, with a_j = W^{-H} e_j and G_z = noise_cov;
-    T is the same for every output and is left out, and no output is
-    demixed.
+    = T |a_j|^2 w_j^H G_z w_j, with a_j = W^{-H} e_j, the column j of
+    inverse (the A that run() carried), and G_z = noise_cov; T is the
+    same for every output and is left out. No output is demixed and no
+    system is solved.
     """
     n_chan = w.shape[-1]
-    mixing = linalg.lu_solve(hermitian_transpose(w), np.eye(n_chan))
-    filter_pow = np.sum(np.abs(mixing) ** 2, axis=-2)
+    filter_pow = np.sum(np.abs(inverse) ** 2, axis=-2)
     output_pow = _quad(np.moveaxis(w, -1, 0), noise_cov).T
     powers = np.sum(filter_pow * output_pow, axis=0)
     picked = _top_indices(powers, n_targets)

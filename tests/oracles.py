@@ -7,10 +7,11 @@ fully normalized background explicitly (update_wz_full), so tests can
 check the objective and the stationarity conditions on the whole stack.
 cost_jw and gradient_jw_row are the per-bin surrogate objective and its
 gradient, which no run path evaluates. weighted_covariance_unblocked,
-update_variances_unblocked, auxiva_sweep_ip0, gev_largest_solves,
-ip2_update_gev, auxiva_order_demixed, windowed_frames, stft_unblocked and
-istft_unblocked are the earlier, plainer forms of run-path kernels,
-which the faster forms must reproduce. demix and projection_back_image
+update_variances_unblocked, auxiva_sweep_ip0, auxiva_sweep_solved,
+gev_largest_solves, ip2_update_gev, auxiva_order_demixed,
+windowed_frames, stft_unblocked and istft_unblocked are the earlier,
+plainer forms of run-path kernels, which the faster forms must
+reproduce. demix and projection_back_image
 form the dense outputs and images that run() never holds whole.
 """
 
@@ -172,6 +173,32 @@ def auxiva_sweep_ip0(w_stack, target_covs, noise_cov):
     for k in range(w.shape[-1]):
         cov = target_covs[k] if k < n_targets else noise_cov
         w[..., :, k] = ip0_update_row(w, cov, k)
+    return w
+
+
+def auxiva_sweep_solved(w_stack, target_covs, noise_inv):
+    """optimizer.auxiva_sweep solving A = W^{-H} afresh at the start of
+    every sweep, with one LU solve of W^H, instead of carrying it across
+    sweeps: K + 1 batched LU solves per sweep. Returns the new stack."""
+    w = np.array(w_stack, copy=True)
+    m = w.shape[-1]
+    n_targets = target_covs.shape[0]
+    a = linalg.lu_solve(linalg.hermitian_transpose(w), np.eye(m))
+    for k in range(m):
+        ak = a[..., :, k, None]
+        if k < n_targets:
+            u = linalg.lu_solve(target_covs[k], ak)
+        else:
+            u = noise_inv @ ak
+        q = (linalg.hermitian_transpose(ak) @ u)[..., 0, 0].real
+        _require_positive(q, "normalization quadratic is not positive")
+        root = np.sqrt(q)[..., None, None]
+        new = u / root
+        if k < m - 1:
+            # W^H changes by e_k d^H, and w_k,new^H a_k = sqrt(q).
+            d = new - w[..., :, k, None]
+            a -= (ak / root) @ (linalg.hermitian_transpose(d) @ a)
+        w[..., :, k] = new[..., 0]
     return w
 
 

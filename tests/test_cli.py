@@ -195,6 +195,24 @@ class TestSeparate:
         assert "frame 1234, channel 1" in err
         assert not (tmp_path / "out").exists()
 
+    def test_rate_beyond_the_output_header_is_usage_error(self, tmp_path, capsys):
+        """An input at 2**31 Hz reads back, but its float32 images' byte
+        rate, 2**31 * 2 * 4, does not fit the WAV header: a usage error
+        naming the field, not a struct.error escaping main."""
+        rng = np.random.default_rng(1)
+        wav = tmp_path / "fast.wav"
+        write_wav(wav, AudioBuffer(8000, 0.1 * rng.standard_normal((4096, 2))))
+        raw = bytearray(wav.read_bytes())
+        raw[24:28] = (2**31).to_bytes(4, "little")
+        wav.write_bytes(bytes(raw))
+        assert read_wav(wav).sample_rate == 2**31
+        code = main(
+            ["separate", "--input", str(wav), "--sources", "1", "--method",
+             "ip2", "--frame-len", "512", "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_USAGE
+        assert "WAV byte rate" in capsys.readouterr().err
+
     def test_singular_mixture_is_numerical_error(self, tmp_path, capsys):
         """Identical channels with no ridge make the per-bin systems
         singular; the failure names the frequency bin."""

@@ -43,6 +43,13 @@ class TestAudioBuffer:
         assert read_wav(tmp_path / "x.wav").sample_rate == 8000
 
 
+    def test_zero_channels_is_value_error(self):
+        """A buffer with no channel has no WAV form: read_wav rejects a
+        header with zero channels as CorruptFile."""
+        with pytest.raises(ValueError, match="at least one channel"):
+            AudioBuffer(16000, np.zeros((10, 0)))
+
+
 class TestQuantize:
     def test_rounds_half_away_from_zero(self):
         x = np.array([0.5 / 32768, -0.5 / 32768, 1.5 / 32768, -1.5 / 32768])
@@ -148,6 +155,54 @@ class TestHeaderLayout:
         assert len(raw) % 2 == 0
         got = read_wav(path)
         assert got.n_samples == 3
+
+
+class TestHeaderFit:
+    """A header field that its unsigned field cannot hold is refused with
+    a ValueError naming it, before the path is opened (the directory
+    does not exist, so an attempt to open would raise IoFailure)."""
+
+    @pytest.mark.parametrize(
+        "rate, channels, sample_format, field",
+        [
+            (2**32, 1, "pcm16", "sample rate"),
+            (2**31, 2, "float32", "byte rate"),
+            (2**31, 1, "pcm16", "byte rate"),
+            (16000, 20000, "float32", "block align"),
+            (16000, 40000, "pcm16", "block align"),
+            (8000, 70000, "pcm16", "channel count"),
+        ],
+    )
+    def test_field_that_does_not_fit_is_value_error(
+        self, tmp_path, rate, channels, sample_format, field
+    ):
+        buf = AudioBuffer(rate, np.zeros((4, channels)))
+        path = tmp_path / "no" / "dir.wav"
+        with pytest.raises(ValueError, match=f"^WAV {field} "):
+            write_wav(path, buf, sample_format=sample_format)
+
+    @pytest.mark.parametrize("sample_format, width", [("float32", 4), ("pcm16", 2)])
+    def test_data_size_that_does_not_fit_is_value_error(
+        self, tmp_path, sample_format, width
+    ):
+        """The RIFF size counts the header besides the samples, so the
+        largest data size is a few bytes below 2**32 - 1. The samples are
+        a broadcast view: no payload is formed."""
+        n = 2**32 // width
+        buf = AudioBuffer(8000, np.broadcast_to(np.zeros(1), (n, 1)))
+        with pytest.raises(ValueError, match="^WAV data size "):
+            write_wav(tmp_path / "no" / "dir.wav", buf, sample_format=sample_format)
+
+    def test_largest_fields_that_fit_are_written(self, tmp_path):
+        """16383 float32 channels nearly fill the block align field, and
+        the largest rate whose byte rate fits then fills that field;
+        read_wav takes both back."""
+        channels = 0xFFFF // 4
+        rate = 0xFFFFFFFF // (4 * channels)
+        path = tmp_path / "wide.wav"
+        write_wav(path, AudioBuffer(rate, np.zeros((4, channels))))
+        got = read_wav(path)
+        assert (got.sample_rate, got.samples.shape) == (rate, (4, channels))
 
 
 class TestErrors:

@@ -40,6 +40,7 @@ from overiva.stft import Spectrogram
 from oracles import (
     auxiva_order_demixed,
     auxiva_sweep_ip0,
+    auxiva_sweep_solved,
     cost_jw,
     ip1_full_sweep,
     ip2_update_gev,
@@ -78,8 +79,22 @@ def eye_stack(m, batch=()):
 
 
 def inverse(g):
-    """G_z^{-1}, the operand auxiva_sweep takes for its noise rows."""
+    """G^{-1}: of G_z, the operand auxiva_sweep takes for its noise rows,
+    and of W^H, the A = W^{-H} it carries."""
     return linalg.lu_solve(g, np.eye(g.shape[-1]))
+
+
+def carried_sweeps(w, target_covs, noise_inv, n_sweeps):
+    """The stacks after each of n_sweeps auxiva_sweep calls from w, which
+    carry A = W^{-H} from one sweep to the next as run() does: solved
+    from w at the start (I when w is I) and afresh every
+    AUXIVA_REFRESH_SWEEPS sweeps."""
+    a = inverse(linalg.hermitian_transpose(w))
+    for i in range(n_sweeps):
+        if i > 0 and i % optimizer.AUXIVA_REFRESH_SWEEPS == 0:
+            a = inverse(linalg.hermitian_transpose(w))
+        w = auxiva_sweep(w, target_covs, noise_inv, a)
+        yield w
 
 
 def span_projector(u):
@@ -267,10 +282,8 @@ class TestSweeps:
         rng = np.random.default_rng(10)
         covs, gz = random_instance(rng, 3, 2)
         wa = eye_stack(3)
-        wb = eye_stack(3)
-        for _ in range(10):
+        for wb in carried_sweeps(eye_stack(3), covs, inverse(gz), 10):
             wa = ip1_full_sweep(wa, covs, gz)
-            wb = auxiva_sweep(wb, covs, inverse(gz))
             np.testing.assert_allclose(wa, wb, atol=1e-12)
 
     def test_ip3_equals_ip1_fast_single_target(self):
@@ -319,7 +332,7 @@ class TestSweeps:
         covs = np.stack([random_hpd_batch(rng, n_bins, m) for _ in range(k)])
         gz = random_hpd_batch(rng, n_bins, m)
         w = eye_stack(m, (n_bins,)) + random_complex(rng, (n_bins, m, m), 0.3)
-        w = auxiva_sweep(w, covs, inverse(gz))
+        w = auxiva_sweep(w, covs, inverse(gz), inverse(w.conj().transpose(0, 2, 1)))
         gram = w.conj().transpose(0, 2, 1) @ gz @ w
         power = np.sqrt(np.einsum("fii->fi", gram).real)
         corr = gram / (power[:, :, None] * power[:, None, :])
@@ -330,9 +343,10 @@ class TestSweeps:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_auxiva_sweep_matches_row_by_row_oracle(self, m):
-        """The rank-one tracking of W^{-H} stays within 1e-12 of M plain
-        row solves per sweep over 25 sweeps, for every K (K = M has no
-        noise rows) and F from 1 to 7."""
+        """The rank-one tracking of W^{-H}, carried across 25 sweeps with
+        run()'s refresh rule, stays within 1e-12 of M plain row solves
+        per sweep, for every K (K = M has no noise rows) and F from 1
+        to 7."""
         rng = np.random.default_rng(100 + m)
         for k in range(1, m + 1):
             for n_bins in range(1, 8):
@@ -340,32 +354,65 @@ class TestSweeps:
                     [random_hpd_batch(rng, n_bins, m) for _ in range(k)]
                 )
                 gz = random_hpd_batch(rng, n_bins, m)
-                wa = eye_stack(m, (n_bins,))
+                start = eye_stack(m, (n_bins,))
+                *_, wa = carried_sweeps(start, covs, inverse(gz), 25)
                 wb = eye_stack(m, (n_bins,))
                 for _ in range(25):
-                    wa = auxiva_sweep(wa, covs, inverse(gz))
                     wb = auxiva_sweep_ip0(wb, covs, gz)
                 rel = np.abs(wa - wb).max() / np.abs(wb).max()
                 assert rel <= 1e-12, (m, k, n_bins, rel)
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_auxiva_sweep_from_a_solved_inverse_is_the_solving_sweep(self, k):
+        """Handed A = W^{-H} from the LU solve that the per-sweep-solving
+        sweep makes itself, auxiva_sweep returns that sweep's stack bit
+        for bit, and leaves A, updated in place, the new stack's W^{-H}
+        within 1e-12 of the largest entry of a fresh solve."""
+        rng = np.random.default_rng(15)
+        m, n_bins = 4, 6
+        covs = np.stack([random_hpd_batch(rng, n_bins, m) for _ in range(k)])
+        gz = random_hpd_batch(rng, n_bins, m)
+        w = eye_stack(m, (n_bins,)) + random_complex(rng, (n_bins, m, m), 0.3)
+        noise_inv = inverse(gz) if k < m else gz
+        a = inverse(w.conj().transpose(0, 2, 1))
+        got = auxiva_sweep(w, covs, noise_inv, a)
+        np.testing.assert_array_equal(got, auxiva_sweep_solved(w, covs, noise_inv))
+        fresh = inverse(got.conj().transpose(0, 2, 1))
+        assert np.abs(a - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
     def test_auxiva_sweep_singular_stack_names_bin(self):
-        """Only bin 2's stack is singular to rounding: its W^{-H} solve
-        fails there, with the bin's batch index."""
+        """Only bin 2's stack is singular to rounding: its carried W^{-H}
+        fails lu_solve's rule there, max|A| max|W| SINGULARITY_RTOL <= 1,
+        with the bin's batch index, as the solve of W^H in the
+        per-sweep-solving sweep does."""
         rng = np.random.default_rng(14)
         covs, gz = random_instance(rng, 4, 2)
         w = eye_stack(4, (5,)) + 0.1 * random_complex(rng, (5, 4, 4))
         w[2, :, 3] = w[2, :, 1] + 1e-17 * random_complex(rng, 4)
+        a = np.linalg.inv(w.conj().transpose(0, 2, 1))
         with pytest.raises(SingularMatrix) as info:
-            auxiva_sweep(w, covs, inverse(gz))
+            auxiva_sweep(w, covs, inverse(gz), a)
         assert info.value.batch_index == 2
+        with pytest.raises(SingularMatrix) as info:
+            auxiva_sweep_solved(w, covs, inverse(gz))
+        assert info.value.batch_index == 2
+
+    def test_auxiva_sweep_non_finite_inverse_names_bin(self):
+        """A NaN in the carried W^{-H} fails the same rule."""
+        rng = np.random.default_rng(16)
+        covs, gz = random_instance(rng, 3, 1)
+        w = eye_stack(3, (4,))
+        a = eye_stack(3, (4,))
+        a[3, 0, 1] = np.nan
+        with pytest.raises(SingularMatrix) as info:
+            auxiva_sweep(w, covs, inverse(gz), a)
+        assert info.value.batch_index == 3
 
     def test_auxiva_sweep_monotone(self):
         rng = np.random.default_rng(13)
         covs, gz = random_instance(rng, 4, 2)
-        w = eye_stack(4)
-        prev = cost_jw(w, covs, gz)
-        for _ in range(30):
-            w = auxiva_sweep(w, covs, inverse(gz))
+        prev = cost_jw(eye_stack(4), covs, gz)
+        for w in carried_sweeps(eye_stack(4), covs, inverse(gz), 30):
             cur = cost_jw(w, covs, gz)
             assert cur <= prev + 1e-12
             prev = cur
@@ -677,8 +724,9 @@ class TestPickTopK:
             x[:2] = 0
             w = random_complex(rng, (16, m, m), 0.3) + np.eye(m)
             gz = model.noise_covariance(x)
+            a = inverse(w.conj().transpose(0, 2, 1))
             for k in range(1, m + 1):
-                order = optimizer._auxiva_order(w, gz, k)
+                order = optimizer._auxiva_order(w, a, gz, k)
                 assert order == auxiva_order_demixed(w, x, k)
                 orders.add(tuple(order))
         assert len(orders) > 1
@@ -739,7 +787,7 @@ def reference_trace(x, n_targets, method, iterations, singular=()):
         elif method == "ip2":
             w[..., 0] = ip2_update(covs[0], sweep_gz)
         else:
-            w = auxiva_sweep(
+            w = auxiva_sweep_solved(
                 w, covs, inverse(sweep_gz) if n_targets < m else sweep_gz
             )
         scale = lam.mean(axis=1)
@@ -751,6 +799,27 @@ def reference_trace(x, n_targets, method, iterations, singular=()):
             )
         trace.append(model.cost_total(full, lam / scale[:, None], x))
     return np.array(trace)
+
+
+def reference_auxiva_images(x, n_targets, iterations):
+    """auxiva's (K, F, T, M) images from a plain run() loop on an input
+    with no silent bin, whose sweeps solve W^{-H} afresh every time
+    (auxiva_sweep_solved), ranked by demixing all M outputs."""
+    n_bins, _, m = x.shape
+    gz = model.noise_covariance(x)
+    noise_inv = inverse(gz) if n_targets < m else gz
+    w = eye_stack(m, (n_bins,))
+    for _ in range(iterations):
+        lam = update_variances_unblocked(
+            (x @ np.conj(w[..., :n_targets])).transpose(2, 0, 1)
+        )
+        covs = np.stack(
+            [model.weighted_covariance(x, lam[k]) for k in range(n_targets)]
+        )
+        w = auxiva_sweep_solved(w, covs, noise_inv)
+        w[..., :n_targets] *= lam.mean(axis=1) ** -0.5
+    w = w[:, :, auxiva_order_demixed(w, x, n_targets)]
+    return np.stack([projection_back_image(w, x, j) for j in range(n_targets)])
 
 
 def image_sdr(est, ref):
@@ -931,19 +1000,20 @@ class TestRunCallCounts:
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_auxiva_lu_solves(self, monkeypatch, k):
-        """K + 1 batched LU solves per sweep (W^H and one per target), one
-        for G_z^{-1} when there are background rows, one for the mixing
-        matrix that ranks the outputs (_auxiva_order), and one for the K
-        mixing columns (projection_back); silent bins (0-1 in the second
-        input) take the same sweep and add none."""
+        """K batched LU solves per sweep (one per target), one for
+        G_z^{-1} when there are background rows, one for the K mixing
+        columns (projection_back), and one of W^H per refresh of the
+        carried W^{-H}, at sweeps 8 and 16; _auxiva_order ranks from the
+        carried inverse and solves nothing. Silent bins (0-1 in the
+        second input) take the same sweep and add none."""
         x = self.make_x()
         quiet = x.copy()
         quiet[:2] = 0
         lu = count_calls(monkeypatch, linalg, "lu_solve")
-        for data in (x, quiet):
+        for data, iterations, refreshes in ((x, 5, 0), (quiet, 5, 0), (x, 17, 2)):
             lu.clear()
-            run(data, k, RunConfig(method="auxiva", iterations=5))
-            assert len(lu) == 5 * (k + 1) + (k < 4) + 1 + 1
+            run(data, k, RunConfig(method="auxiva", iterations=iterations))
+            assert len(lu) == iterations * k + (k < 4) + 1 + refreshes
 
     @pytest.mark.parametrize("method", ["ip1", "ip3"])
     @pytest.mark.parametrize("k", [1, 2])
@@ -1259,6 +1329,22 @@ class TestRun:
                 rel = np.abs(got - ref) / np.abs(ref)
                 assert rel.max() <= cond * eps, (level, method, rel.max())
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_auxiva_carried_inverse_holds_over_long_runs(self, k):
+        """Over 200 iterations, at K < M and K = M, auxiva's images stay
+        within 1e-9, relative to the largest, of a loop that solves
+        W^{-H} afresh in every sweep, at 1 and 2 threads. Carried by its
+        rank-one updates alone, without run()'s refresh, W^{-H} drifts:
+        on this scene the images then moved by 1.2e-5 at K = 2 and by
+        5.8 at K = 4."""
+        x, _ = self.make_x(n_bins=16, m=4)
+        ref = reference_auxiva_images(x, k, 200)
+        for threads in (1, 2):
+            cfg = RunConfig(method="auxiva", iterations=200, threads=threads)
+            got = run(x, k, cfg).images
+            rel = np.abs(got - ref).max() / np.abs(ref).max()
+            assert rel <= 1e-9, (threads, rel)
+
     def test_auxiva_error_behind_silent_bins_names_bin(self):
         """Bins 0-2 are silent, so the background rows read the identity
         there; the copied microphone makes bin 3 the first singular one."""
@@ -1350,14 +1436,17 @@ class TestRunMemory:
         """Above its input, run() holds its results, the stack W, G_z
         and, for auxiva, G_z's inverse (ip1, ip2 and ip3 read G_z
         itself), and each sweeping thread one chunk's scratch, under
-        5 * SCRATCH_BYTES. Here the sweep is 2 chunks of at most 1025
-        bins. Formed over all bins at once, the sweeps' temporaries
-        reached 5.4 to 9.0 MiB above the same state."""
+        5 * SCRATCH_BYTES; auxiva's carried W^{-H}, one more (F, M, M)
+        array, fits within that bound too. Here the sweep is 2 chunks of
+        at most 1025 bins, and auxiva runs through one refresh of W^{-H}.
+        Formed over all bins at once, the sweeps' temporaries reached
+        5.4 to 9.0 MiB above the same state."""
         rng = np.random.default_rng(32)
         shape = (self.n_bins, self.n_frames, self.m)
         x = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         assert len(optimizer._bin_chunks(self.n_bins, self.m, threads)) == 2
-        config = RunConfig(method=method, iterations=2, threads=threads)
+        iterations = optimizer.AUXIVA_REFRESH_SWEEPS + 1 if method == "auxiva" else 2
+        config = RunConfig(method=method, iterations=iterations, threads=threads)
         res, peak = traced_peak(run, x, k, config)
         stack = res.demixing.matrices.nbytes
         n_state = 3 if method == "auxiva" else 2
