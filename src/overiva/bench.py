@@ -1,7 +1,8 @@
 """Benchmark harness: scene grids, per-method SDR and real-time factors.
 
 Every cell of a grid is a SceneSpec. Trial t renders it at seed
-spec.seed + t; all requested methods separate the same mixture and are
+spec.seed + t; all requested methods separate the same mixture with
+pipeline.separate_buffer, the path `overiva separate` runs, and are
 scored with best-permutation SDR against the true target images. The
 pseudo-method "mixture" scores the unprocessed mixture itself and
 anchors the improvement scale.
@@ -15,9 +16,11 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidK, InvalidSpec, TooManySources, check_number
-from .optimizer import RunConfig, check_targets, run
+from .io import AudioBuffer
+from .optimizer import RunConfig, check_targets
+from .pipeline import separate_buffer
 from .simulate import MAX_PERMUTATION_SOURCES, rtf, sdr_set, synthesize
-from .stft import RankOneImage, StftConfig, istft, stft
+from .stft import StftConfig
 
 MIXTURE_METHOD = "mixture"
 DEFAULT_METHODS = ("auxiva", "ip1", "ip2", "ip3", MIXTURE_METHOD)
@@ -82,21 +85,17 @@ def run_benchmark(
         for trial in range(trials):
             scene = synthesize(replace(spec, seed=spec.seed + trial))
             refs = scene.target_images
-            n = scene.mixture.shape[0]
-            mix_spec = stft(scene.mixture, stft_config)
+            mixture = AudioBuffer(spec.sample_rate, scene.mixture)
             for method in usable:
                 if method == MIXTURE_METHOD:
                     ests = np.broadcast_to(scene.mixture, refs.shape)
                     scores[method].append(sdr_set(refs, ests).mean)
                     times[method].append(0.0)
                     continue
-                result = run(mix_spec, spec.n_sources, configs[method])
-                ests = np.stack(
-                    [
-                        istft(RankOneImage(a, s), stft_config, length=n)
-                        for a, s in zip(result.mixing, result.outputs)
-                    ]
+                images, result = separate_buffer(
+                    mixture, spec.n_sources, configs[method], stft_config
                 )
+                ests = np.stack([image.samples for image in images])
                 scores[method].append(sdr_set(refs, ests).mean)
                 times[method].append(rtf(result.wall_time, spec.duration_s))
         for method in usable:

@@ -178,40 +178,28 @@ def write_wav(path, buffer, sample_format="float32"):
     A buffer whose header does not fit the format's fields raises
     ValueError naming the field (_check_header) before path is opened.
     """
-    # The RIFF size counts "WAVE" (4 bytes), the fmt chunk (26 for
-    # float32, 24 for pcm16), float32's fact chunk (12) and the data
-    # chunk's header (8) besides the samples.
-    if sample_format == "float32":
-        _check_header(buffer, 4, 4 + 26 + 12 + 8)
-        payload = buffer.samples.astype("<f4").tobytes()
-        bits = 32
-        fmt_body = struct.pack(
-            "<HHIIHHH",
-            _IEEE_FLOAT,
-            buffer.n_channels,
-            buffer.sample_rate,
-            buffer.sample_rate * buffer.n_channels * 4,
-            buffer.n_channels * 4,
-            bits,
-            0,
-        )
-        fact = struct.pack("<4sII", b"fact", 4, buffer.n_samples)
-    elif sample_format == "pcm16":
-        _check_header(buffer, 2, 4 + 24 + 8)
-        payload = quantize_pcm16(buffer.samples).astype("<i2").tobytes()
-        bits = 16
-        fmt_body = struct.pack(
-            "<HHIIHH",
-            _PCM,
-            buffer.n_channels,
-            buffer.sample_rate,
-            buffer.sample_rate * buffer.n_channels * 2,
-            buffer.n_channels * 2,
-            bits,
-        )
-        fact = b""
-    else:
+    float32 = sample_format == "float32"
+    if not float32 and sample_format != "pcm16":
         raise ValueError(f"unknown sample_format {sample_format!r}")
+    width = 4 if float32 else 2
+    # float32 closes its fmt chunk with a zero cbSize (2 bytes) and follows
+    # it with a fact chunk (12) holding the frame count. The RIFF size
+    # counts "WAVE" (4 bytes), the fmt chunk's header and fields (8 + 16),
+    # those extra bytes and the data chunk's header (8) besides the samples.
+    extra = 2 + 12 if float32 else 0
+    _check_header(buffer, width, 4 + 8 + 16 + extra + 8)
+    n_chan, rate = buffer.n_channels, buffer.sample_rate
+    fmt_body = struct.pack(
+        "<HHIIHH", _IEEE_FLOAT if float32 else _PCM, n_chan, rate,
+        rate * n_chan * width, n_chan * width, 8 * width,
+    )
+    if float32:
+        payload = buffer.samples.astype("<f4").tobytes()
+        fmt_body += struct.pack("<H", 0)
+        fact = struct.pack("<4sII", b"fact", 4, buffer.n_samples)
+    else:
+        payload = quantize_pcm16(buffer.samples).astype("<i2").tobytes()
+        fact = b""
     chunks = (
         struct.pack("<4sI", b"fmt ", len(fmt_body))
         + fmt_body

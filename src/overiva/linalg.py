@@ -95,14 +95,12 @@ def lu_solve(a, b):
     ----------
     a : (..., M, M) array_like
     b : array_like
-        Right-hand side, in one of two forms: a vector of shape (M,)
-        shared by every matrix in the batch, or a matrix right-hand side
-        of shape (..., M, R) whose batch axes broadcast against a's.
+        Right-hand side of shape (..., M, R), whose batch axes broadcast
+        against a's; a single column is (..., M, 1).
 
     Returns
     -------
-    x : ndarray, (..., M) for a vector b, else (..., M, R), over the
-        broadcast batch axes.
+    x : ndarray, (..., M, R) over the broadcast batch axes.
 
     Raises SingularMatrix for the first matrix in the batch that is
     singular by the module's rule: an exactly zero pivot, or
@@ -111,14 +109,8 @@ def lu_solve(a, b):
     a = _as_matrix_batch(a, "a")
     b = np.asarray(b, dtype=np.complex128)
     m = a.shape[-1]
-    vector = b.ndim == 1
-    if b.ndim == 0 or b.shape[0 if vector else -2] != m:
-        raise ValueError(
-            f"rhs shape {b.shape} is neither a shared vector ({m},) nor "
-            f"a matrix (..., {m}, R)"
-        )
-    if vector:
-        b = b[:, None]
+    if b.ndim < 2 or b.shape[-2] != m:
+        raise ValueError(f"rhs shape {b.shape} is not a matrix (..., {m}, R)")
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     r = b.shape[-1]
     # max|A| and each column's max|b| are taken before broadcasting, and
@@ -145,8 +137,7 @@ def lu_solve(a, b):
     bad = _first(~np.all(ok, axis=1))
     if bad is not None or n_ok < len(a_max):
         raise _singular(n_ok if bad is None else bad)
-    x = x.reshape(batch + (m, r))
-    return x[..., 0] if vector else x
+    return x.reshape(batch + (m, r))
 
 
 def logabsdet(a):

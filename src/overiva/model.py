@@ -24,15 +24,16 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidK, ShapeMismatch, check_number
-from .stft import Spectrogram
+from .stft import Spectrogram, blocks
 
 # Variance floor and covariance ridge defaults, overridable per run.
 EPS_VARIANCE = 1e-5
 EPS_RIDGE = 1e-1
 
-# Size of weighted_covariance's per-block scratch buffer. The weighted
-# copy of a block is read back by the real matmul while it is still in
-# L2, and only that block's (2M, 2M) products are held. On a 2-core
+# Bytes of weighted_covariance's and update_variances' per-block
+# scratch: the budget of their stft.blocks of bins. The weighted copy of
+# a block is read back by the real matmul while it is still in L2, and
+# only that block's (2M, 2M) products are held. On a 2-core
 # Xeon with one BLAS thread, 256 KiB took one call from 24 to 13 ms at
 # F=2049, T=159, M=7, from 7.9 to 4.9 ms at F=1025, T=96, M=8 and from
 # 10.9 to 6.6 ms at F=2049, T=81, M=6, against weighting all bins at
@@ -63,20 +64,6 @@ def _check_n_targets(n_targets, n_chan):
     if not 1 <= n_targets <= n_chan:
         raise InvalidK(f"n_targets={n_targets} not in [1, {n_chan}]")
     return n_targets
-
-
-def bin_blocks(n_bins, n_frames, width):
-    """Consecutive slices of the n_bins bins, each holding at most
-    COVARIANCE_BLOCK_BYTES of (T, width) complex128 rows per bin, or one
-    bin if a bin is larger; one slice holds every bin when T or width is
-    0. Depends on the shape alone."""
-    bin_bytes = 16 * n_frames * width
-    fit = COVARIANCE_BLOCK_BYTES // bin_bytes if bin_bytes else n_bins
-    block = max(1, min(n_bins, fit))
-    return [
-        slice(start, min(start + block, n_bins))
-        for start in range(0, n_bins, block)
-    ]
 
 
 def _spec_data(x):
@@ -175,10 +162,11 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
 
     The bins are processed in blocks whose weighted data fills at most
     COVARIANCE_BLOCK_BYTES (256 KiB), or one bin if a bin is larger
-    (bin_blocks). For each block, one pass weights A by 1 / lam_k into
-    a buffer reused across blocks, the batched matmul reads it back
-    while it is still in cache, and P and Q are read off the block's
-    product; only one block's product is held. Each bin's matmul is the
+    (stft.blocks of the bins' (T, 2M) float64 rows). For each block,
+    one pass weights A by 1 / lam_k into a buffer reused across blocks,
+    the batched matmul reads it back while it is still in cache, and P
+    and Q are read off the block's product; only one block's product is
+    held. Each bin's matmul is the
     same as in one unblocked call, so the result does not depend on the
     block size. On a 2-core Xeon with one BLAS thread, a call took
     5.2 ms at F=2049, T=81, M=6, 4.0 ms at F=1025, T=96, M=8 and 11.8 ms
@@ -208,14 +196,14 @@ def weighted_covariance(x, lam_k, eps2=EPS_RIDGE):
     # runs over each bin as one loop, not one per frame (2.5 against
     # 3.6 ms per pass at F=2049, T=81, M=6).
     weights = np.repeat(1.0 / lam_k, 2 * m).reshape(n_frames, 2 * m)
-    blocks = bin_blocks(n_bins, n_frames, m)
-    block = blocks[0].stop if blocks else 0
+    bin_slices = blocks(n_bins, 16 * n_frames * m, COVARIANCE_BLOCK_BYTES)
+    block = bin_slices[0].stop if bin_slices else 0
     buf = np.empty((block, n_frames, 2 * m))
     prod = np.empty((block, 2 * m, 2 * m))
     g = np.empty((n_bins, m, m), dtype=np.complex128)
     real = data.view(np.float64)
     parts = g.view(np.float64)
-    for sl in blocks:
+    for sl in bin_slices:
         n = sl.stop - sl.start
         np.multiply(real[sl], weights, out=buf[:n])
         r = np.matmul(real[sl].transpose(0, 2, 1), buf[:n], out=prod[:n])
@@ -241,7 +229,7 @@ def update_variances(x, w_cols, eps1=EPS_VARIANCE):
     eps1 : positive, finite variance floor (_check_eps)
 
     The outputs are demixed one block of bins at a time into a scratch
-    of at most COVARIANCE_BLOCK_BYTES (bin_blocks of their (T, K) rows)
+    of at most COVARIANCE_BLOCK_BYTES (stft.blocks of their (T, K) rows)
     and never whole. Each power is re^2 + im^2, squared in place on the
     scratch's float64 view, which spares np.abs its hypot and square
     root (a call took 4.0 ms against 4.3 ms at F=2049, T=81, M=6, K=2,
@@ -255,13 +243,13 @@ def update_variances(x, w_cols, eps1=EPS_VARIANCE):
     w_conj = np.conj(w_cols)
     n_bins, n_frames = data.shape[:2]
     n_outputs = w_conj.shape[-1]
-    blocks = bin_blocks(n_bins, n_frames, n_outputs)
-    block = blocks[0].stop if blocks else 0
+    bin_slices = blocks(n_bins, 16 * n_frames * n_outputs, COVARIANCE_BLOCK_BYTES)
+    block = bin_slices[0].stop if bin_slices else 0
     y = np.empty((block, n_frames, n_outputs), dtype=np.complex128)
     rows = np.empty((block + 1, n_frames, n_outputs))
     power = np.zeros((n_frames, n_outputs))
     parts = y.view(np.float64)
-    for sl in blocks:
+    for sl in bin_slices:
         n = sl.stop - sl.start
         np.matmul(data[sl], w_conj[sl], out=y[:n])
         rows[0] = power

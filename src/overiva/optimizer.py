@@ -29,19 +29,20 @@ place, so that run() holds it once with no chunk-sized copy beside it.
 
 Each iteration starts from the target variances, the mean over bins of
 |w_k^H x|^2 floored at eps1 (model.update_variances, once per
-iteration). It demixes fixed blocks of bins (model.bin_blocks, set by
-the data's shape) into a small scratch and adds the bins one at a time
-in bin order. No (F, T, K) array of target outputs is formed, and the
+iteration). It demixes fixed blocks of bins (stft.blocks, set by the
+data's shape) into a small scratch and adds the bins one at a time in
+bin order. No (F, T, K) array of target outputs is formed, and the
 variances, hence the images and cost trace, are the same bits at every
 threads setting.
 
 The sweeps run in frequency chunks at every threads setting
-(_bin_chunks): the fewest chunks that keep one (chunk, M, M) complex
-array within stft.SCRATCH_BYTES, or threads of them if that is more,
-each chunk's K weighted covariances in one array of that many bins.
-So a sweep's temporaries are bounded by the budget, not by F M^2, and
-threads > 1 only runs the chunks on a pool. Every bin's arithmetic is
-the same in any chunk, so no output depends on the chunking.
+(stft.blocks of the bins): the fewest chunks that keep one (chunk, M, M)
+complex array within stft.SCRATCH_BYTES, or threads of them if that is
+more, each chunk's K weighted covariances in one array of that many
+bins. So a sweep's temporaries are bounded by the budget, not by F M^2,
+and threads > 1 only runs the chunks on a pool of at most as many
+workers as there are CPUs. Every bin's arithmetic is the same in any
+chunk, so no output depends on the chunking.
 
 _schedule is the one place where a method's operand, sweep and finish
 live; run() compares no Method. G_z does not change during a run, so
@@ -81,6 +82,7 @@ every other method's.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -101,7 +103,7 @@ from .errors import (
 )
 from .linalg import hermitian_transpose
 from .model import DemixingStack
-from .stft import Spectrogram, _fitting, _require_finite
+from .stft import Spectrogram, blocks
 
 
 class Method(Enum):
@@ -137,9 +139,10 @@ class RunConfig:
 
     iterations defaults to DEFAULT_ITERATIONS of the method; the run
     takes exactly that many. The sweeps run in frequency chunks at every
-    setting (_bin_chunks); threads > 1 makes at least that many chunks
-    and runs them on a thread pool. Images and cost trace are identical
-    at every setting. eps1 and eps2 follow model._check_eps.
+    setting (stft.blocks); threads > 1 makes at least that many chunks
+    and runs them on a thread pool of at most os.cpu_count() workers.
+    Images and cost trace are identical at every setting. eps1 and eps2
+    follow model._check_eps.
     """
 
     method: Method = Method.IP1
@@ -230,7 +233,8 @@ def ip0_update_row(w_stack, cov, k):
     this output. Returns the new column, (..., M).
     """
     m = w_stack.shape[-1]
-    u = linalg.lu_solve(hermitian_transpose(w_stack) @ cov, np.eye(m)[:, k])
+    a = hermitian_transpose(w_stack) @ cov
+    u = linalg.lu_solve(a, np.eye(m)[:, k, None])[..., 0]
     q = _quad(u, cov)
     _require_positive(q, "normalization quadratic is not positive")
     return u / np.sqrt(q)[..., None]
@@ -445,16 +449,6 @@ def _top_indices(powers, n_pick):
     return tuple(int(i) for i in order[:n_pick])
 
 
-def _bin_chunks(n_bins, n_chan, threads):
-    """The frequency chunks run() sweeps, consecutive and of nearly equal
-    size: the fewest that keep one (chunk, M, M) complex array within
-    stft.SCRATCH_BYTES, or threads of them if that is more."""
-    per_chunk = _fitting(16 * n_chan * n_chan)
-    n_chunks = max(threads, -(-n_bins // per_chunk))
-    edges = np.linspace(0, n_bins, min(n_chunks, n_bins) + 1).astype(int)
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-
 def _shift_bin(exc, offset):
     """Re-raise a numerical error with the batch index mapped to its bin."""
     idx = exc.batch_index
@@ -614,14 +608,18 @@ def run(x, n_targets, config=RunConfig()):
     for axis, size in (("frequency bins", n_bins), ("frames", n_frames)):
         if size == 0:
             raise ShapeMismatch(f"spectrogram {data.shape} has no {axis}")
-    # A Spectrogram was checked when it was built.
+    # A Spectrogram was checked when it was built; building one from the
+    # array checks it, without a copy.
     if not isinstance(x, Spectrogram):
-        _require_finite(data)
+        Spectrogram(data)
     n_targets = check_targets(config.method, n_targets, n_chan)
     operand, sweep, finish, carries = _schedule(config.method, n_targets)
 
     t0 = time.perf_counter()
-    pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
+    # Never more workers than CPUs: map starts a thread for every chunk
+    # that finds no idle worker, up to max_workers.
+    workers = min(config.threads, os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(workers) if config.threads > 1 else None
     try:
         noise_cov = model.noise_covariance(data)
         # On a silent bin x = 0 and every G_k = eps2 I, so its images are
@@ -647,7 +645,7 @@ def run(x, n_targets, config=RunConfig()):
         w = np.tile(eye, (n_bins, 1, 1))
         # W^{-H}, exact at the start: W is the identity.
         inverse = w.copy() if carries else None
-        chunks = _bin_chunks(n_bins, n_chan, config.threads)
+        chunks = blocks(n_bins, 16 * n_chan * n_chan, at_least=config.threads)
         cost_trace = []
 
         for it in range(config.iterations):

@@ -10,16 +10,18 @@ enough frames for the windowed overlap-add to invert exactly (synthesis
 divides by the accumulated squared window rather than assuming a constant
 overlap sum, so edges and non-aligned tails reconstruct too).
 
-Both directions work a block of frames at a time. A block holds as
-many frames as keep its (frames, M, frame_len) float64 samples within
-SCRATCH_BYTES, and at least one (_block_frames): 4 frames of 4096
-samples on 7 channels, 8 of 2048 on 8. So a block's scratch is about
-SCRATCH_BYTES whatever the channel count and frame length, and no
-spectrogram-sized or signal-sized intermediate is made. stft copies the
-samples one block of frames covers into a block-sized scratch, zeroing
-only what falls in the padding (the padded signal is never formed),
-windows the block into a second reused buffer, and has np.fft.rfft
-write the transform through out= straight into the bin-major output.
+Both directions work a block of frames at a time, the frames split by
+blocks(), the package's one rule for bounded loops: the fewest blocks
+of nearly equal size whose (frames, M, frame_len) float64 samples fit
+SCRATCH_BYTES, and one frame per block if a frame is larger. At most 4
+frames of 4096 samples on 7 channels fit, 8 of 2048 on 8. So a block's
+scratch is about SCRATCH_BYTES whatever the channel count and frame
+length, and no spectrogram-sized or signal-sized intermediate is made.
+stft copies the samples one block of frames covers into a block-sized
+scratch, zeroing only what falls in the padding (the padded signal is
+never formed), windows the block into a second reused buffer, and has
+np.fft.rfft write the transform through out= straight into the
+bin-major output.
 istft reads each block as (frames, channels, bins): from an (F, T, M)
 view of a (T, M, F) array without a copy, or, for a RankOneImage, as
 the block's outputs times the mixing column, so an image that run()
@@ -37,24 +39,32 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatch, SignalTooShort, check_number
 
-# Bytes one block of work may fill: a block of frames in stft and istft,
-# and one (chunk, M, M) complex array of run()'s sweeps. No result depends
-# on it. At 1 MiB each benchmark shape sweeps in 2 bin chunks, and run()
-# took within 1 % of one chunk's time; at 512 KiB (3 or 4 chunks) it took
-# 2-5 % more (2-core Xeon, one BLAS thread).
+# Bytes one block of work may fill by default (blocks): a block of frames
+# in stft and istft, and one (chunk, M, M) complex array of run()'s
+# sweeps. No result depends on it. At 1 MiB each benchmark shape sweeps
+# in 2 bin chunks, and run() took within 1 % of one chunk's time; at
+# 512 KiB (3 or 4 chunks) it took 2-5 % more (2-core Xeon, one BLAS
+# thread).
 SCRATCH_BYTES = 1 << 20
 
 
-def _fitting(item_bytes):
-    """How many items of item_bytes bytes fit in SCRATCH_BYTES; at least
-    one."""
-    return max(1, SCRATCH_BYTES // item_bytes)
+def blocks(n, item_bytes, budget=None, at_least=1):
+    """Consecutive, non-empty slices of range(n), the package's one rule
+    for splitting a loop into scratch-bounded pieces.
 
-
-def _block_frames(n_chan, frame_len):
-    """Frames per block of stft and istft: as many as keep the block's
-    float64 frames, (frames, n_chan, frame_len), within SCRATCH_BYTES."""
-    return _fitting(8 * n_chan * frame_len)
+    The fewest slices whose items of item_bytes bytes fit in budget
+    bytes (one item per slice if an item is larger), or at_least slices
+    if that is more, capped at n. Their sizes differ by at most one, the
+    larger first, so the first slice is the largest and sizes a loop's
+    scratch. budget=None means SCRATCH_BYTES as it is at the call.
+    """
+    if budget is None:
+        budget = SCRATCH_BYTES
+    fit = max(1, budget // max(1, item_bytes))
+    count = min(n, max(at_least, -(-n // fit)))
+    size, extra = divmod(n, max(count, 1))
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
 
 
 def _require_finite(data):
@@ -192,14 +202,14 @@ def stft(signal, config=StftConfig()):
 
     Equal bit for bit to the rfft of all windowed frames at once (the
     tests' oracles.windowed_frames and stft_unblocked), taken a block of
-    B = _block_frames(M, frame_len) frames at a time (all T frames if
-    T < B). Frame t is the window times samples t * hop .. t * hop +
-    frame_len - 1 of the signal zero-padded by config.pad on each end.
-    A block's frames span
-    (B - 1) * hop + frame_len samples of the padded signal; they are
-    copied from the signal into a scratch of that length, with zeros
-    where the span reaches into the padding, so the padded signal is
-    never formed. Each block is windowed into one reused
+    frames at a time: blocks() of the T frames, each frame being
+    (M, frame_len) float64 samples, the largest block B frames. Frame t
+    is the window times samples t * hop .. t * hop + frame_len - 1 of
+    the signal zero-padded by config.pad on each end. A block's frames
+    span at most (B - 1) * hop + frame_len samples of the padded signal;
+    they are copied from the signal into a scratch of that length, with
+    zeros where the span reaches into the padding, so the padded signal
+    is never formed. Each block is windowed into one reused
     (B, M, frame_len) buffer of at most SCRATCH_BYTES, and np.fft.rfft
     writes its transform through out= into the bin-major output. Beyond
     the output, stft allocates only these two buffers and the window.
@@ -217,12 +227,13 @@ def stft(signal, config=StftConfig()):
     frame_len, hop, pad = config.frame_len, config.hop, config.pad
     n_frames = n_frames_for(n_samples, config)
     win = sqrt_hann_window(frame_len)
-    block = min(_block_frames(n_chan, frame_len), n_frames)
+    frame_blocks = blocks(n_frames, 8 * n_chan * frame_len)
+    block = frame_blocks[0].stop
     span = np.empty(((block - 1) * hop + frame_len, n_chan))
     windowed = np.empty((block, n_chan, frame_len))
     data = np.empty((config.n_bins, n_frames, n_chan), dtype=np.complex128)
-    for t in range(0, n_frames, block):
-        n_block = min(block, n_frames - t)
+    for sl in frame_blocks:
+        t, n_block = sl.start, sl.stop - sl.start
         # The block covers signal samples first .. last - 1, some of
         # which may lie in the padding on either side.
         first = t * hop - pad
@@ -237,7 +248,7 @@ def stft(signal, config=StftConfig()):
         np.fft.rfft(
             windowed[:n_block],
             axis=-1,
-            out=data[:, t : t + n_block].transpose(1, 2, 0),
+            out=data[:, sl].transpose(1, 2, 0),
         )
     if _rfft_stays_finite(x, frame_len):
         return Spectrogram._of_finite(data)
@@ -264,12 +275,13 @@ def istft(spec, config=StftConfig(), length=None):
     Parameters
     ----------
     spec : Spectrogram, (F, T, M) complex array or RankOneImage, T >= 1.
-        Blocks of B = _block_frames(M, frame_len) frames are read as
-        (frames, channels, bins), which is contiguous when spec is an
-        (F, T, M) view of a (T, M, F) array (SeparationResult.images);
-        any other layout is gathered block by block. A RankOneImage's
-        block is formed as outputs[t:t + B, None, :] * mixing, the values
-        the dense image holds.
+        Blocks of frames, blocks() of the T frames with (M, frame_len)
+        float64 samples each, are read as (frames, channels, bins),
+        which is contiguous when spec is an (F, T, M) view of a
+        (T, M, F) array (SeparationResult.images); any other layout is
+        gathered block by block. A RankOneImage's block is formed as
+        outputs[block, None, :] * mixing, the values the dense image
+        holds.
     length : int >= 0, optional
         Number of samples to return, a Python or numpy integer
         (errors.check_number). Defaults to the length the padding
@@ -290,8 +302,8 @@ def istft(spec, config=StftConfig(), length=None):
             )
         shape = (outputs.shape[1], outputs.shape[0], mixing.shape[0])
 
-        def block(start, n):
-            return outputs[start : start + n, None, :] * mixing
+        def block(frames):
+            return outputs[frames, None, :] * mixing
 
     else:
         data = spec.data if isinstance(spec, Spectrogram) else np.asarray(spec)
@@ -302,8 +314,8 @@ def istft(spec, config=StftConfig(), length=None):
         shape = data.shape
         rows = data.transpose(1, 2, 0)
 
-        def block(start, n):
-            return rows[start : start + n]
+        def block(frames):
+            return rows[frames]
 
     n_bins, n_frames, n_chan = shape
     if n_bins != config.n_bins:
@@ -324,11 +336,10 @@ def istft(spec, config=StftConfig(), length=None):
     total = (n_frames - 1) * hop + n
     buf = np.zeros((n_chan, total))
     wsum = np.zeros(total)
-    n_block = _block_frames(n_chan, n)
-    for start in range(0, n_frames, n_block):
-        frames = np.fft.irfft(block(start, n_block), n=n, axis=-1)
+    for sl in blocks(n_frames, 8 * n_chan * n):
+        frames = np.fft.irfft(block(sl), n=n, axis=-1)
         frames *= win
-        for t, frame in enumerate(frames, start):
+        for t, frame in enumerate(frames, sl.start):
             buf[:, t * hop : t * hop + n] += frame
             wsum[t * hop : t * hop + n] += win2
     np.divide(buf, wsum, out=buf, where=wsum > 1e-12)

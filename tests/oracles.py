@@ -105,7 +105,8 @@ def gradient_jw_row(w, target_covs, noise_cov, k):
     wk = mats[..., :, k]
     quad = np.einsum("...ij,...j->...i", cov, wk)
     m = mats.shape[-1]
-    back = linalg.lu_solve(linalg.hermitian_transpose(mats), np.eye(m)[:, k])
+    e_k = np.eye(m)[:, k, None]
+    back = linalg.lu_solve(linalg.hermitian_transpose(mats), e_k)[..., 0]
     return quad - back
 
 

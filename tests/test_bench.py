@@ -2,12 +2,13 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from overiva import bench as bench_module
 from overiva.bench import run_benchmark
 from overiva.errors import InvalidSpec
-from overiva.simulate import SceneSpec
+from overiva.simulate import SceneSpec, sdr_set, synthesize
 from overiva.stft import StftConfig
 
 SPECS = [
@@ -66,3 +67,27 @@ def test_bad_trials_raise_before_any_scene(monkeypatch, trials):
     monkeypatch.setattr(bench_module, "synthesize", no_scene)
     with pytest.raises(InvalidSpec, match="trials must be an integer"):
         bench(SPECS, trials)
+
+
+def test_rows_score_what_separate_buffer_returns(monkeypatch):
+    """Each trial's mixture goes through pipeline.separate_buffer, the
+    path `overiva separate` runs, once per method, and the row's mean SDR
+    is that of the images it returned."""
+    returned = []
+    real = bench_module.separate_buffer
+
+    def spy(buffer, *args):
+        images, result = real(buffer, *args)
+        returned.append((buffer, images))
+        return images, result
+
+    monkeypatch.setattr(bench_module, "separate_buffer", spy)
+    (row, _) = bench(SPECS[:1], trials=2)
+    assert len(returned) == 2
+    scores = []
+    for t, (buffer, images) in enumerate(returned):
+        scene = synthesize(replace(SPECS[0], seed=SPECS[0].seed + t))
+        np.testing.assert_array_equal(buffer.samples, scene.mixture)
+        ests = np.stack([image.samples for image in images])
+        scores.append(sdr_set(scene.target_images, ests).mean)
+    assert row["mean_sdr"] == np.mean(scores)

@@ -18,7 +18,7 @@ from overiva.model import (
     weighted_covariance,
 )
 from overiva.optimizer import RunConfig
-from overiva.stft import Spectrogram
+from overiva.stft import Spectrogram, blocks
 
 from oracles import (
     cost_jw,
@@ -382,16 +382,19 @@ class TestOutputPower:
     def test_blocks_bit_identical_to_whole_array_variances(
         self, monkeypatch, n_bins, k
     ):
-        """With blocks of 5 bins, F = 1, 4, 5, 6 and 16 cross every kind of
-        block boundary; the power sum, and the variances run() takes from
-        update_variances, are those of the whole demixed array, bit for
-        bit."""
+        """With a budget of 5 bins, F = 1, 4, 5, 6 and 16 take 1, 1, 1, 2
+        and 4 blocks and cross every kind of block boundary; the power
+        sum, and the variances run() takes from update_variances, are
+        those of the whole demixed array, bit for bit."""
         rng = np.random.default_rng(n_bins + 10 * k)
         n_frames = 40
         x = random_complex(rng, (n_bins, n_frames, 3))
         w = random_complex(rng, (n_bins, 3, 3))
         monkeypatch.setattr(model, "COVARIANCE_BLOCK_BYTES", 5 * 16 * n_frames * k)
-        assert model.bin_blocks(n_bins, n_frames, k)[0] == slice(0, min(5, n_bins))
+        bin_slices = blocks(
+            n_bins, 16 * n_frames * k, model.COVARIANCE_BLOCK_BYTES
+        )
+        assert len(bin_slices) == -(-n_bins // 5)
         s = demix(x, w, k)
         np.testing.assert_array_equal(
             update_variances(x, w[:, :, :k], NO_FLOOR),

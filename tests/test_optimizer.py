@@ -35,7 +35,7 @@ from overiva.optimizer import (
     update_wz_full,
 )
 from overiva import linalg, model, optimizer
-from overiva.stft import Spectrogram
+from overiva.stft import Spectrogram, blocks
 
 from oracles import (
     auxiva_order_demixed,
@@ -51,6 +51,12 @@ from oracles import (
 
 # The package exports the stft function under the module's name.
 stft_module = importlib.import_module("overiva.stft")
+
+
+def sweep_chunks(n_bins, m, threads):
+    """The bin chunks run() sweeps: blocks of (M, M) complex arrays within
+    SCRATCH_BYTES, and at least threads of them."""
+    return blocks(n_bins, 16 * m * m, at_least=threads)
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -850,6 +856,37 @@ class TestRunCallCounts:
         rng = np.random.default_rng(30)
         return planted_scene(rng, n_bins, 60, m)[0]
 
+    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch):
+        """threads = 5000 on 16 bins sweeps 16 one-bin chunks, but the pool
+        is asked for min(threads, os.cpu_count() or 1) workers: map starts
+        a thread for every chunk that finds no idle worker, up to that
+        count. A stand-in pool records the request and maps inline, so
+        no thread is started; the results are those of threads = 1."""
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(optimizer, "ThreadPoolExecutor", InlinePool)
+        x = self.make_x()
+        ref = run(x, 2, RunConfig(method="ip1", iterations=2))
+        assert requested == []
+        for cpus in (3, None):
+            monkeypatch.setattr(optimizer.os, "cpu_count", lambda: cpus)
+            config = RunConfig(method="ip1", iterations=2, threads=5000)
+            res = run(x, 2, config)
+            np.testing.assert_array_equal(res.images, ref.images)
+            np.testing.assert_array_equal(res.cost_trace, ref.cost_trace)
+        assert len(sweep_chunks(len(x), x.shape[-1], 5000)) == 16
+        assert requested == [3, 1]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_ip2_factors_only_the_target_covariances(self, monkeypatch, threads):
         """One Cholesky of G_1 per iteration and chunk and none of G_z;
@@ -860,7 +897,7 @@ class TestRunCallCounts:
         chol = count_calls(monkeypatch, np.linalg, "cholesky")
         lu = count_calls(monkeypatch, linalg, "lu_solve")
         run(x, 1, RunConfig(method="ip2", iterations=3, threads=threads))
-        n_chunks = len(optimizer._bin_chunks(len(x), x.shape[-1], threads))
+        n_chunks = len(sweep_chunks(len(x), x.shape[-1], threads))
         assert len(chol) == 3 * n_chunks
         for (g1,) in chol:
             gap = np.abs(g1[:, None] - gz[None]).max(axis=(-2, -1))
@@ -875,7 +912,7 @@ class TestRunCallCounts:
         gz = model.noise_covariance(x)
         steps = count_calls(monkeypatch, optimizer, "ip2_update")
         run(x, 1, RunConfig(method="ip2", iterations=3, threads=threads))
-        chunks = optimizer._bin_chunks(len(x), x.shape[-1], threads)
+        chunks = sweep_chunks(len(x), x.shape[-1], threads)
         used = sorted(
             next(i for i, sl in enumerate(chunks) if np.array_equal(g, gz[sl]))
             for _, g in steps
@@ -898,7 +935,7 @@ class TestRunCallCounts:
         calls = {
             name: count_calls(monkeypatch, optimizer, name) for name in steps.values()
         }
-        n_chunks = len(optimizer._bin_chunks(len(x), x.shape[-1], threads))
+        n_chunks = len(sweep_chunks(len(x), x.shape[-1], threads))
         for method, name in steps.items():
             for seen in calls.values():
                 seen.clear()
@@ -1122,11 +1159,13 @@ class TestRun:
                     model, "COVARIANCE_BLOCK_BYTES",
                     bins_per_block * 16 * n_frames * k,
                 )
-            blocks = model.bin_blocks(n_bins, n_frames, k)
+            bin_slices = blocks(
+                n_bins, 16 * n_frames * k, model.COVARIANCE_BLOCK_BYTES
+            )
             if bins_per_block is None:
-                assert len(blocks) == 1
+                assert len(bin_slices) == 1
             else:
-                assert blocks[0] == slice(0, 5) and n_bins % 5 != 0
+                assert bin_slices[0] == slice(0, 5) and n_bins % 5 != 0
             runs = [
                 run(x, k, RunConfig(method=method, iterations=6, threads=t))
                 for t in (1, 2, 3)
@@ -1153,7 +1192,7 @@ class TestRun:
         chunks = {}
         for name, budget in budgets.items():
             monkeypatch.setattr(stft_module, "SCRATCH_BYTES", budget)
-            chunks[name] = len(optimizer._bin_chunks(n_bins, m, threads))
+            chunks[name] = len(sweep_chunks(n_bins, m, threads))
         assert chunks == {"one": threads, "default": 2, "small": 26}
         cases = [(1, method) for method in Method]
         cases += [(2, method) for method in Method if method is not Method.IP2]
@@ -1444,7 +1483,7 @@ class TestRunMemory:
         rng = np.random.default_rng(32)
         shape = (self.n_bins, self.n_frames, self.m)
         x = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        assert len(optimizer._bin_chunks(self.n_bins, self.m, threads)) == 2
+        assert len(sweep_chunks(self.n_bins, self.m, threads)) == 2
         iterations = optimizer.AUXIVA_REFRESH_SWEEPS + 1 if method == "auxiva" else 2
         config = RunConfig(method=method, iterations=iterations, threads=threads)
         res, peak = traced_peak(run, x, k, config)

@@ -5,6 +5,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import istft_unblocked, stft_unblocked, windowed_frames
 from overiva.errors import ShapeMismatch, SignalTooShort
@@ -332,6 +334,43 @@ class TestSynthesis:
         assert np.abs(istft(spec, cfg, length=2 * cfg.hop)).max() > 0
 
 
+class TestBlocks:
+    """blocks, the one rule that splits every bounded loop: stft and istft
+    over frames, the covariances and variances over bins, run()'s sweep
+    chunks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 5000),
+        item_bytes=st.integers(0, 2**22),
+        budget=st.integers(1, 2**22),
+        at_least=st.integers(1, 64),
+    )
+    def test_fewest_nearly_equal_slices_that_fit(
+        self, n, item_bytes, budget, at_least
+    ):
+        """Non-empty, consecutive slices covering range(n), as many as the
+        budget needs or at_least if that is more, capped at n, whose
+        sizes differ by at most one, the largest first."""
+        slices = stft_module.blocks(n, item_bytes, budget, at_least)
+        fit = max(1, budget // max(1, item_bytes))
+        assert len(slices) == min(n, max(at_least, -(-n // fit)))
+        edges = [0] + [sl.stop for sl in slices]
+        assert [sl.start for sl in slices] == edges[:-1] and edges[-1] == n
+        assert all(sl.step is None for sl in slices)
+        sizes = [sl.stop - sl.start for sl in slices]
+        assert all(size >= 1 for size in sizes)
+        assert sizes == sorted(sizes, reverse=True)
+        assert not sizes or sizes[0] - sizes[-1] <= 1
+
+    def test_budget_defaults_to_scratch_bytes_at_the_call(self, monkeypatch):
+        assert len(stft_module.blocks(10, 1024)) == 1
+        monkeypatch.setattr(stft_module, "SCRATCH_BYTES", 3 * 1024)
+        assert stft_module.blocks(10, 1024) == [
+            slice(0, 3), slice(3, 6), slice(6, 8), slice(8, 10)
+        ]
+
+
 def frame_counts(block):
     """Frame counts on both sides of one and two blocks."""
     return sorted({1, block - 1, block, block + 1, 2 * block + 3} - {0})
@@ -339,15 +378,19 @@ def frame_counts(block):
 
 @pytest.fixture(params=["module", 4])
 def block(request, monkeypatch):
-    """Frames per block for the tests that take this fixture, which use 3
-    channels and 64-sample frames: at the module's SCRATCH_BYTES, and at
-    a budget of 4 such frames, which splits every test input into
+    """Most frames per block for the tests that take this fixture, which
+    use 3 channels and 64-sample frames: at the module's SCRATCH_BYTES,
+    and at a budget of 4 such frames, which splits every test input into
     several blocks."""
+    frame_bytes = 8 * 3 * 64
     if request.param != "module":
         monkeypatch.setattr(
-            stft_module, "SCRATCH_BYTES", request.param * 8 * 3 * 64
+            stft_module, "SCRATCH_BYTES", request.param * frame_bytes
         )
-    return stft_module._block_frames(3, 64)
+    block = stft_module.SCRATCH_BYTES // frame_bytes
+    assert len(stft_module.blocks(block, frame_bytes)) == 1
+    assert len(stft_module.blocks(block + 1, frame_bytes)) == 2
+    return block
 
 
 class TestBlocking:
@@ -380,7 +423,7 @@ class TestBlocking:
         frames of 256 samples on 3 channels, at SCRATCH_BYTES = 1 MiB)
         and exactly two blocks."""
         cfg = StftConfig(256, 256 // hop_div)
-        blocks = stft_module._block_frames(3, cfg.frame_len)
+        per_block = stft_module.SCRATCH_BYTES // (8 * 3 * cfg.frame_len)
 
         def length(n_frames, tail):
             return (n_frames - 1) * cfg.hop + cfg.frame_len - 2 * cfg.pad + tail
@@ -388,15 +431,15 @@ class TestBlocking:
         n = {
             "one_frame_of_samples": cfg.frame_len,
             "ragged_tail": cfg.frame_len + 37,
-            "one_block": length(blocks - 3, cfg.hop // 2 + 1),
-            "two_blocks": length(2 * blocks, cfg.hop - 1),
+            "one_block": length(per_block - 3, cfg.hop // 2 + 1),
+            "two_blocks": length(2 * per_block, cfg.hop - 1),
         }[case]
         x = np.random.default_rng(n).standard_normal((n, 3))
         data = stft(x, cfg).data
         if case == "one_block":
-            assert data.shape[1] < blocks
+            assert data.shape[1] < per_block
         if case == "two_blocks":
-            assert data.shape[1] == 2 * blocks
+            assert data.shape[1] == 2 * per_block
         ref = np.fft.rfft(windowed_frames(x, cfg), axis=1).transpose(1, 0, 2)
         np.testing.assert_array_equal(data, ref)
 
@@ -481,7 +524,8 @@ class TestMemory:
         9.29 MB)."""
         cfg = StftConfig(4096, 1024)
         x = np.random.default_rng(46).standard_normal((32000, 7))
-        assert stft_module._block_frames(7, 4096) == 4
+        first = stft_module.blocks(n_frames_for(len(x), cfg), 8 * 7 * 4096)[0]
+        assert first == slice(0, 4)
         spec, peak = traced_peak(stft, x, cfg)
         assert peak - spec.data.nbytes < 2 * stft_module.SCRATCH_BYTES
 

@@ -1,4 +1,5 @@
-"""Print one line of output hashes per run() case, to diff two checkouts.
+"""Print one line of output hashes per run() case and per separate_file
+scene, to diff two checkouts.
 
     python tools/parity_digest.py > digest.txt
     python tools/parity_digest.py --save DIR
@@ -8,8 +9,12 @@ Run it on a parent commit and on a change, on the same machine, and diff
 the two files: a line that differs names the case whose results moved.
 Each line holds the first 16 hex digits of the SHA-256 of run()'s
 mixing, outputs, demixing.matrices and cost_trace, or the class and
-message of the error the case raised. The bits depend on the BLAS
-build, so digests are compared only between runs on one machine.
+message of the error the case raised. After the run() cases comes one
+line per scene for the whole file path: the scene's mixture is written
+as a float32 WAV and separated by pipeline.separate_file, and the line
+holds the hash of the image WAVs' bytes, so stft, istft and write_wav
+are covered too. The bits depend on the BLAS build, so digests are
+compared only between runs on one machine.
 
 Where a change moves results within a tolerance, --save DIR also stores
 each case's image factors and cost trace (or its error) in DIR, one
@@ -17,23 +22,28 @@ each case's image factors and cost trace (or its error) in DIR, one
 each case's largest change against those files: of the images, relative
 to the saved images' largest magnitude, and of the cost trace, relative
 to each saved value. The images are compared, not the outputs, because
-a filter's phase is arbitrary. The file sits in its checkout's tools/
-and runs that checkout's src/, so save with a copy of it placed in the
-other checkout.
+a filter's phase is arbitrary. A separate_file line reads "wav same"
+when the image WAVs' bytes are unchanged, else their largest sample
+move relative to the saved images' largest magnitude. The file sits in
+its checkout's tools/ and runs that checkout's src/, so save with a
+copy of it placed in the other checkout.
 
 Cases: every method at K = 1 and 2 (ip2 at K = 1 only, auxiva also at
 K = M), at threads 1 and 2, 6 iterations each, on four synthesized
 1.5 s scenes: K/M = 1/7, 2/6 and 2/8 at frame 1024, and 1/7 at frame
 4096, whose 2049 bins run() sweeps in two chunks even at threads 1
-(optimizer._bin_chunks); hop is a quarter frame. Each scene runs as it
-is, with bins 0-2 silent, and with those bins silent plus microphone 1
-copying microphone 0 in bin 5.
+(stft.blocks); hop is a quarter frame. Each scene runs as it is, with
+bins 0-2 silent, and with those bins silent plus microphone 1 copying
+microphone 0 in bin 5. Each scene's separate_file line runs the method
+its shape runs in the benchmark (ip2 at K = 1, ip1 at 2/6, auxiva at
+2/8), at threads 1 and the same iterations.
 """
 
 import argparse
 import hashlib
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +51,15 @@ import numpy as np
 # The checkout this file belongs to, ahead of any installed copy.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from overiva.io import AudioBuffer, read_wav, write_wav  # noqa: E402
 from overiva.optimizer import Method, RunConfig, run  # noqa: E402
+from overiva.pipeline import separate_file  # noqa: E402
 from overiva.simulate import SceneSpec, synthesize  # noqa: E402
 from overiva.stft import StftConfig, stft  # noqa: E402
 
 SCENES = [(1, 6, 7, 1024), (2, 4, 6, 1024), (2, 6, 8, 1024), (1, 6, 7, 4096)]
+# The method separate_file runs on a scene with K targets on M microphones.
+FILE_METHODS = {(1, 7): Method.IP2, (2, 6): Method.IP1, (2, 8): Method.AUXIVA}
 ITERATIONS = 6
 
 
@@ -53,12 +67,8 @@ def _hash(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
 
 
-def _inputs(n_sources, n_noises, n_mics, frame_len, seed):
-    spec = SceneSpec(
-        n_sources=n_sources, n_noises=n_noises, n_mics=n_mics,
-        duration_s=1.5, seed=seed,
-    )
-    data = np.array(stft(synthesize(spec).mixture, StftConfig(frame_len)).data)
+def _inputs(mixture, frame_len):
+    data = np.array(stft(mixture, StftConfig(frame_len)).data)
     silent = data.copy()
     silent[:3] = 0
     copied = silent.copy()
@@ -88,15 +98,57 @@ def _image_change(mixing, outputs, saved):
     return diff / scale if scale else diff
 
 
-def _compare(head, res, error, saved):
-    """The comparison line of one case against its saved file."""
-    if error is not None or "error" in saved:
-        old = str(saved["error"]) if "error" in saved else None
-        return f"{head} error {'same' if error == old else f'{old!r} -> {error!r}'}"
+def _compare(res, saved):
+    """How far a run() case moved from its saved file."""
     images = _image_change(res.mixing, res.outputs, saved)
     old = saved["cost_trace"]
     trace = np.max(np.abs(res.cost_trace - old) / np.abs(old), initial=0.0)
-    return f"{head} images={images:.2e} trace={trace:.2e}"
+    return f"images={images:.2e} trace={trace:.2e}"
+
+
+def _wav_change(wav, images, saved):
+    """"wav same" when the image WAVs' bytes are unchanged, else the
+    largest sample move over the largest saved sample magnitude."""
+    if np.array_equal(wav, saved["wav"]):
+        return "wav same"
+    old = saved["images"]
+    if images.shape != old.shape:
+        return f"wav shape {old.shape} -> {images.shape}"
+    diff = np.abs(images - old).max(initial=0.0)
+    scale = np.abs(old).max(initial=0.0)
+    return f"wav={diff / scale if scale else diff:.2e}"
+
+
+def _separate(mixture, rate, frame_len, k, method):
+    """separate_file on mixture, written as a float32 WAV: the image WAVs'
+    bytes, concatenated, and their samples, (K, n, M)."""
+    config = RunConfig(method=method, iterations=ITERATIONS, threads=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mixture.wav"
+        write_wav(path, AudioBuffer(rate, mixture))
+        report = separate_file(path, k, config, StftConfig(frame_len), out_dir=tmp)
+        files = [Path(tmp) / name for name in report["outputs"]]
+        wav = np.frombuffer(b"".join(f.read_bytes() for f in files), np.uint8)
+        return wav, np.stack([read_wav(f).samples for f in files])
+
+
+def _line(args, head, fields, error, digest, compare):
+    """Save one case (fields, or its error) with --save, and print its
+    line: compare(saved) with --compare, else digest() or the error."""
+    file = re.sub(r"[^\w.-]+", "_", head) + ".npz"
+    if args.save is not None:
+        np.savez(args.save / file, **(fields if error is None else {"error": error}))
+    if args.compare is not None:
+        with np.load(args.compare / file) as saved:
+            if error is None and "error" not in saved:
+                print(f"{head} {compare(saved)}")
+                return
+            old = str(saved["error"]) if "error" in saved else None
+            print(f"{head} error {'same' if error == old else f'{old!r} -> {error!r}'}")
+    elif error is not None:
+        print(f"{head} error={error}")
+    else:
+        print(f"{head} {digest()}")
 
 
 def main(argv=None):
@@ -106,20 +158,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
+    scenes = []
     for seed, (n_sources, n_noises, n_mics, frame_len) in enumerate(SCENES):
-        inputs = _inputs(n_sources, n_noises, n_mics, frame_len, seed)
+        spec = SceneSpec(
+            n_sources=n_sources, n_noises=n_noises, n_mics=n_mics,
+            duration_s=1.5, seed=seed,
+        )
+        mixture = synthesize(spec).mixture
         # The frame is named only where it is not 1024, so the 1024 scenes'
         # lines read the same in every checkout of this file.
         scene = f"{n_sources}/{n_mics}"
         if frame_len != 1024:
             scene += f"/{frame_len}"
-        for name, data in inputs.items():
+        scenes.append((scene, spec, mixture, frame_len))
+        for name, data in _inputs(mixture, frame_len).items():
             for method, k, threads in _cases(n_mics):
                 head = (
                     f"scene={scene} input={name} "
                     f"method={method.value} K={k} threads={threads}"
                 )
-                file = re.sub(r"[^\w.-]+", "_", head) + ".npz"
                 config = RunConfig(method=method, iterations=ITERATIONS, threads=threads)
                 res = error = None
                 try:
@@ -127,26 +184,34 @@ def main(argv=None):
                 # Any error is a result to compare, not a reason to stop.
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
-                if args.save is not None:
-                    fields = (
-                        {"error": error} if res is None else {
-                            "mixing": res.mixing, "outputs": res.outputs,
-                            "cost_trace": res.cost_trace,
-                        }
-                    )
-                    np.savez(args.save / file, **fields)
-                if args.compare is not None:
-                    with np.load(args.compare / file) as saved:
-                        print(_compare(head, res, error, saved))
-                elif error is not None:
-                    print(f"{head} error={error}")
-                else:
-                    print(
-                        f"{head} mixing={_hash(res.mixing)} "
+                fields = None if res is None else {
+                    "mixing": res.mixing, "outputs": res.outputs,
+                    "cost_trace": res.cost_trace,
+                }
+                _line(
+                    args, head, fields, error,
+                    lambda: (
+                        f"mixing={_hash(res.mixing)} "
                         f"outputs={_hash(res.outputs)} "
                         f"matrices={_hash(res.demixing.matrices)} "
                         f"trace={_hash(res.cost_trace)}"
-                    )
+                    ),
+                    lambda saved: _compare(res, saved),
+                )
+    for scene, spec, mixture, frame_len in scenes:
+        k = spec.n_sources
+        method = FILE_METHODS[(k, spec.n_mics)]
+        head = f"scene={scene} separate_file method={method.value} K={k} threads=1"
+        wav = images = error = None
+        try:
+            wav, images = _separate(mixture, spec.sample_rate, frame_len, k, method)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        _line(
+            args, head, {"wav": wav, "images": images}, error,
+            lambda: f"wav={_hash(wav)}",
+            lambda saved: _wav_change(wav, images, saved),
+        )
 
 
 if __name__ == "__main__":
