@@ -15,10 +15,10 @@ Four schedules share the same per-bin building blocks:
 - ``ip1``: row updates for the K targets followed by one orthogonal-
   complement background update per sweep.
 - ``ip2``: single-target extraction (K = 1) via the largest eigenpair of
-  the pencil (G_z, G_1). Each step is one ip2_update(G_1, G_z): one
-  Cholesky factorization of G_1, one inverse of that factor, two matmuls
-  and one eigh (linalg.gev_largest); the background block is
-  materialized once after the loop.
+  the pencil (G_z, G_1). Each sweep (ip2_sweep) is one ip2_update(G_1,
+  G_z): one Cholesky factorization of G_1, one inverse of that factor,
+  two matmuls and one eigh (linalg.gev_largest), followed by ip1's
+  orthogonal-complement background update.
 - ``ip3``: row updates interleaved with a background refresh after every
   target, keeping the background orthogonally constrained throughout.
 
@@ -41,15 +41,17 @@ complex array within stft.SCRATCH_BYTES, or threads of them if that is
 more, each chunk's K weighted covariances in one array of that many
 bins. So a sweep's temporaries are bounded by the budget, not by F M^2,
 and threads > 1 only runs the chunks on a pool of at most as many
-workers as there are CPUs. Every bin's arithmetic is the same in any
-chunk, so no output depends on the chunking.
+workers as there are CPUs (none when that is one). Every bin's
+arithmetic is the same in any chunk, so no output depends on the
+chunking.
 
-_schedule is the one place where a method's operand, sweep and finish
-live; run() compares no Method. G_z does not change during a run, so
-run() forms the operand (G_z itself, or its inverse for auxiva) once,
-before the loop, and hands each frequency chunk its slice, with its
-slice of auxiva's carried W^{-H}; it frees the operand before the
-finish, and W^{-H} and G_z before projection_back. Silent bins
+_schedule is the one place where a method's operand and sweep live;
+run() compares no Method. G_z does not change during a run, so run()
+forms the operand (G_z itself, or its inverse for auxiva) once, before
+the loop, and hands each frequency chunk its slice, with its slice of
+auxiva's carried W^{-H}. Every sweep leaves the whole stack, background
+included, so the stack after the loop is the one run() returns; run()
+frees the operand, W^{-H} and G_z before projection_back. Silent bins
 (all-zero input, G_z = 0) take the same sweep as every other bin, with
 G_z read as the identity there; their images are zero whatever the
 filters.
@@ -73,11 +75,10 @@ one LU solve of W^H and the K output spectra, bins innermost, each
 written by matmul straight into place (no (F, T) transient). No
 (K, F, T, M) stack is formed: stft.istft synthesizes an image from its
 factors (stft.RankOneImage), and SeparationResult.images forms the
-dense stack only when read. auxiva first reorders the stack's columns
-so the K outputs with the most powerful images lead (_auxiva_order),
-ranked from G_z and the carried W^{-H} without demixing all M outputs
-or solving again; its image factors then come from projection_back like
-every other method's.
+dense stack only when read. auxiva's targets are its leading K rows,
+the ones with variance models; its background rows share the
+stationary G_z, so the model has chosen the targets and no output is
+ranked after the loop.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ class RunConfig:
     iterations defaults to DEFAULT_ITERATIONS of the method; the run
     takes exactly that many. The sweeps run in frequency chunks at every
     setting (stft.blocks); threads > 1 makes at least that many chunks
-    and runs them on a thread pool of at most os.cpu_count() workers.
+    and runs them on a thread pool of min(threads, os.cpu_count())
+    workers, or inline when that is one.
     Images and cost trace are identical at every setting. eps1 and eps2
     follow model._check_eps.
     """
@@ -395,6 +397,20 @@ def ip2_update(target_cov, noise_cov):
     return u / np.sqrt(q)[..., None]
 
 
+def ip2_sweep(w_stack, target_covs, noise_cov):
+    """One ip2 sweep: ip2_update for the single target, then one
+    background update. This is ip1_sweep at K = 1 with ip2's step in
+    place of the row update.
+
+    target_covs : (1, ..., M, M); noise_cov : (..., M, M). Returns the
+    updated stack.
+    """
+    w = np.array(w_stack, copy=True)
+    w[..., :, 0] = ip2_update(target_covs[0], noise_cov)
+    w[..., :, 1:] = update_wz_fast(w[..., :, :1], noise_cov)
+    return w
+
+
 def projection_back(w_stack, x, n_targets):
     """Spatial images of the leading n_targets outputs on the array, as
     their two factors.
@@ -440,15 +456,6 @@ def projection_back(w_stack, x, n_targets):
     return mixing, outputs
 
 
-def _top_indices(powers, n_pick):
-    """Indices of the n_pick largest powers, descending.
-
-    Stable ordering: ties resolve to the lowest index.
-    """
-    order = np.argsort(-np.asarray(powers), kind="stable")
-    return tuple(int(i) for i in order[:n_pick])
-
-
 def _shift_bin(exc, offset):
     """Re-raise a numerical error with the batch index mapped to its bin."""
     idx = exc.batch_index
@@ -465,9 +472,9 @@ def _unmask(exc, mask):
 
 
 def _schedule(method, n_targets):
-    """What run() does differently per method: (operand, sweep, finish,
-    carries). Built per call, so run() calls the module's functions as
-    they are bound when it starts (a tracer's or a test's wrapper).
+    """What run() does differently per method: (operand, sweep, carries).
+    Built per call, so run() calls the module's functions as they are
+    bound when it starts (a tracer's or a test's wrapper).
 
     operand(sweep_cov): what the sweeps read of the fixed G_z, formed
     once per run: sweep_cov itself (ip1, ip2, ip3), or its inverse for
@@ -477,34 +484,17 @@ def _schedule(method, n_targets):
     every AUXIVA_REFRESH_SWEEPS sweeps.
     sweep(w, target_covs, noise[, inverse]): one sweep of a chunk, noise
     being its slice of the operand and inverse its slice of A, which the
-    sweep updates in place; returns the new stack.
-    finish(w, inverse, sweep_cov, noise_cov): once after the loop, the
-    stack whose leading K columns projection_back maps to the images
-    (inverse is None unless carried). ip2 fills its background block;
-    auxiva puts its K most powerful outputs first (_auxiva_order).
+    sweep updates in place; returns the new stack, whose leading K
+    columns projection_back maps to the images once the loop ends.
     """
     if method is Method.AUXIVA:
         def noise_inverse(cov):
             eye = np.eye(cov.shape[-1])
             return cov if n_targets == len(eye) else linalg.lu_solve(cov, eye)
 
-        def reorder(w, inverse, sweep_cov, noise_cov):
-            return w[:, :, _auxiva_order(w, inverse, noise_cov, n_targets)]
-
-        return noise_inverse, auxiva_sweep, reorder, True
-    if method is Method.IP2:
-        def ip2_sweep(w, target_covs, noise_cov):
-            out = np.array(w, copy=True)
-            out[..., :, 0] = ip2_update(target_covs[0], noise_cov)
-            return out
-
-        def complete(w, inverse, sweep_cov, noise_cov):
-            w[:, :, 1:] = update_wz_fast(w[:, :, :1], sweep_cov)
-            return w
-
-        return (lambda cov: cov), ip2_sweep, complete, False
-    sweep = ip1_sweep if method is Method.IP1 else ip3_sweep
-    return (lambda cov: cov), sweep, (lambda w, *_: w), False
+        return noise_inverse, auxiva_sweep, True
+    sweep = {Method.IP1: ip1_sweep, Method.IP2: ip2_sweep, Method.IP3: ip3_sweep}
+    return (lambda cov: cov), sweep[method], False
 
 
 def _bin_cost(w, n_targets, ridge, offset, noise_cov, profiled):
@@ -581,11 +571,12 @@ def run(x, n_targets, config=RunConfig()):
     iteration, for exactly config.iterations iterations (the cost trace
     is recorded, never read back). Then projects the target outputs back
     onto the array with one projection_back call, returning each image
-    as its two rank-one factors (SeparationResult).
-    For the auxiva baseline all M outputs are updated and the n_targets
-    with the most powerful images are kept; the returned stack's columns
-    are reordered so the kept filters come first. auxiva's sweeps carry
-    W^{-H} from the identity: run() scales its target columns by the
+    as its two rank-one factors (SeparationResult). The stack the last
+    iteration leaves is the one returned: its leading n_targets columns
+    are the targets for every method, auxiva's included.
+    For the auxiva baseline all M outputs are updated, the leading
+    n_targets with their variance models. auxiva's sweeps carry W^{-H}
+    from the identity: run() scales its target columns by the
     reciprocals of W's per-iteration scales and solves it afresh from W
     at every AUXIVA_REFRESH_SWEEPS-th sweep, in each chunk's slice.
 
@@ -613,13 +604,15 @@ def run(x, n_targets, config=RunConfig()):
     if not isinstance(x, Spectrogram):
         Spectrogram(data)
     n_targets = check_targets(config.method, n_targets, n_chan)
-    operand, sweep, finish, carries = _schedule(config.method, n_targets)
+    operand, sweep, carries = _schedule(config.method, n_targets)
 
     t0 = time.perf_counter()
     # Never more workers than CPUs: map starts a thread for every chunk
-    # that finds no idle worker, up to max_workers.
+    # that finds no idle worker, up to max_workers. No pool of one worker:
+    # on extract2-ip1's shape (2-core Xeon) one made run() 9-30 % slower
+    # than running the chunks inline.
     workers = min(config.threads, os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(workers) if config.threads > 1 else None
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
         noise_cov = model.noise_covariance(data)
         # On a silent bin x = 0 and every G_k = eps2 I, so its images are
@@ -688,16 +681,10 @@ def run(x, n_targets, config=RunConfig()):
                 if carries:
                     inverse[:, :, k] /= scale
 
-        # Each (F, M, M) operand is freed once its last reader is done
-        # (del clears stage_sweep's cells too): the sweeps' operand before
-        # finish, W^{-H}, G_z and its silent-bin copy before
-        # projection_back allocates the output spectra.
-        del noise
-        try:
-            w = finish(w, inverse, sweep_cov, noise_cov)
-        except NumericalError as exc:
-            raise _shift_bin(exc, 0) from None
-        del inverse, noise_cov, sweep_cov
+        # The (F, M, M) operands (the sweeps' operand, W^{-H}, G_z and its
+        # silent-bin copy) are freed before projection_back allocates the
+        # output spectra; del clears stage_sweep's cells too.
+        del noise, inverse, noise_cov, sweep_cov
         mixing, outputs = projection_back(w, data, n_targets)
     finally:
         if pool is not None:
@@ -710,21 +697,3 @@ def run(x, n_targets, config=RunConfig()):
         cost_trace=np.array(cost_trace),
         wall_time=time.perf_counter() - t0,
     )
-
-
-def _auxiva_order(w, inverse, noise_cov, n_targets):
-    """Column order that puts the n_targets outputs with the most powerful
-    images first (ties to the lowest index), then the rest in order.
-
-    In bin f, output j's image has power |a_j|^2 sum_t |w_j^H x_t|^2
-    = T |a_j|^2 w_j^H G_z w_j, with a_j = W^{-H} e_j, the column j of
-    inverse (the A that run() carried), and G_z = noise_cov; T is the
-    same for every output and is left out. No output is demixed and no
-    system is solved.
-    """
-    n_chan = w.shape[-1]
-    filter_pow = np.sum(np.abs(inverse) ** 2, axis=-2)
-    output_pow = _quad(np.moveaxis(w, -1, 0), noise_cov).T
-    powers = np.sum(filter_pow * output_pow, axis=0)
-    picked = _top_indices(powers, n_targets)
-    return list(picked) + [j for j in range(n_chan) if j not in picked]

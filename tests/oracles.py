@@ -8,10 +8,9 @@ check the objective and the stationarity conditions on the whole stack.
 cost_jw and gradient_jw_row are the per-bin surrogate objective and its
 gradient, which no run path evaluates. weighted_covariance_unblocked,
 update_variances_unblocked, auxiva_sweep_ip0, auxiva_sweep_solved,
-gev_largest_solves, ip2_update_gev, auxiva_order_demixed,
-windowed_frames, stft_unblocked and istft_unblocked are the earlier,
-plainer forms of run-path kernels, which the faster forms must
-reproduce. demix and projection_back_image
+gev_largest_solves, ip2_update_gev, windowed_frames, stft_unblocked and
+istft_unblocked are the earlier, plainer forms of run-path kernels,
+which the faster forms must reproduce. demix and projection_back_image
 form the dense outputs and images that run() never holds whole.
 """
 
@@ -24,7 +23,6 @@ from overiva.model import EPS_VARIANCE, DemixingStack, _spec_data
 from overiva.optimizer import (
     _quad,
     _require_positive,
-    _top_indices,
     ip0_update_row,
     ip1_sweep,
     projection_back,
@@ -229,19 +227,6 @@ def ip2_update_gev(target_cov, noise_cov):
         q, "target covariance is not positive along the extracted direction"
     )
     return u / np.sqrt(q)[..., None]
-
-
-def auxiva_order_demixed(w, data, n_targets):
-    """optimizer._auxiva_order ranking each output's image power from the
-    demixed outputs of all M filters, data @ conj(w): a transient the
-    size of the spectrogram."""
-    n_chan = w.shape[-1]
-    mixing = linalg.lu_solve(linalg.hermitian_transpose(w), np.eye(n_chan))
-    filter_pow = np.sum(np.abs(mixing) ** 2, axis=-2)
-    output_pow = np.sum(np.abs(data @ np.conj(w)) ** 2, axis=1)
-    powers = np.sum(filter_pow * output_pow, axis=0)
-    picked = _top_indices(powers, n_targets)
-    return list(picked) + [j for j in range(n_chan) if j not in picked]
 
 
 def windowed_frames(signal, config):

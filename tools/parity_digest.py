@@ -22,7 +22,11 @@ each case's image factors and cost trace (or its error) in DIR, one
 each case's largest change against those files: of the images, relative
 to the saved images' largest magnitude, and of the cost trace, relative
 to each saved value. The images are compared, not the outputs, because
-a filter's phase is arbitrary. A separate_file line reads "wav same"
+a filter's phase is arbitrary. Each target is scored against the saved
+target whose image it moved least from (one saved target per target),
+and the line adds order=[...], the saved target of each target, when
+that matching is not the identity: a change that only swaps targets
+reads as no move. A separate_file line reads "wav same"
 when the image WAVs' bytes are unchanged, else their largest sample
 move relative to the saved images' largest magnitude. The file sits in
 its checkout's tools/ and runs that checkout's src/, so save with a
@@ -47,6 +51,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 # The checkout this file belongs to, ahead of any installed copy.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -87,23 +92,28 @@ def _cases(n_mics):
 
 
 def _image_change(mixing, outputs, saved):
-    """Largest |image - saved image| over the largest saved |image|, one
-    target at a time: an image is outputs[k, t, f] * mixing[k, :, f]."""
-    diff = scale = 0.0
-    for k in range(len(mixing)):
-        new = outputs[k][:, None] * mixing[k][None]
-        old = saved["outputs"][k][:, None] * saved["mixing"][k][None]
-        diff = max(diff, np.abs(new - old).max(initial=0.0))
-        scale = max(scale, np.abs(old).max(initial=0.0))
-    return diff / scale if scale else diff
+    """Largest |image - saved image| over the largest saved |image|, each
+    target matched to a saved target so that the moves are least (a
+    permutation), and that matching: order[k] is target k's saved
+    target. An image is outputs[k, t, f] * mixing[k, :, f]."""
+    old = [o[:, None] * m[None] for m, o in zip(saved["mixing"], saved["outputs"])]
+    moves = np.array([
+        [np.abs(o[:, None] * m[None] - ref).max(initial=0.0) for ref in old]
+        for m, o in zip(mixing, outputs)
+    ])
+    rows, order = linear_sum_assignment(moves)
+    diff = moves[rows, order].max(initial=0.0)
+    scale = max(np.abs(ref).max(initial=0.0) for ref in old)
+    return (diff / scale if scale else diff), order.tolist()
 
 
 def _compare(res, saved):
     """How far a run() case moved from its saved file."""
-    images = _image_change(res.mixing, res.outputs, saved)
+    images, order = _image_change(res.mixing, res.outputs, saved)
     old = saved["cost_trace"]
     trace = np.max(np.abs(res.cost_trace - old) / np.abs(old), initial=0.0)
-    return f"images={images:.2e} trace={trace:.2e}"
+    line = f"images={images:.2e} trace={trace:.2e}"
+    return line if order == list(range(len(order))) else f"{line} order={order}"
 
 
 def _wav_change(wav, images, saved):
