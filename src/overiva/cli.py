@@ -20,7 +20,7 @@ import numpy as np
 
 from .bench import DEFAULT_METHODS, MIXTURE_METHOD, run_benchmark, write_csv
 from .errors import CorruptFile, InvalidSpec, NumericalError, UnsupportedFormat
-from .io import read_wav
+from .io import _check_header, read_wav
 from .model import EPS_RIDGE, EPS_VARIANCE
 from .optimizer import DEFAULT_ITERATIONS, Method, RunConfig
 from .pipeline import separate_file
@@ -180,11 +180,15 @@ def _load_speech(paths, sample_rate, n_samples):
                 f"scene ({n_samples})"
             )
         sources.append(buf.samples[:n_samples, 0])
-    return np.stack(sources)
+    # read_wav's samples are float32; the scene is rendered in float64.
+    return np.stack(sources).astype(np.float64)
 
 
 def _cmd_make_mix(args):
     spec = _scene_spec(args, args.speakers, args.noises, args.mics, args.sinr)
+    # save_scene writes float32 WAVs of n_mics channels: a header that
+    # cannot hold the scene is refused before it is rendered.
+    _check_header(spec.n_mics, spec.sample_rate, spec.n_samples)
     sources = None
     if args.speech is not None:
         if len(args.speech) != spec.n_sources:

@@ -1,13 +1,16 @@
 """WAV file I/O restricted to PCM16 and IEEE float32.
 
-Samples live in memory as float64 arrays of shape (n_samples, n_channels)
-with the usual [-1, 1] nominal range. PCM16 data maps to floats by
-division by 32768; the inverse quantization clamps to [-1, 1] and rounds
-half away from zero. The RIFF parser accepts standard and extended fmt
-chunks and skips unrelated chunks; anything that is not a parseable
-RIFF/WAVE container, or float data holding a NaN or infinite sample,
-raises CorruptFile, while well-formed files in other encodings raise
-UnsupportedFormat.
+Samples live in memory as arrays of shape (n_samples, n_channels) with
+the usual [-1, 1] nominal range: float32 as read from a file, which
+holds every PCM16 or float32 sample exactly at half the size of float64,
+and float64 otherwise (AudioBuffer). PCM16 data maps to floats by
+multiplication by 2^-15; the inverse quantization clamps to [-1, 1] and
+rounds half away from zero. write_wav writes the header and then the
+samples, with no copy of the payload beyond its one conversion. The
+RIFF parser accepts standard and extended fmt chunks and skips unrelated
+chunks; anything that is not a parseable RIFF/WAVE container, or float
+data holding a NaN or infinite sample, raises CorruptFile, while
+well-formed files in other encodings raise UnsupportedFormat.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ class AudioBuffer:
 
     sample_rate : Hz, a Python or numpy integer >= 1, stored as a
         Python int (errors.check_number)
-    samples : (n_samples, n_channels) float64 with n_channels >= 1; 1-D
+    samples : (n_samples, n_channels) with n_channels >= 1, float32 if
+        given as float32 (read_wav's samples) and float64 otherwise; 1-D
         input is promoted to a single channel
     """
 
@@ -44,7 +48,9 @@ class AudioBuffer:
     samples: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.samples, dtype=np.float64)
+        x = np.asarray(self.samples)
+        if x.dtype != np.float32:
+            x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
         if x.ndim != 2:
@@ -80,7 +86,8 @@ def quantize_pcm16(samples):
 
 
 def read_wav(path):
-    """Read a PCM16 or IEEE float32 RIFF/WAVE file into an AudioBuffer.
+    """Read a PCM16 or IEEE float32 RIFF/WAVE file into an AudioBuffer
+    of float32 samples, equal to the file's values (PCM16 times 2^-15).
 
     A NaN or infinite float sample raises CorruptFile naming the first
     one by frame index and channel.
@@ -123,23 +130,26 @@ def read_wav(path):
     if audio_format == _PCM:
         if bits != 16:
             raise UnsupportedFormat(f"{path}: {bits}-bit PCM not supported")
-        dtype, scale = np.dtype("<i2"), 1.0 / 32768.0
+        dtype = np.dtype("<i2")
     elif audio_format == _IEEE_FLOAT:
         if bits != 32:
             raise UnsupportedFormat(f"{path}: {bits}-bit float not supported")
-        dtype, scale = np.dtype("<f4"), 1.0
+        dtype = np.dtype("<f4")
     else:
         raise UnsupportedFormat(f"{path}: audio format {audio_format} not supported")
     frame_bytes = n_channels * dtype.itemsize
     if block_align not in (0, frame_bytes) or len(data) % frame_bytes != 0:
         raise CorruptFile(f"{path}: sample data does not align with frames")
-    # One float64 array: the cast makes it, and PCM16 is scaled in place.
-    flat = np.frombuffer(data, dtype=dtype).astype(np.float64)
-    if scale != 1.0:
-        flat *= scale
-    # A sum of finite float32 samples cannot overflow float64, so it is
-    # finite exactly when every sample is, and takes no mask to find out.
-    if not np.isfinite(flat.sum()):
+    # One float32 array: the cast makes it, and PCM16 is scaled in place,
+    # exactly. A NaN or infinite float sample shows in the minimum or the
+    # maximum, which take no whole-array temporary and, unlike a float32
+    # sum, cannot overflow on finite samples.
+    flat = np.frombuffer(data, dtype=dtype).astype(np.float32)
+    if audio_format == _PCM:
+        flat *= np.float32(2.0**-15)
+    elif not (
+        np.isfinite(flat.min(initial=0.0)) and np.isfinite(flat.max(initial=0.0))
+    ):
         first = int(np.flatnonzero(~np.isfinite(flat))[0])
         frame, channel = divmod(first, n_channels)
         raise CorruptFile(
@@ -149,19 +159,26 @@ def read_wav(path):
     return AudioBuffer(sample_rate, flat.reshape(-1, n_channels))
 
 
-def _check_header(buffer, sample_bytes, header_bytes):
-    """Raise ValueError naming the first WAV header field of buffer that
-    its unsigned field cannot hold: channel count and block align take
-    16 bits, sample rate, byte rate and data size 32. The data size must
-    also leave room for the header_bytes the RIFF size counts besides."""
-    channels, rate = buffer.n_channels, buffer.sample_rate
+def _check_header(channels, rate, frames, sample_format="float32"):
+    """Raise ValueError naming the first field of the header of a WAV of
+    these counts in sample_format ("float32" or "pcm16", else ValueError)
+    that its unsigned field cannot hold: channel count and block align
+    take 16 bits, sample rate, byte rate and data size 32. The data size
+    must also leave room for the rest of the file, which the RIFF size
+    counts besides the samples."""
+    if sample_format not in ("float32", "pcm16"):
+        raise ValueError(f"unknown sample_format {sample_format!r}")
+    width = 4 if sample_format == "float32" else 2
+    # The RIFF size counts "WAVE" (4 bytes), the fmt chunk's header and
+    # fields (8 + 16) and the data chunk's header (8); float32 adds a zero
+    # cbSize closing its fmt chunk (2) and a fact chunk (12).
+    header_bytes = 4 + 8 + 16 + 8 + (2 + 12 if width == 4 else 0)
     fields = (
         ("channel count", channels, 0xFFFF),
         ("sample rate", rate, 0xFFFFFFFF),
-        ("byte rate", rate * channels * sample_bytes, 0xFFFFFFFF),
-        ("block align", channels * sample_bytes, 0xFFFF),
-        ("data size", buffer.n_samples * channels * sample_bytes,
-         0xFFFFFFFF - header_bytes),
+        ("byte rate", rate * channels * width, 0xFFFFFFFF),
+        ("block align", channels * width, 0xFFFF),
+        ("data size", frames * channels * width, 0xFFFFFFFF - header_bytes),
     )
     for name, value, limit in fields:
         if value > limit:
@@ -177,39 +194,35 @@ def write_wav(path, buffer, sample_format="float32"):
     float32 round-trip bit-exactly; pcm16 output clamps and quantizes.
     A buffer whose header does not fit the format's fields raises
     ValueError naming the field (_check_header) before path is opened.
+    The header and the samples are written one after the other: the
+    payload is the one converted array (none for float32 samples), not
+    joined to the header in a copy.
     """
-    float32 = sample_format == "float32"
-    if not float32 and sample_format != "pcm16":
-        raise ValueError(f"unknown sample_format {sample_format!r}")
-    width = 4 if float32 else 2
-    # float32 closes its fmt chunk with a zero cbSize (2 bytes) and follows
-    # it with a fact chunk (12) holding the frame count. The RIFF size
-    # counts "WAVE" (4 bytes), the fmt chunk's header and fields (8 + 16),
-    # those extra bytes and the data chunk's header (8) besides the samples.
-    extra = 2 + 12 if float32 else 0
-    _check_header(buffer, width, 4 + 8 + 16 + extra + 8)
     n_chan, rate = buffer.n_channels, buffer.sample_rate
+    _check_header(n_chan, rate, buffer.n_samples, sample_format)
+    float32 = sample_format == "float32"
+    width = 4 if float32 else 2
     fmt_body = struct.pack(
         "<HHIIHH", _IEEE_FLOAT if float32 else _PCM, n_chan, rate,
         rate * n_chan * width, n_chan * width, 8 * width,
     )
     if float32:
-        payload = buffer.samples.astype("<f4").tobytes()
+        payload = np.ascontiguousarray(buffer.samples, dtype="<f4")
         fmt_body += struct.pack("<H", 0)
         fact = struct.pack("<4sII", b"fact", 4, buffer.n_samples)
     else:
-        payload = quantize_pcm16(buffer.samples).astype("<i2").tobytes()
+        payload = np.ascontiguousarray(quantize_pcm16(buffer.samples), dtype="<i2")
         fact = b""
     chunks = (
         struct.pack("<4sI", b"fmt ", len(fmt_body))
         + fmt_body
         + fact
-        + struct.pack("<4sI", b"data", len(payload))
-        + payload
+        + struct.pack("<4sI", b"data", payload.nbytes)
     )
-    blob = struct.pack("<4sI4s", b"RIFF", 4 + len(chunks), b"WAVE") + chunks
+    header = struct.pack("<4sI4s", b"RIFF", 4 + len(chunks) + payload.nbytes, b"WAVE")
     try:
         with open(path, "wb") as fh:
-            fh.write(blob)
+            fh.write(header + chunks)
+            fh.write(payload)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

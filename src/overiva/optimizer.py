@@ -22,10 +22,13 @@ Four schedules share the same per-bin building blocks:
 - ``ip3``: row updates interleaved with a background refresh after every
   target, keeping the background orthogonally constrained throughout.
 
-All update functions are pure: they take stacked arrays with leading
-batch axes (one entry per frequency bin) and return new arrays. The one
-exception is the W^{-H} that auxiva_sweep carries, which it updates in
-place, so that run() holds it once with no chunk-sized copy beside it.
+The row and background updates (ip0_update_row, update_wz_fast,
+update_wz_full, ip2_update) are pure: they take stacked arrays with
+leading batch axes (one entry per frequency bin) and return new arrays.
+The sweeps are not: each updates the (..., M, M) stack it is handed in
+place and returns it, and auxiva_sweep also the W^{-H} it carries. run()
+hands a sweep its chunk's slice of W (and of W^{-H}), so it holds each
+once, with no chunk-sized copy beside it and nothing to copy back.
 
 Each iteration starts from the target variances, the mean over bins of
 |w_k^H x|^2 floored at eps1 (model.update_variances, once per
@@ -35,15 +38,15 @@ bin order. No (F, T, K) array of target outputs is formed, and the
 variances, hence the images and cost trace, are the same bits at every
 threads setting.
 
-The sweeps run in frequency chunks at every threads setting
-(stft.blocks of the bins): the fewest chunks that keep one (chunk, M, M)
-complex array within stft.SCRATCH_BYTES, or threads of them if that is
-more, each chunk's K weighted covariances in one array of that many
-bins. So a sweep's temporaries are bounded by the budget, not by F M^2,
-and threads > 1 only runs the chunks on a pool of at most as many
-workers as there are CPUs (none when that is one). Every bin's
-arithmetic is the same in any chunk, so no output depends on the
-chunking.
+The sweeps run in frequency chunks at every threads setting (stft.blocks
+of the bins): the fewest chunks that keep one (chunk, M, M) complex
+array within stft.SCRATCH_BYTES, or threads of them if that is more,
+each chunk's K weighted covariances being the K arrays of that many bins
+that model.weighted_covariance returns. So a sweep's temporaries are
+bounded by the budget, not by F M^2, and threads > 1 only runs the
+chunks on a pool of at most as many workers as there are CPUs (none when
+that is one). Every bin's arithmetic is the same in any chunk, so no
+output depends on the chunking.
 
 _schedule is the one place where a method's operand and sweep live;
 run() compares no Method. G_z does not change during a run, so run()
@@ -283,14 +286,14 @@ def update_wz_fast(w_targets, noise_cov):
     return block
 
 
-def ip1_sweep(w_stack, target_covs, noise_cov):
+def ip1_sweep(w, target_covs, noise_cov):
     """One sweep: all K target rows, then one background update.
 
-    target_covs : (K, ..., M, M) weighted covariances; noise_cov :
-    (..., M, M). Returns the updated stack.
+    w : (..., M, M), updated in place and returned; target_covs : K
+    weighted covariances, (..., M, M) each (a list, or a stacked array);
+    noise_cov : (..., M, M).
     """
-    w = np.array(w_stack, copy=True)
-    n_targets = target_covs.shape[0]
+    n_targets = len(target_covs)
     for k in range(n_targets):
         w[..., :, k] = ip0_update_row(w, target_covs[k], k)
     if n_targets < w.shape[-1]:
@@ -298,16 +301,15 @@ def ip1_sweep(w_stack, target_covs, noise_cov):
     return w
 
 
-def ip3_sweep(w_stack, target_covs, noise_cov):
+def ip3_sweep(w, target_covs, noise_cov):
     """One sweep with a background refresh after every target row.
 
     Keeps the orthogonal constraint satisfied at every intermediate
     state, which is what allows the determinant to stay in closed form.
-    Coincides with ip1_sweep when there is a single target. Returns the
-    updated stack.
+    Coincides with ip1_sweep when there is a single target. Takes the
+    arguments of ip1_sweep, updates w in place and returns it.
     """
-    w = np.array(w_stack, copy=True)
-    n_targets = target_covs.shape[0]
+    n_targets = len(target_covs)
     for k in range(n_targets):
         w[..., :, k] = ip0_update_row(w, target_covs[k], k)
         w[..., :, n_targets:] = update_wz_fast(w[..., :, :n_targets], noise_cov)
@@ -328,33 +330,34 @@ def _require_inverse(inverse, w):
         raise linalg._singular(linalg._first(~ok.ravel()))
 
 
-def auxiva_sweep(w_stack, target_covs, noise_inv, inverse):
+def auxiva_sweep(w, target_covs, noise_inv, inverse):
     """One determined-style sweep over all M rows.
 
     Rows past the targets use the unweighted mixture covariance as their
     auxiliary matrix, matching the stationary unit-variance model.
 
+    w : (..., M, M), updated in place and returned; target_covs : K
+    weighted covariances, (..., M, M) each (a list, or a stacked array).
     Each row takes ip0_update_row's update, w_k = u / sqrt(q) with
     u = G^{-1} a_k, a_k = W^{-H} e_k and q = a_k^H u, without its LU
-    solve of W^H G. inverse is A = W^{-H} of w_stack, (..., M, M), as
+    solve of W^H G. inverse is A = W^{-H} of w, (..., M, M), as
     the last sweep left it (run() carries it across sweeps); it must
     pass lu_solve's singularity rule against W, else SingularMatrix. A
     follows each new column by a rank-one (Sherman-Morrison) update, in
-    place, so it leaves the sweep as the new stack's W^{-H}. The noise
+    place, so it leaves the sweep as the new w's W^{-H}. The noise
     rows share noise_inv, the inverse of G_z, (..., M, M), which run()
     forms once per run (it is not read when K = M). A sweep therefore
     makes K batched LU solves, one per target, instead of M.
 
-    Returns the updated stack. Each noise row is solved from
-    W^H G_z w_j = e_j (up to its scale) after every target, and each
-    later row from the same condition with w_j in W, so after the sweep
-    W_z^H G_z W_z = I and W_s^H G_z W_z = 0. The background is then the
-    profiled optimum for the targets, and run() reads auxiva's cost with
-    the same formula as every method's (_bin_cost).
+    Each noise row is solved from W^H G_z w_j = e_j (up to its scale)
+    after every target, and each later row from the same condition with
+    w_j in W, so after the sweep W_z^H G_z W_z = I and
+    W_s^H G_z W_z = 0. The background is then the profiled optimum for
+    the targets, and run() reads auxiva's cost with the same formula as
+    every method's (_bin_cost).
     """
-    w = np.array(w_stack, copy=True)
     _require_inverse(inverse, w)
-    n_targets = target_covs.shape[0]
+    n_targets = len(target_covs)
     for k in range(w.shape[-1]):
         ak = inverse[..., :, k, None]
         if k < n_targets:
@@ -397,15 +400,12 @@ def ip2_update(target_cov, noise_cov):
     return u / np.sqrt(q)[..., None]
 
 
-def ip2_sweep(w_stack, target_covs, noise_cov):
+def ip2_sweep(w, target_covs, noise_cov):
     """One ip2 sweep: ip2_update for the single target, then one
     background update. This is ip1_sweep at K = 1 with ip2's step in
-    place of the row update.
-
-    target_covs : (1, ..., M, M); noise_cov : (..., M, M). Returns the
-    updated stack.
+    place of the row update, and takes its arguments (one target
+    covariance); it updates w in place and returns it.
     """
-    w = np.array(w_stack, copy=True)
     w[..., :, 0] = ip2_update(target_covs[0], noise_cov)
     w[..., :, 1:] = update_wz_fast(w[..., :, :1], noise_cov)
     return w
@@ -482,10 +482,11 @@ def _schedule(method, n_targets):
     carries: whether the sweeps carry A = W^{-H} (auxiva). run() then
     holds A, from the identity like W, and solves it fresh from W once
     every AUXIVA_REFRESH_SWEEPS sweeps.
-    sweep(w, target_covs, noise[, inverse]): one sweep of a chunk, noise
-    being its slice of the operand and inverse its slice of A, which the
-    sweep updates in place; returns the new stack, whose leading K
-    columns projection_back maps to the images once the loop ends.
+    sweep(w, target_covs, noise[, inverse]): one sweep of a chunk, w
+    being its slice of W, noise its slice of the operand and inverse its
+    slice of A, the sweep updating w and A in place; the leading K
+    columns of W are what projection_back maps to the images once the
+    loop ends.
     """
     if method is Method.AUXIVA:
         def noise_inverse(cov):
@@ -571,9 +572,10 @@ def run(x, n_targets, config=RunConfig()):
     iteration, for exactly config.iterations iterations (the cost trace
     is recorded, never read back). Then projects the target outputs back
     onto the array with one projection_back call, returning each image
-    as its two rank-one factors (SeparationResult). The stack the last
-    iteration leaves is the one returned: its leading n_targets columns
-    are the targets for every method, auxiva's included.
+    as its two rank-one factors (SeparationResult). Each sweep writes
+    into run()'s own stack, a chunk of bins at a time, so the stack the
+    last iteration leaves is the one returned: its leading n_targets
+    columns are the targets for every method, auxiva's included.
     For the auxiva baseline all M outputs are updated, the leading
     n_targets with their variance models. auxiva's sweeps carry W^{-H}
     from the identity: run() scales its target columns by the
@@ -651,16 +653,12 @@ def run(x, n_targets, config=RunConfig()):
                     # scratch does not add to theirs.
                     if refresh:
                         inverse[sl] = linalg.lu_solve(hermitian_transpose(w[sl]), eye)
-                    covs = np.empty(
-                        (n_targets, sl.stop - sl.start, n_chan, n_chan),
-                        dtype=np.complex128,
-                    )
-                    for k in range(n_targets):
-                        covs[k] = model.weighted_covariance(
-                            data[sl], lam[k], config.eps2
-                        )
+                    covs = [
+                        model.weighted_covariance(data[sl], lam[k], config.eps2)
+                        for k in range(n_targets)
+                    ]
                     carried = (inverse[sl],) if carries else ()
-                    w[sl] = sweep(w[sl], covs, noise[sl], *carried)
+                    sweep(w[sl], covs, noise[sl], *carried)
                     bin_cost[sl] = _bin_cost(
                         w[sl], n_targets, config.eps2, offset[sl],
                         noise_cov[sl], profiled[sl],

@@ -319,13 +319,15 @@ def load_scene(in_dir):
         spec = SceneSpec(**payload)
     except TypeError as exc:
         raise InvalidSpec(f"bad spec.json in {in_dir}: {exc}") from None
-    mixture = read_wav(os.path.join(in_dir, "mixture.wav")).samples
+    # Widened from read_wav's float32, so that the residual below and any
+    # arithmetic on the scene are float64.
+    mixture = read_wav(os.path.join(in_dir, "mixture.wav")).samples.astype(np.float64)
     targets = np.stack(
         [
             read_wav(os.path.join(in_dir, f"target_{k + 1}.wav")).samples
             for k in range(spec.n_sources)
         ]
-    )
+    ).astype(np.float64)
     residual = mixture - targets.sum(axis=0)
     if spec.n_noises > 0:
         noise_images = residual[None]

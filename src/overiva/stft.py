@@ -18,9 +18,10 @@ frames of 4096 samples on 7 channels fit, 8 of 2048 on 8. So a block's
 scratch is about SCRATCH_BYTES whatever the channel count and frame
 length, and no spectrogram-sized or signal-sized intermediate is made.
 stft copies the samples one block of frames covers into a block-sized
-scratch, zeroing only what falls in the padding (the padded signal is
-never formed), windows the block into a second reused buffer, and has
-np.fft.rfft write the transform through out= straight into the
+float64 scratch, widening float32 samples there (no float64 copy of the
+signal is made), zeroing only what falls in the padding (the padded
+signal is never formed), windows the block into a second reused buffer,
+and has np.fft.rfft write the transform through out= straight into the
 bin-major output.
 istft reads each block as (frames, channels, bins): from an (F, T, M)
 view of a (T, M, F) array without a copy, or, for a RankOneImage, as
@@ -163,7 +164,11 @@ def sqrt_hann_window(frame_len):
 
 
 def _as_multichannel(signal):
-    x = np.asarray(signal, dtype=np.float64)
+    """signal as (n, M), float32 kept as it is (stft widens it a block at
+    a time) and any other dtype as float64."""
+    x = np.asarray(signal)
+    if x.dtype != np.float32:
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
@@ -180,7 +185,7 @@ def _rfft_stays_finite(x, frame_len):
     rounding. A NaN fails both comparisons, an infinity one of them.
     """
     limit = np.finfo(np.float64).max / (2 * frame_len)
-    return bool(x.min() > -limit and x.max() < limit)
+    return float(x.min()) > -limit and float(x.max()) < limit
 
 
 def n_frames_for(n_samples, config):
@@ -200,6 +205,11 @@ def _require_one_frame(n_samples, config):
 def stft(signal, config=StftConfig()):
     """Analyze a (n_samples, n_channels) signal into a Spectrogram.
 
+    A float32 signal is read as it is and widened to float64 a block at
+    a time, in the span a block's frames are copied into, so no float64
+    copy of it is made; the spectrogram is the one of the widened
+    signal, bit for bit. Any other dtype is converted to float64 first.
+
     Equal bit for bit to the rfft of all windowed frames at once (the
     tests' oracles.windowed_frames and stft_unblocked), taken a block of
     frames at a time: blocks() of the T frames, each frame being
@@ -212,7 +222,9 @@ def stft(signal, config=StftConfig()):
     is never formed. Each block is windowed into one reused
     (B, M, frame_len) buffer of at most SCRATCH_BYTES, and np.fft.rfft
     writes its transform through out= into the bin-major output. Beyond
-    the output, stft allocates only these two buffers and the window.
+    the output, stft allocates only these two buffers and the window
+    (and the float64 copy of a signal that is neither float32 nor
+    float64).
 
     Raises SignalTooShort when the signal does not fill one frame, and
     ValueError naming the first non-finite spectrogram entry. The

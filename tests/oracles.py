@@ -46,7 +46,8 @@ def ip1_full_sweep(w, target_covs, noise_cov):
     """
     n_targets = target_covs.shape[0]
     out = np.array(w, copy=True)
-    out[..., :, :n_targets] = ip1_sweep(w, target_covs, noise_cov)[..., :, :n_targets]
+    targets = ip1_sweep(np.array(w, copy=True), target_covs, noise_cov)
+    out[..., :, :n_targets] = targets[..., :, :n_targets]
     out[..., :, n_targets:] = update_wz_full(out, noise_cov, n_targets)
     return out
 

@@ -412,6 +412,27 @@ class TestMakeMix:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rate_beyond_the_header_is_usage_error_before_synthesis(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """At 2**29 Hz the float32 byte rate of a 2-microphone scene,
+        2**32, does not fit its WAV header: a usage error naming the
+        field, before the scene, whose size grows with the rate, is
+        rendered."""
+
+        def no_scene(*args, **kwargs):
+            raise AssertionError("scene rendered")
+
+        monkeypatch.setattr(cli, "synthesize", no_scene)
+        out = tmp_path / "x"
+        code = main(
+            ["make-mix", "--speakers", "1", "--noises", "1", "--mics", "2",
+             "--rate", str(2**29), "--dur", "0.5", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "WAV byte rate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_speech_sources(self, tmp_path):
         rng = np.random.default_rng(1)
         speech = tmp_path / "speech.wav"

@@ -65,6 +65,45 @@ class TestQuantize:
         assert quantize_pcm16(np.array([0.0]))[0] == 0
 
 
+class TestSampleDtype:
+    def test_float32_is_kept_and_every_other_dtype_widened(self):
+        x = np.ones((5, 2), dtype=np.float32)
+        assert AudioBuffer(8000, x).samples is x
+        for samples in (
+            np.ones((5, 2), dtype=np.float16),
+            np.ones((5, 2), dtype=np.int16),
+            np.ones((5, 2)),
+            [[1, 2], [3, 4]],
+        ):
+            assert AudioBuffer(8000, samples).samples.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "sample_format, dtype, scale",
+        [("float32", "<f4", 1.0), ("pcm16", "<i2", 2.0**-15)],
+    )
+    def test_read_is_float32_equal_to_the_file(
+        self, tmp_path, sample_format, dtype, scale
+    ):
+        """read_wav's samples are float32, each the file's value (a PCM16
+        code times 2^-15, exact in float32)."""
+        rng = np.random.default_rng(5)
+        path = tmp_path / "s.wav"
+        write_wav(path, make_buffer(rng, 300, 2), sample_format=sample_format)
+        raw = path.read_bytes()
+        data = raw[raw.find(b"data") + 8 :]
+        got = read_wav(path).samples
+        assert got.dtype == np.float32
+        expected = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
+        np.testing.assert_array_equal(got.astype(np.float64).ravel(), expected)
+
+    def test_largest_finite_float32_samples_read_back(self, tmp_path):
+        """Samples whose float32 sum overflows are finite and read back."""
+        big = np.finfo(np.float32).max
+        path = tmp_path / "loud.wav"
+        write_wav(path, AudioBuffer(8000, np.full((4, 2), big, dtype=np.float32)))
+        np.testing.assert_array_equal(read_wav(path).samples, big)
+
+
 class TestRoundTrips:
     def test_float32_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -98,10 +137,10 @@ class TestRoundTrips:
 
 class TestReadMemory:
     @pytest.mark.parametrize("sample_format", ["float32", "pcm16"])
-    def test_one_float64_array_beside_the_file(
+    def test_one_float32_array_beside_the_file(
         self, tmp_path, traced_peak, sample_format
     ):
-        """read_wav holds at most the file's bytes and the float64
+        """read_wav holds at most the file's bytes and the float32
         samples at once: the data chunk is not copied, and the samples
         are not scaled into a second array."""
         rng = np.random.default_rng(3)
@@ -109,6 +148,21 @@ class TestReadMemory:
         write_wav(path, make_buffer(rng, 100_000, 4), sample_format=sample_format)
         got, peak = traced_peak(read_wav, path)
         assert peak < path.stat().st_size + got.samples.nbytes + 2**16
+
+
+class TestWriteMemory:
+    def test_float32_payload_is_one_converted_array(self, tmp_path, traced_peak):
+        """Writing float64 samples as float32 holds their one float32
+        conversion and no copy of it joined to the header."""
+        rng = np.random.default_rng(3)
+        buf = make_buffer(rng, 100_000, 4)
+        _, peak = traced_peak(write_wav, tmp_path / "w.wav", buf)
+        assert peak < buf.samples.size * 4 + 2**16
+
+    def test_float32_samples_are_written_without_a_copy(self, tmp_path, traced_peak):
+        buf = AudioBuffer(16000, np.zeros((100_000, 4), dtype=np.float32))
+        _, peak = traced_peak(write_wav, tmp_path / "w.wav", buf)
+        assert peak < 2**16
 
 
 class TestHeaderLayout:

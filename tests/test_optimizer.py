@@ -380,10 +380,43 @@ class TestSweeps:
         w = eye_stack(m, (n_bins,)) + random_complex(rng, (n_bins, m, m), 0.3)
         noise_inv = inverse(gz) if k < m else gz
         a = inverse(w.conj().transpose(0, 2, 1))
+        want = auxiva_sweep_solved(w.copy(), covs, noise_inv)
         got = auxiva_sweep(w, covs, noise_inv, a)
-        np.testing.assert_array_equal(got, auxiva_sweep_solved(w, covs, noise_inv))
+        np.testing.assert_array_equal(got, want)
         fresh = inverse(got.conj().transpose(0, 2, 1))
         assert np.abs(a - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+    @pytest.mark.parametrize(
+        "name, k",
+        [("ip1_sweep", 2), ("ip2_sweep", 1), ("ip3_sweep", 2), ("auxiva_sweep", 2)],
+    )
+    def test_sweep_writes_into_the_stack_it_is_handed(self, name, k):
+        """Called as run() calls it, on a chunk's slice of W with the list
+        of K covariances, a sweep updates that slice in place and returns
+        it: bit for bit the stack (and, for auxiva, the W^{-H}) it leaves
+        in a copy of the slice handed the stacked covariances. The bins
+        outside the slice are untouched."""
+        rng = np.random.default_rng(16)
+        m, sl = 4, slice(2, 5)
+        covs = [random_hpd_batch(rng, 3, m) for _ in range(k)]
+        gz = random_hpd_batch(rng, 3, m)
+        w = eye_stack(m, (7,)) + random_complex(rng, (7, m, m), 0.3)
+        before = w.copy()
+        sweep = getattr(optimizer, name)
+        if sweep is auxiva_sweep:
+            noise = inverse(gz)
+            a = inverse(linalg.hermitian_transpose(w[sl]))
+            carried, copied = (a,), (a.copy(),)
+        else:
+            noise, carried, copied = gz, (), ()
+        want = sweep(w[sl].copy(), np.stack(covs), noise, *copied)
+        chunk = w[sl]
+        assert sweep(chunk, covs, noise, *carried) is chunk
+        np.testing.assert_array_equal(w[sl], want)
+        for a_got, a_want in zip(carried, copied):
+            np.testing.assert_array_equal(a_got, a_want)
+        np.testing.assert_array_equal(w[:2], before[:2])
+        np.testing.assert_array_equal(w[5:], before[5:])
 
     def test_auxiva_sweep_singular_stack_names_bin(self):
         """Only bin 2's stack is singular to rounding: its carried W^{-H}

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from overiva.io import AudioBuffer, read_wav, write_wav
 from overiva.optimizer import RunConfig
 from overiva.pipeline import separate_buffer, separate_file, verify_monotone_trace
 from overiva.simulate import SceneSpec, sdr, synthesize
-from overiva.stft import StftConfig, istft, n_frames_for
+from overiva.stft import SCRATCH_BYTES, StftConfig, istft, n_frames_for, stft
 
 STFT = StftConfig(1024, 256)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -191,6 +192,35 @@ class TestSeparateFile:
             out_dir=tmp_path / "out",
         )
         assert peak < (1 + k / m + 0.1) * spec_bytes
+
+    def test_stft_stage_holds_float32_samples_and_the_spectrogram(
+        self, tmp_path, monkeypatch, traced_peak
+    ):
+        """While stft runs, separate_file holds at most the spectrogram,
+        the float32 samples read_wav returns and 2 SCRATCH_BYTES of block
+        scratch: stft widens the samples a block at a time. Float64
+        samples alone would take twice the float32 ones, 3.1 MB here,
+        more than the scratch allowance."""
+        cfg = StftConfig(1024, 256)
+        n, m = 96000, 8
+        wav = tmp_path / "mix.wav"
+        rng = np.random.default_rng(7)
+        write_wav(wav, AudioBuffer(16000, 0.1 * rng.standard_normal((n, m))))
+        stage = []
+
+        def traced_stft(*args, **kwargs):
+            tracemalloc.reset_peak()
+            spec = stft(*args, **kwargs)
+            stage.append(tracemalloc.get_traced_memory()[1])
+            return spec
+
+        monkeypatch.setattr(pipeline, "stft", traced_stft)
+        traced_peak(
+            separate_file, wav, 1, RunConfig(method="ip2", iterations=1), cfg,
+            out_dir=tmp_path / "out",
+        )
+        spec_bytes = cfg.n_bins * n_frames_for(n, cfg) * m * 16
+        assert stage[0] <= spec_bytes + n * m * 4 + 2 * SCRATCH_BYTES
 
     def test_verify_monotone_passes_on_full_mode(self, scene, tmp_path):
         wav = tmp_path / "mix.wav"

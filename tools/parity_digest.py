@@ -13,8 +13,9 @@ message of the error the case raised. After the run() cases comes one
 line per scene for the whole file path: the scene's mixture is written
 as a float32 WAV and separated by pipeline.separate_file, and the line
 holds the hash of the image WAVs' bytes, so stft, istft and write_wav
-are covered too. The bits depend on the BLAS build, so digests are
-compared only between runs on one machine.
+are covered too, and then that call's peak traced allocation
+(tracemalloc), as peak=<MB>. The bits depend on the BLAS build, so
+digests are compared only between runs on one machine.
 
 Where a change moves results within a tolerance, --save DIR also stores
 each case's image factors and cost trace (or its error) in DIR, one
@@ -28,7 +29,8 @@ and the line adds order=[...], the saved target of each target, when
 that matching is not the identity: a change that only swaps targets
 reads as no move. A separate_file line reads "wav same"
 when the image WAVs' bytes are unchanged, else their largest sample
-move relative to the saved images' largest magnitude. The file sits in
+move relative to the saved images' largest magnitude, followed by the
+saved peak and this run's, peak=<saved MB> -> <MB>. The file sits in
 its checkout's tools/ and runs that checkout's src/, so save with a
 copy of it placed in the other checkout.
 
@@ -48,6 +50,7 @@ import hashlib
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,30 +119,39 @@ def _compare(res, saved):
     return line if order == list(range(len(order))) else f"{line} order={order}"
 
 
-def _wav_change(wav, images, saved):
+def _wav_change(wav, images, peak, saved):
     """"wav same" when the image WAVs' bytes are unchanged, else the
-    largest sample move over the largest saved sample magnitude."""
+    largest sample move over the largest saved sample magnitude; then
+    the saved peak and this one, in MB ("?" if none was saved)."""
+    old_peak = f"{saved['peak'] / 1e6:.3f}" if "peak" in saved else "?"
+    moved = f"peak={old_peak} -> {peak / 1e6:.3f}"
     if np.array_equal(wav, saved["wav"]):
-        return "wav same"
+        return f"wav same {moved}"
     old = saved["images"]
     if images.shape != old.shape:
-        return f"wav shape {old.shape} -> {images.shape}"
+        return f"wav shape {old.shape} -> {images.shape} {moved}"
     diff = np.abs(images - old).max(initial=0.0)
     scale = np.abs(old).max(initial=0.0)
-    return f"wav={diff / scale if scale else diff:.2e}"
+    return f"wav={diff / scale if scale else diff:.2e} {moved}"
 
 
 def _separate(mixture, rate, frame_len, k, method):
     """separate_file on mixture, written as a float32 WAV: the image WAVs'
-    bytes, concatenated, and their samples, (K, n, M)."""
+    bytes, concatenated, their samples, (K, n, M), and the peak bytes
+    the call allocated, by tracemalloc."""
     config = RunConfig(method=method, iterations=ITERATIONS, threads=1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mixture.wav"
         write_wav(path, AudioBuffer(rate, mixture))
-        report = separate_file(path, k, config, StftConfig(frame_len), out_dir=tmp)
+        tracemalloc.start()
+        try:
+            report = separate_file(path, k, config, StftConfig(frame_len), out_dir=tmp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         files = [Path(tmp) / name for name in report["outputs"]]
         wav = np.frombuffer(b"".join(f.read_bytes() for f in files), np.uint8)
-        return wav, np.stack([read_wav(f).samples for f in files])
+        return wav, np.stack([read_wav(f).samples for f in files]), peak
 
 
 def _line(args, head, fields, error, digest, compare):
@@ -212,15 +224,17 @@ def main(argv=None):
         k = spec.n_sources
         method = FILE_METHODS[(k, spec.n_mics)]
         head = f"scene={scene} separate_file method={method.value} K={k} threads=1"
-        wav = images = error = None
+        wav = images = peak = error = None
         try:
-            wav, images = _separate(mixture, spec.sample_rate, frame_len, k, method)
+            wav, images, peak = _separate(
+                mixture, spec.sample_rate, frame_len, k, method
+            )
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         _line(
-            args, head, {"wav": wav, "images": images}, error,
-            lambda: f"wav={_hash(wav)}",
-            lambda saved: _wav_change(wav, images, saved),
+            args, head, {"wav": wav, "images": images, "peak": peak}, error,
+            lambda: f"wav={_hash(wav)} peak={peak / 1e6:.3f}",
+            lambda saved: _wav_change(wav, images, peak, saved),
         )
 
 
