@@ -25,7 +25,6 @@ from .io import AudioBuffer, read_wav, write_wav
 from .model import (
     DemixingStack,
     noise_covariance,
-    stationarity_residual,
     update_variances,
     weighted_covariance,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "sdr_set",
     "separate_buffer",
     "separate_file",
-    "stationarity_residual",
     "stft",
     "synth_rir",
     "synthesize",

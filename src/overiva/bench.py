@@ -19,7 +19,13 @@ from .errors import InvalidK, InvalidSpec, TooManySources, check_number
 from .io import AudioBuffer
 from .optimizer import RunConfig, check_targets
 from .pipeline import separate_buffer
-from .simulate import MAX_PERMUTATION_SOURCES, rtf, sdr_set, synthesize
+from .simulate import (
+    MAX_PERMUTATION_SOURCES,
+    _check_model_rate,
+    rtf,
+    sdr_set,
+    synthesize,
+)
 from .stft import StftConfig
 
 MIXTURE_METHOD = "mixture"
@@ -42,8 +48,10 @@ def run_benchmark(
     (optimizer.DEFAULT_ITERATIONS). Before the first scene is rendered,
     trials other than an integer >= 1 (not a bool) and a method named
     twice raise InvalidSpec, every method's RunConfig is
-    validated, and a spec with more sources than simulate.sdr_set scores
-    (MAX_PERMUTATION_SOURCES) raises TooManySources. A method that
+    validated, a spec with more sources than simulate.sdr_set scores
+    (MAX_PERMUTATION_SOURCES) raises TooManySources, and one whose rate
+    the built-in source model cannot draw at raises InvalidSpec
+    (simulate._check_model_rate). A method that
     cannot extract a spec's K sources from its M channels
     (optimizer.check_targets) is skipped for that spec with a note on
     `log`.
@@ -67,6 +75,7 @@ def run_benchmark(
                 f"cell K={spec.n_sources}: SDR is scored over at most "
                 f"{MAX_PERMUTATION_SOURCES} sources"
             )
+        _check_model_rate(spec.sample_rate)
         usable = list(methods)
         for m, config in configs.items():
             try:

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CorruptFile,
-    IoFailure,
-    ShapeMismatch,
-    UnsupportedFormat,
-    check_number,
-)
+from .errors import CorruptFile, IoFailure, UnsupportedFormat, check_number
+from .stft import _as_multichannel
 
 _PCM = 1
 _IEEE_FLOAT = 3
@@ -39,24 +34,17 @@ class AudioBuffer:
 
     sample_rate : Hz, a Python or numpy integer >= 1, stored as a
         Python int (errors.check_number)
-    samples : (n_samples, n_channels) with n_channels >= 1, float32 if
-        given as float32 (read_wav's samples) and float64 otherwise; 1-D
-        input is promoted to a single channel
+    samples : (n_samples, n_channels) with n_channels >= 1, by the rule
+        of stft's input (stft._as_multichannel): float32 if given as
+        float32 (read_wav's samples) and float64 otherwise; 1-D input is
+        promoted to a single channel
     """
 
     sample_rate: int
     samples: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.samples)
-        if x.dtype != np.float32:
-            x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.ndim != 2:
-            raise ShapeMismatch(
-                f"samples must be (n,) or (n, channels), got {x.shape}"
-            )
+        x = _as_multichannel(self.samples)
         if x.shape[1] == 0:
             raise ValueError(f"samples must have at least one channel, got {x.shape}")
         rate = check_number("sample_rate", self.sample_rate, integer=True)
@@ -80,9 +68,17 @@ class AudioBuffer:
 
 def quantize_pcm16(samples):
     """Clamp to [-1, 1] and quantize to int16, rounding half away from zero."""
-    x = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
-    q = np.copysign(np.floor(np.abs(x) * 32768.0 + 0.5), x)
-    return np.clip(q, -32768, 32767).astype(np.int16)
+    x = np.asarray(samples)
+    # One float64 working array for every step; the sign is read from the
+    # input, which the clip does not change.
+    q = np.clip(x, -1.0, 1.0, dtype=np.float64)
+    np.abs(q, out=q)
+    q *= 32768.0
+    q += 0.5
+    np.floor(q, out=q)
+    np.copysign(q, x, out=q)
+    np.clip(q, -32768, 32767, out=q)
+    return q.astype(np.int16)
 
 
 def read_wav(path):

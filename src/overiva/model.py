@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,19 +111,6 @@ class DemixingStack:
     def targets(self):
         """View of the K target filter columns, (F, M, K)."""
         return self.matrices[:, :, : self.n_targets]
-
-
-class StationarityResidual(NamedTuple):
-    """Per-bin deviations from the stationarity conditions.
-
-    target : max over k of ||W^H G_k w_k - e_k||_2
-    noise : ||W^H G_z W_z - E_z||_F
-    combined : elementwise max of the two
-    """
-
-    target: np.ndarray
-    noise: np.ndarray
-    combined: np.ndarray
 
 
 def noise_covariance(x):
@@ -291,30 +277,3 @@ def cost_total(w, lam, x):
     noise_term = np.sum(np.abs(y[..., n_targets:]) ** 2)
     det_term = -2.0 * n_frames * np.sum(linalg.logabsdet(mats))
     return float(target_term + penalty_term + noise_term + det_term)
-
-
-def stationarity_residual(w, target_covs, noise_cov):
-    """How far a state is from the stationarity conditions, per bin.
-
-    At a stationary point W^H G_k w_k = e_k for every target and
-    W^H G_z W_z = E_z (trailing columns of the identity). Returns the
-    per-bin norms of the deviations; see StationarityResidual.
-    """
-    mats = np.asarray(w)
-    target_covs = np.asarray(target_covs)
-    noise_cov = np.asarray(noise_cov)
-    n_chan = mats.shape[-1]
-    n_targets = target_covs.shape[0]
-    wh = linalg.hermitian_transpose(mats)
-    eye = np.eye(n_chan)
-    target = np.zeros(mats.shape[:-2])
-    for k in range(n_targets):
-        lhs = np.einsum("...ij,...j->...i", wh @ target_covs[k], mats[..., :, k])
-        dev = np.linalg.norm(lhs - eye[:, k], axis=-1)
-        target = np.maximum(target, dev)
-    wz = mats[..., :, n_targets:]
-    lhs = wh @ noise_cov @ wz
-    noise = np.linalg.norm(
-        lhs - eye[:, n_targets:], axis=(-2, -1)
-    )
-    return StationarityResidual(target, noise, np.maximum(target, noise))

@@ -48,27 +48,27 @@ chunks on a pool of at most as many workers as there are CPUs (none when
 that is one). Every bin's arithmetic is the same in any chunk, so no
 output depends on the chunking.
 
-_schedule is the one place where a method's operand and sweep live;
-run() compares no Method. G_z does not change during a run, so run()
-forms the operand (G_z itself, or its inverse for auxiva) once, before
-the loop, and hands each frequency chunk its slice, with its slice of
-auxiva's carried W^{-H}. Every sweep leaves the whole stack, background
-included, so the stack after the loop is the one run() returns; run()
-frees the operand, W^{-H} and G_z before projection_back. Silent bins
-(all-zero input, G_z = 0) take the same sweep as every other bin, with
-G_z read as the identity there; their images are zero whatever the
-filters.
+run() looks up the method's sweep and tells auxiva apart, the one method
+that reads more than G_z itself: the inverse of G_z for its background
+rows, and the W^{-H} its sweeps carry. G_z does not change during a run,
+so run() forms that inverse once, before the loop, and hands each
+frequency chunk its slice, with its slice of the carried W^{-H}. Every
+sweep leaves the whole stack, background included, so the stack after
+the loop is the one run() returns; run() frees what the sweeps read of
+G_z, W^{-H} and G_z before projection_back. Silent bins (all-zero input,
+G_z = 0) take the same sweep as every other bin, with G_z read as the
+identity there; their images are zero whatever the filters.
 
-run() records the negative log-likelihood once per iteration with one
-formula for every method, from the stack and G_z alone, with no second
-pass over the weighted covariances (_bin_cost): the sweeps' row
-normalizations fix the quadratic terms, and on bins with a regular G_z
-the background is profiled out, leaving log det(W_s^H G_z W_s) of the
-K x K Gram matrix of the targets. The background block only matters
-through its span, and auxiva's own background is the profiled optimum
-after each sweep. Only bins with a singular G_z (silent, or with a
-copied channel), told by G_z's eigenvalues (linalg.psd_logdet), take a
-determinant of W.
+run() records the negative log-likelihood once per iteration, after the
+chunks' sweeps and over the whole stack, with one formula for every
+method, from the stack and G_z alone, with no second pass over the
+weighted covariances (_bin_cost): the sweeps' row normalizations fix the
+quadratic terms, and on bins with a regular G_z the background is
+profiled out, leaving log det(W_s^H G_z W_s) of the K x K Gram matrix of
+the targets. The background block only matters through its span, and
+auxiva's own background is the profiled optimum after each sweep. Only
+bins with a singular G_z (silent, or with a copied channel), told by
+G_z's eigenvalues (linalg.psd_logdet), take a determinant of W.
 
 After the loop run() returns each target's image in factored form. In
 every bin the image of output k is rank one, (W^{-H} e_k)(w_k^H x): the
@@ -471,33 +471,6 @@ def _unmask(exc, mask):
     return type(exc)(str(exc), batch_index=idx)
 
 
-def _schedule(method, n_targets):
-    """What run() does differently per method: (operand, sweep, carries).
-    Built per call, so run() calls the module's functions as they are
-    bound when it starts (a tracer's or a test's wrapper).
-
-    operand(sweep_cov): what the sweeps read of the fixed G_z, formed
-    once per run: sweep_cov itself (ip1, ip2, ip3), or its inverse for
-    auxiva's background rows (sweep_cov, unread, when K = M).
-    carries: whether the sweeps carry A = W^{-H} (auxiva). run() then
-    holds A, from the identity like W, and solves it fresh from W once
-    every AUXIVA_REFRESH_SWEEPS sweeps.
-    sweep(w, target_covs, noise[, inverse]): one sweep of a chunk, w
-    being its slice of W, noise its slice of the operand and inverse its
-    slice of A, the sweep updating w and A in place; the leading K
-    columns of W are what projection_back maps to the images once the
-    loop ends.
-    """
-    if method is Method.AUXIVA:
-        def noise_inverse(cov):
-            eye = np.eye(cov.shape[-1])
-            return cov if n_targets == len(eye) else linalg.lu_solve(cov, eye)
-
-        return noise_inverse, auxiva_sweep, True
-    sweep = {Method.IP1: ip1_sweep, Method.IP2: ip2_sweep, Method.IP3: ip3_sweep}
-    return (lambda cov: cov), sweep[method], False
-
-
 def _bin_cost(w, n_targets, ridge, offset, noise_cov, profiled):
     """Per-bin objective, (F,), less the factor T and the variance term,
     as a function of the stack and G_z alone, the same for every method.
@@ -567,10 +540,12 @@ def check_targets(method, n_targets, n_chan):
 def run(x, n_targets, config=RunConfig()):
     """Extract n_targets sources from a mixture spectrogram.
 
-    Alternates closed-form variance updates with one demixing sweep of
-    the configured schedule, normalizing the per-target scales each
-    iteration, for exactly config.iterations iterations (the cost trace
-    is recorded, never read back). Then projects the target outputs back
+    Each of exactly config.iterations iterations takes four steps: the
+    closed-form variance update, one demixing sweep of the configured
+    schedule over every frequency chunk, the cost of the whole stack
+    (recorded, never read back) and the rescale of the per-target
+    scales. Errors name the frequency bin they arose in. Then projects
+    the target outputs back
     onto the array with one projection_back call, returning each image
     as its two rank-one factors (SeparationResult). Each sweep writes
     into run()'s own stack, a chunk of bins at a time, so the stack the
@@ -606,7 +581,13 @@ def run(x, n_targets, config=RunConfig()):
     if not isinstance(x, Spectrogram):
         Spectrogram(data)
     n_targets = check_targets(config.method, n_targets, n_chan)
-    operand, sweep, carries = _schedule(config.method, n_targets)
+    carries = config.method is Method.AUXIVA
+    # Built per call, so that run() calls the sweep as the module binds it
+    # when run() starts (a tracer's or a test's wrapper).
+    sweep = {
+        Method.AUXIVA: auxiva_sweep, Method.IP1: ip1_sweep,
+        Method.IP2: ip2_sweep, Method.IP3: ip3_sweep,
+    }[config.method]
 
     t0 = time.perf_counter()
     # Never more workers than CPUs: map starts a thread for every chunk
@@ -621,53 +602,58 @@ def run(x, n_targets, config=RunConfig()):
         # zero whatever its filters: the sweeps may read I for its G_z = 0
         # (the cost reads the true G_z).
         silent = np.einsum("fmm->f", noise_cov).real == 0.0
-        sweep_cov = noise_cov
+        noise = noise_cov
         if np.any(silent):
-            sweep_cov = noise_cov.copy()
-            sweep_cov[silent] = np.eye(n_chan)
-        try:
-            noise = operand(sweep_cov)
-        except NumericalError as exc:
-            raise _shift_bin(exc, 0) from None
+            noise = noise_cov.copy()
+            noise[silent] = np.eye(n_chan)
+        eye = np.eye(n_chan, dtype=np.complex128)
+        # auxiva's background rows read G_z^{-1}, formed once per run (the
+        # sweep reads no background row at K = M).
+        if carries and n_targets < n_chan:
+            try:
+                noise = linalg.lu_solve(noise, eye)
+            except NumericalError as exc:
+                raise _shift_bin(exc, 0) from None
         # The part of each bin's background cost fixed for the run
         # (_bin_cost), on the bins whose G_z is regular by an eigenvalue
         # rule (linalg.psd_logdet), not by rounding.
         logdet, singular = linalg.psd_logdet(noise_cov)
         profiled = ~singular
         offset = np.where(profiled, logdet + n_chan - n_targets, 0.0)
-        bin_cost = np.empty(n_bins)
-        eye = np.eye(n_chan, dtype=np.complex128)
         w = np.tile(eye, (n_bins, 1, 1))
-        # W^{-H}, exact at the start: W is the identity.
+        # auxiva carries W^{-H}, exact at the start: W is the identity.
         inverse = w.copy() if carries else None
         chunks = blocks(n_bins, 16 * n_chan * n_chan, at_least=config.threads)
         cost_trace = []
 
+        def stage_sweep(sl):
+            # Reads this iteration's lam and refresh: map is consumed
+            # before the loop rebinds them.
+            try:
+                # Before the covariances exist, so that the solve's
+                # scratch does not add to theirs.
+                if refresh:
+                    inverse[sl] = linalg.lu_solve(hermitian_transpose(w[sl]), eye)
+                covs = [
+                    model.weighted_covariance(data[sl], lam[k], config.eps2)
+                    for k in range(n_targets)
+                ]
+                carried = (inverse[sl],) if carries else ()
+                sweep(w[sl], covs, noise[sl], *carried)
+            except NumericalError as exc:
+                raise _shift_bin(exc, sl.start) from None
+
         for it in range(config.iterations):
             lam = model.update_variances(data, w[:, :, :n_targets], config.eps1)
             refresh = carries and it > 0 and it % AUXIVA_REFRESH_SWEEPS == 0
-
-            def stage_sweep(sl, lam=lam, refresh=refresh):
-                try:
-                    # Before the covariances exist, so that the solve's
-                    # scratch does not add to theirs.
-                    if refresh:
-                        inverse[sl] = linalg.lu_solve(hermitian_transpose(w[sl]), eye)
-                    covs = [
-                        model.weighted_covariance(data[sl], lam[k], config.eps2)
-                        for k in range(n_targets)
-                    ]
-                    carried = (inverse[sl],) if carries else ()
-                    sweep(w[sl], covs, noise[sl], *carried)
-                    bin_cost[sl] = _bin_cost(
-                        w[sl], n_targets, config.eps2, offset[sl],
-                        noise_cov[sl], profiled[sl],
-                    )
-                except NumericalError as exc:
-                    raise _shift_bin(exc, sl.start) from None
-
             list((map if pool is None else pool.map)(stage_sweep, chunks))
             # Taken before the rescale below, which leaves it unchanged.
+            try:
+                bin_cost = _bin_cost(
+                    w, n_targets, config.eps2, offset, noise_cov, profiled
+                )
+            except NumericalError as exc:
+                raise _shift_bin(exc, 0) from None
             cost_trace.append(
                 float(n_frames * bin_cost.sum() + n_bins * np.sum(np.log(lam)))
             )
@@ -679,10 +665,10 @@ def run(x, n_targets, config=RunConfig()):
                 if carries:
                     inverse[:, :, k] /= scale
 
-        # The (F, M, M) operands (the sweeps' operand, W^{-H}, G_z and its
-        # silent-bin copy) are freed before projection_back allocates the
-        # output spectra; del clears stage_sweep's cells too.
-        del noise, inverse, noise_cov, sweep_cov
+        # The (F, M, M) operands (what the sweeps read of G_z, W^{-H} and
+        # G_z) are freed before projection_back allocates the output
+        # spectra; del clears stage_sweep's cells too.
+        del noise, inverse, noise_cov
         mixing, outputs = projection_back(w, data, n_targets)
     finally:
         if pool is not None:

@@ -42,6 +42,11 @@ SDR_CAP_DB = 200.0
 # Above this many sources the permutation search is ruled intractable.
 MAX_PERMUTATION_SOURCES = 6
 
+# modulated_noise_sources low-passes its carriers at cutoffs drawn below
+# 3500 Hz, which a Butterworth design takes only below the Nyquist
+# frequency.
+MIN_MODEL_RATE = 7000
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -57,7 +62,8 @@ class SceneSpec:
 
     The counts, sample_rate and seed are Python or numpy integers, and
     sinr_db, rt60_ms and duration_s real numbers, none of them a bool or
-    a string; they are stored as Python ints and floats.
+    a string; they are stored as Python ints and floats. duration_s must
+    render a finite count of at least 2 samples (n_samples).
     """
 
     n_sources: int
@@ -90,6 +96,13 @@ class SceneSpec:
         ):
             if not ok:
                 raise InvalidSpec(f"{name} must {rule}, got {getattr(self, name)}")
+        # One sample has no variance to normalize a source by, and a count
+        # past the float range has no integer.
+        if not np.isfinite(self.duration_s * self.sample_rate) or self.n_samples < 2:
+            raise InvalidSpec(
+                f"duration_s must render a finite count of at least 2 samples "
+                f"at sample_rate {self.sample_rate}, got {self.duration_s}"
+            )
 
     @property
     def n_samples(self):
@@ -169,18 +182,31 @@ def modulated_noise_sources(n_sources, n_samples, sample_rate, rng):
     return out
 
 
+def _check_model_rate(sample_rate):
+    """Raise InvalidSpec unless the built-in source model
+    (modulated_noise_sources) can draw at sample_rate: at least
+    MIN_MODEL_RATE Hz."""
+    if sample_rate < MIN_MODEL_RATE:
+        raise InvalidSpec(
+            f"sample_rate must be >= {MIN_MODEL_RATE} Hz for the built-in "
+            f"source model, got {sample_rate}"
+        )
+
+
 def synthesize(spec, sources=None):
     """Render a Scene from its SceneSpec.
 
     sources : (K, n) dry signals, optional; defaults to the built-in
-        modulated noise sources. The same spec (and sources) always
-        renders bit-identical scenes.
+        modulated noise sources, which need spec.sample_rate >=
+        MIN_MODEL_RATE (_check_model_rate, before anything is drawn). The
+        same spec (and sources) always renders bit-identical scenes.
     """
     from scipy.signal import fftconvolve
 
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
     if sources is None:
+        _check_model_rate(spec.sample_rate)
         sources = modulated_noise_sources(
             spec.n_sources, n, spec.sample_rate, rng
         )

@@ -165,7 +165,8 @@ def sqrt_hann_window(frame_len):
 
 def _as_multichannel(signal):
     """signal as (n, M), float32 kept as it is (stft widens it a block at
-    a time) and any other dtype as float64."""
+    a time) and any other dtype as float64; io.AudioBuffer's samples
+    take the same rule."""
     x = np.asarray(signal)
     if x.dtype != np.float32:
         x = np.asarray(x, dtype=np.float64)

@@ -12,7 +12,13 @@ gev_largest_solves, ip2_update_gev, windowed_frames, stft_unblocked and
 istft_unblocked are the earlier, plainer forms of run-path kernels,
 which the faster forms must reproduce. demix and projection_back_image
 form the dense outputs and images that run() never holds whole.
+stationarity_residual measures a stack's distance from the stationarity
+conditions; its background term is meaningful only for the fully
+normalized background, not for the orthogonal-complement one run()
+keeps.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -295,3 +301,43 @@ def istft_unblocked(spec, config=StftConfig(), length=None):
     if avail > 0:
         out[:avail] = buf[:, pad : pad + avail].T
     return out
+
+
+class StationarityResidual(NamedTuple):
+    """Per-bin deviations from the stationarity conditions.
+
+    target : max over k of ||W^H G_k w_k - e_k||_2
+    noise : ||W^H G_z W_z - E_z||_F
+    combined : elementwise max of the two
+    """
+
+    target: np.ndarray
+    noise: np.ndarray
+    combined: np.ndarray
+
+
+def stationarity_residual(w, target_covs, noise_cov):
+    """How far a state is from the stationarity conditions, per bin.
+
+    At a stationary point W^H G_k w_k = e_k for every target and
+    W^H G_z W_z = E_z (trailing columns of the identity). Returns the
+    per-bin norms of the deviations; see StationarityResidual.
+    """
+    mats = np.asarray(w)
+    target_covs = np.asarray(target_covs)
+    noise_cov = np.asarray(noise_cov)
+    n_chan = mats.shape[-1]
+    n_targets = target_covs.shape[0]
+    wh = linalg.hermitian_transpose(mats)
+    eye = np.eye(n_chan)
+    target = np.zeros(mats.shape[:-2])
+    for k in range(n_targets):
+        lhs = np.einsum("...ij,...j->...i", wh @ target_covs[k], mats[..., :, k])
+        dev = np.linalg.norm(lhs - eye[:, k], axis=-1)
+        target = np.maximum(target, dev)
+    wz = mats[..., :, n_targets:]
+    lhs = wh @ noise_cov @ wz
+    noise = np.linalg.norm(
+        lhs - eye[:, n_targets:], axis=(-2, -1)
+    )
+    return StationarityResidual(target, noise, np.maximum(target, noise))

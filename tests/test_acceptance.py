@@ -18,7 +18,7 @@ from overiva import linalg, optimizer
 from overiva.cli import EXIT_OK, main
 from overiva.io import AudioBuffer
 from overiva.linalg import hermitian_transpose
-from overiva.model import DemixingStack, cost_total, stationarity_residual
+from overiva.model import DemixingStack, cost_total
 from overiva.optimizer import (
     RunConfig,
     ip2_update,
@@ -34,6 +34,7 @@ from oracles import (
     cost_jw,
     gradient_jw_row,
     ip1_full_sweep,
+    stationarity_residual,
     windowed_frames,
     with_full_background,
 )

@@ -69,6 +69,19 @@ def test_bad_trials_raise_before_any_scene(monkeypatch, trials):
         bench(SPECS, trials)
 
 
+def test_rate_the_source_model_cannot_draw_at_raises_before_any_scene(monkeypatch):
+    """A cell below the source model's rate (simulate.MIN_MODEL_RATE) is
+    refused in the plan, before the healthy cell ahead of it renders."""
+
+    def no_scene(*args, **kwargs):
+        raise AssertionError("scene rendered")
+
+    monkeypatch.setattr(bench_module, "synthesize", no_scene)
+    slow = replace(SPECS[1], sample_rate=6000)
+    with pytest.raises(InvalidSpec, match="sample_rate"):
+        bench([SPECS[0], slow], trials=1)
+
+
 def test_rows_score_what_separate_buffer_returns(monkeypatch):
     """Each trial's mixture goes through pipeline.separate_buffer, the
     path `overiva separate` runs, once per method, and the row's mean SDR

@@ -433,6 +433,50 @@ class TestMakeMix:
         assert "WAV byte rate" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            (["--dur", "0.0000625"], "duration_s"),
+            (["--dur", "0.00001"], "duration_s"),
+            (["--dur", "1e308"], "duration_s"),
+            (["--rate", "6000", "--dur", "0.2", "--seed", "1"], "sample_rate"),
+        ],
+        ids=["1-sample", "0-samples", "overflow", "6000-Hz"],
+    )
+    def test_scene_the_source_model_cannot_render_is_usage_error(
+        self, tmp_path, capsys, extra, field
+    ):
+        """One sample at 16 kHz has no variance to normalize a source by,
+        none cannot be filtered, 1e308 s has no integer sample count, and
+        at 6 kHz the source model's low-pass cutoffs, drawn up to 3500 Hz,
+        can lie above the Nyquist frequency (seed 1 draws one): each is a
+        usage error naming its field, and nothing is written."""
+        out = tmp_path / "x"
+        code = main(
+            ["make-mix", "--speakers", "1", "--noises", "1", "--mics", "2",
+             *extra, "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_speech_renders_below_the_source_model_rate(self, tmp_path):
+        """The rate floor is the built-in source model's: speech files at
+        6 kHz still make a scene."""
+        rng = np.random.default_rng(5)
+        speech = tmp_path / "speech.wav"
+        write_wav(speech, AudioBuffer(6000, rng.standard_normal(1500) * 0.1))
+        out = tmp_path / "scene"
+        code = main(
+            [
+                "make-mix", "--speakers", "1", "--noises", "1", "--mics", "2",
+                "--rt60", "80", "--dur", "0.2", "--rate", "6000", "--seed", "1",
+                "--speech", str(speech), "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        assert read_wav(out / "mixture.wav").samples.shape == (1200, 2)
+
     def test_speech_sources(self, tmp_path):
         rng = np.random.default_rng(1)
         speech = tmp_path / "speech.wav"

@@ -164,6 +164,16 @@ class TestWriteMemory:
         _, peak = traced_peak(write_wav, tmp_path / "w.wav", buf)
         assert peak < 2**16
 
+    def test_pcm16_payload_takes_one_float64_working_array(
+        self, tmp_path, traced_peak
+    ):
+        """Quantizing float64 samples to PCM16 holds one float64 working
+        array and the int16 payload, and no other whole-array temporary."""
+        rng = np.random.default_rng(3)
+        buf = make_buffer(rng, 100_000, 4)
+        _, peak = traced_peak(write_wav, tmp_path / "w.wav", buf, "pcm16")
+        assert peak < buf.samples.size * (8 + 2) + 2**16
+
 
 class TestHeaderLayout:
     def test_float32_header_fields(self, tmp_path):

@@ -13,7 +13,6 @@ from overiva.model import (
     DemixingStack,
     cost_total,
     noise_covariance,
-    stationarity_residual,
     update_variances,
     weighted_covariance,
 )
@@ -24,6 +23,7 @@ from oracles import (
     cost_jw,
     demix,
     gradient_jw_row,
+    stationarity_residual,
     update_variances_unblocked,
     weighted_covariance_unblocked,
 )

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from overiva import simulate
 from overiva.errors import (
     InvalidSpec,
     ShapeMismatch,
@@ -14,6 +15,7 @@ from overiva.errors import (
     ZeroReference,
 )
 from overiva.simulate import (
+    MIN_MODEL_RATE,
     PRNG_NAME,
     SDR_CAP_DB,
     Scene,
@@ -76,6 +78,14 @@ class TestSceneSpec:
     def test_non_finite_values_name_their_field(self, field, value):
         with pytest.raises(InvalidSpec, match=field):
             SceneSpec(n_sources=1, n_noises=1, n_mics=2, **{field: value})
+
+    @pytest.mark.parametrize("duration_s", [1e-5, 6.25e-5])
+    def test_fewer_than_two_samples_name_duration(self, duration_s):
+        """0 and 1 samples at 16 kHz are refused; 2 samples render."""
+        with pytest.raises(InvalidSpec, match="duration_s"):
+            SceneSpec(n_sources=1, n_noises=1, n_mics=2, duration_s=duration_s)
+        spec = SceneSpec(n_sources=1, n_noises=1, n_mics=2, duration_s=1.25e-4)
+        assert np.all(np.isfinite(synthesize(spec).mixture))
 
     def test_numpy_integers_accepted(self, tmp_path):
         """Counts, rate and seed may be numpy integers, like RunConfig's;
@@ -210,6 +220,30 @@ class TestSynthesize:
         # (up to FFT-convolution roundoff).
         assert np.abs(scene.target_images[0][:100]).max() < 1e-12
         assert np.abs(scene.target_images[0]).max() > 0.5
+
+    def test_source_model_rate_is_checked_before_any_draw(self, monkeypatch):
+        """Below MIN_MODEL_RATE the built-in sources are refused, naming
+        sample_rate, before anything is drawn; given sources render at
+        any rate."""
+        spec = SceneSpec(
+            n_sources=1, n_noises=1, n_mics=2, sample_rate=MIN_MODEL_RATE - 1,
+            duration_s=0.1,
+        )
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sources drawn")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "modulated_noise_sources", no_draw)
+            with pytest.raises(InvalidSpec, match="sample_rate"):
+                synthesize(spec)
+        src = np.random.default_rng(0).standard_normal((1, spec.n_samples))
+        assert np.all(np.isfinite(synthesize(spec, sources=src).mixture))
+        at_floor = SceneSpec(
+            n_sources=1, n_noises=1, n_mics=2, sample_rate=MIN_MODEL_RATE,
+            duration_s=0.1, seed=1,
+        )
+        assert np.all(np.isfinite(synthesize(at_floor).mixture))
 
     def test_custom_sources_shape_checked(self):
         spec = SceneSpec(n_sources=1, n_noises=0, n_mics=2, duration_s=0.25)

@@ -30,7 +30,12 @@ that matching is not the identity: a change that only swaps targets
 reads as no move. A separate_file line reads "wav same"
 when the image WAVs' bytes are unchanged, else their largest sample
 move relative to the saved images' largest magnitude, followed by the
-saved peak and this run's, peak=<saved MB> -> <MB>. The file sits in
+saved peak and this run's, peak=<saved MB> -> <MB>. The last line
+tallies the cases: summary: moved <n>/<N> run, errors changed <n>/<N>,
+wav changed <n>/<N>, where a run() case moved unless its images, trace
+and target order are unchanged, an error case is one that raised in
+either checkout, and a separate_file case changed unless its image WAVs'
+bytes are the same. The file sits in
 its checkout's tools/ and runs that checkout's src/, so save with a
 copy of it placed in the other checkout.
 
@@ -111,28 +116,33 @@ def _image_change(mixing, outputs, saved):
 
 
 def _compare(res, saved):
-    """How far a run() case moved from its saved file."""
+    """How far a run() case moved from its saved file, and whether it
+    did not move at all."""
     images, order = _image_change(res.mixing, res.outputs, saved)
     old = saved["cost_trace"]
     trace = np.max(np.abs(res.cost_trace - old) / np.abs(old), initial=0.0)
     line = f"images={images:.2e} trace={trace:.2e}"
-    return line if order == list(range(len(order))) else f"{line} order={order}"
+    same = images == 0 and trace == 0
+    if order == list(range(len(order))):
+        return line, same
+    return f"{line} order={order}", False
 
 
 def _wav_change(wav, images, peak, saved):
     """"wav same" when the image WAVs' bytes are unchanged, else the
     largest sample move over the largest saved sample magnitude; then
-    the saved peak and this one, in MB ("?" if none was saved)."""
+    the saved peak and this one, in MB ("?" if none was saved); and
+    whether the bytes are unchanged."""
     old_peak = f"{saved['peak'] / 1e6:.3f}" if "peak" in saved else "?"
     moved = f"peak={old_peak} -> {peak / 1e6:.3f}"
     if np.array_equal(wav, saved["wav"]):
-        return f"wav same {moved}"
+        return f"wav same {moved}", True
     old = saved["images"]
     if images.shape != old.shape:
-        return f"wav shape {old.shape} -> {images.shape} {moved}"
+        return f"wav shape {old.shape} -> {images.shape} {moved}", False
     diff = np.abs(images - old).max(initial=0.0)
     scale = np.abs(old).max(initial=0.0)
-    return f"wav={diff / scale if scale else diff:.2e} {moved}"
+    return f"wav={diff / scale if scale else diff:.2e} {moved}", False
 
 
 def _separate(mixture, rate, frame_len, k, method):
@@ -154,19 +164,27 @@ def _separate(mixture, rate, frame_len, k, method):
         return wav, np.stack([read_wav(f).samples for f in files]), peak
 
 
-def _line(args, head, fields, error, digest, compare):
+def _line(args, tally, kind, head, fields, error, digest, compare):
     """Save one case (fields, or its error) with --save, and print its
-    line: compare(saved) with --compare, else digest() or the error."""
+    line: compare(saved), which returns the line and whether the case is
+    unchanged, with --compare, else digest() or the error. With
+    --compare, counts the case in tally[kind] (or tally["errors"] when
+    either side raised) as [changed, cases]."""
     file = re.sub(r"[^\w.-]+", "_", head) + ".npz"
     if args.save is not None:
         np.savez(args.save / file, **(fields if error is None else {"error": error}))
     if args.compare is not None:
         with np.load(args.compare / file) as saved:
             if error is None and "error" not in saved:
-                print(f"{head} {compare(saved)}")
-                return
-            old = str(saved["error"]) if "error" in saved else None
-            print(f"{head} error {'same' if error == old else f'{old!r} -> {error!r}'}")
+                line, same = compare(saved)
+            else:
+                kind = "errors"
+                old = str(saved["error"]) if "error" in saved else None
+                same = error == old
+                line = f"error {'same' if same else f'{old!r} -> {error!r}'}"
+        print(f"{head} {line}")
+        tally[kind][0] += not same
+        tally[kind][1] += 1
     elif error is not None:
         print(f"{head} error={error}")
     else:
@@ -180,6 +198,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
+    tally = {kind: [0, 0] for kind in ("run", "errors", "wav")}
     scenes = []
     for seed, (n_sources, n_noises, n_mics, frame_len) in enumerate(SCENES):
         spec = SceneSpec(
@@ -211,7 +230,7 @@ def main(argv=None):
                     "cost_trace": res.cost_trace,
                 }
                 _line(
-                    args, head, fields, error,
+                    args, tally, "run", head, fields, error,
                     lambda: (
                         f"mixing={_hash(res.mixing)} "
                         f"outputs={_hash(res.outputs)} "
@@ -232,9 +251,16 @@ def main(argv=None):
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         _line(
-            args, head, {"wav": wav, "images": images, "peak": peak}, error,
+            args, tally, "wav", head,
+            {"wav": wav, "images": images, "peak": peak}, error,
             lambda: f"wav={_hash(wav)} peak={peak / 1e6:.3f}",
             lambda saved: _wav_change(wav, images, peak, saved),
+        )
+    if args.compare is not None:
+        (moved, runs), (changed, errors), (wavs, files) = tally.values()
+        print(
+            f"summary: moved {moved}/{runs} run, errors changed {changed}/{errors}, "
+            f"wav changed {wavs}/{files}"
         )
 
 
