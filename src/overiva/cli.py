@@ -60,7 +60,7 @@ def _build_parser():
     solve.add_argument("--frame-len", type=int, default=4096,
                        help="STFT frame length")
     solve.add_argument("--hop-div", type=_positive_int, default=4,
-                       help="hop = frame_len / hop_div (default 4)")
+                       help="hop = frame_len / hop_div, at least 2 (default 4)")
     solve.add_argument("--threads", type=_positive_int, default=1,
                        help="worker threads (default 1)")
 

@@ -45,8 +45,6 @@ class AudioBuffer:
 
     def __post_init__(self):
         x = _as_multichannel(self.samples)
-        if x.shape[1] == 0:
-            raise ValueError(f"samples must have at least one channel, got {x.shape}")
         rate = check_number("sample_rate", self.sample_rate, integer=True)
         if rate < 1:
             raise ValueError(f"sample_rate must be >= 1, got {rate}")

@@ -8,6 +8,10 @@ so each routine is a single call into numpy's batched LAPACK gufuncs:
 LU solves and log-determinants go through ``np.linalg.solve`` and
 ``np.linalg.slogdet``.
 
+cholesky, inv_sqrt_hermitian and gev_largest read the lower triangle of
+their Hermitian arguments, as LAPACK does, and neither check nor
+symmetrize them: the covariances the model builds are Hermitian exactly.
+
 Singularity rule: a matrix is singular when its LU factorization meets
 an exactly zero pivot, or, for a solve, when a pivot lost to rounding
 shows in the solution as max|x| * max|A| * SINGULARITY_RTOL > max|b| for
@@ -33,9 +37,6 @@ from .errors import NoConvergence, NotPositiveDefinite, SingularMatrix
 # at least 1 / SINGULARITY_RTOL.
 SINGULARITY_RTOL = 1e-13
 
-# Largest Hermitian asymmetry max|A - A^H| tolerated, relative to max|A|.
-HERMITIAN_RTOL = 1e-12
-
 
 class GevResult(NamedTuple):
     """Largest generalized eigenpair of the pencil (A, B).
@@ -58,21 +59,6 @@ def _as_matrix_batch(a, name="matrix"):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must have shape (..., M, M), got {a.shape}")
     return np.ascontiguousarray(a, dtype=np.complex128)
-
-
-def _check_hermitian(a, name="matrix"):
-    defect = np.abs(a - hermitian_transpose(a)).max(axis=(-2, -1))
-    scale = np.abs(a).max(axis=(-2, -1))
-    if np.any(defect > HERMITIAN_RTOL * scale):
-        raise ValueError(f"{name} is not Hermitian within tolerance")
-
-
-def _hermitian_batch(a):
-    """Argument a as a complex (..., M, M) batch, checked Hermitian within
-    HERMITIAN_RTOL and then made exactly Hermitian, (A + A^H) / 2."""
-    a = _as_matrix_batch(a, "a")
-    _check_hermitian(a, "a")
-    return 0.5 * (a + hermitian_transpose(a))
 
 
 def _first(mask):
@@ -186,8 +172,8 @@ def psd_logdet(a):
 
 
 def cholesky(a):
-    """Lower Cholesky factor of batched Hermitian positive definite A."""
-    a = _hermitian_batch(a)
+    """Lower Cholesky factor of batched Hermitian PD A (its lower triangle)."""
+    a = _as_matrix_batch(a, "a")
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -209,8 +195,8 @@ def _first_non_pd(a):
 
 
 def inv_sqrt_hermitian(a):
-    """Inverse principal square root A^(-1/2) of batched Hermitian PD A."""
-    a = _hermitian_batch(a)
+    """Principal A^(-1/2) of batched Hermitian PD A (its lower triangle)."""
+    a = _as_matrix_batch(a, "a")
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -237,9 +223,10 @@ def gev_largest(a, b):
     -------
     GevResult
         Largest eigenvalue and a unit-norm eigenvector. With B = L L^H
-        (cholesky, whose checks apply to b), the pencil reduces to the
-        Hermitian C = L^{-1} A L^{-H}, formed by two matmuls with one
-        inverse of L, and u = L^{-H} v from C's top eigenvector v.
+        (cholesky), the pencil reduces to the Hermitian
+        C = L^{-1} A L^{-H}, formed by two matmuls with one inverse of L
+        and its conjugate transpose L^{-H}, and u = L^{-H} v from C's top
+        eigenvector v (eigh, which reads C's lower triangle).
         Among tied maximal eigenvalues the one with the lowest index in
         C's ascending ordering is taken, so degenerate pencils resolve
         deterministically: A = 0 gives u along L^{-H} e_1, which is e_1.
@@ -249,10 +236,12 @@ def gev_largest(a, b):
     the condition or rank of A.
     """
     a = _as_matrix_batch(a, "a")
-    _check_hermitian(a, "a")
     ell_inv = np.linalg.inv(cholesky(b))
-    value, v = _largest_eigpair(ell_inv @ a @ hermitian_transpose(ell_inv))
-    u = (hermitian_transpose(ell_inv) @ v)[..., 0]
+    ell_inv_h = hermitian_transpose(ell_inv)
+    c = ell_inv @ a @ ell_inv_h
+    del ell_inv  # eigh's scratch then sits beside one factor, not two
+    value, v = _largest_eigpair(c)
+    u = (ell_inv_h @ v)[..., 0]
     return _gev_result(value, u)
 
 

@@ -384,8 +384,9 @@ def ip2_update(target_cov, noise_cov):
     surrogate, and coincides with a maximum-SNR beamformer up to scale.
 
     target_cov : G_1, (..., M, M); noise_cov : G_z, (..., M, M),
-    positive semidefinite. One step is linalg.gev_largest(G_z, G_1): a
-    Cholesky factorization of G_1 (with its checks), one inverse of that
+    positive semidefinite, both Hermitian bit for bit as the model builds
+    them. One step is linalg.gev_largest(G_z, G_1), which reads their
+    lower triangles: a Cholesky factorization of G_1, one inverse of that
     factor, two matmuls and one eigh, per bin on its own, so a singular
     G_z in one bin changes no other bin's filter. By gev_largest's tie
     rule a zero G_z, where every eigenvalue is 0, gives w along e_1.

@@ -84,8 +84,10 @@ class StftConfig:
     """Analysis/synthesis parameters.
 
     frame_len : power-of-two frame length in samples
-    hop : frame advance in samples; must divide frame_len; defaults to
-        frame_len // 4
+    hop : frame advance in samples; must divide frame_len and be at most
+        frame_len // 2 (the window is 0 at a frame's first sample, so a
+        hop of a whole frame leaves every hop-th sample uncovered);
+        defaults to frame_len // 4
 
     Both are Python or numpy integers, not bools, stored as Python ints.
     """
@@ -103,6 +105,8 @@ class StftConfig:
             raise ValueError(f"frame_len must be a power of two, got {n}")
         if hop < 1 or n % hop != 0:
             raise ValueError(f"hop {hop} must divide frame_len {n}")
+        if hop > n // 2:
+            raise ValueError(f"hop {hop} must be at most frame_len / 2 = {n // 2}")
 
     @property
     def n_bins(self):
@@ -164,9 +168,9 @@ def sqrt_hann_window(frame_len):
 
 
 def _as_multichannel(signal):
-    """signal as (n, M), float32 kept as it is (stft widens it a block at
-    a time) and any other dtype as float64; io.AudioBuffer's samples
-    take the same rule."""
+    """signal as (n, M), M >= 1 (else ShapeMismatch), float32 kept as it
+    is (stft widens it a block at a time) and any other dtype as float64;
+    io.AudioBuffer's samples take the same rule."""
     x = np.asarray(signal)
     if x.dtype != np.float32:
         x = np.asarray(x, dtype=np.float64)
@@ -174,6 +178,8 @@ def _as_multichannel(signal):
         x = x[:, None]
     if x.ndim != 2:
         raise ShapeMismatch(f"signal must be (n,) or (n, M), got {x.shape}")
+    if x.shape[1] == 0:
+        raise ShapeMismatch(f"signal must have at least one channel, got {x.shape}")
     return x
 
 
@@ -301,6 +307,12 @@ def istft(spec, config=StftConfig(), length=None):
         convention implies, (T - 1) * hop + frame_len - 2 * (frame_len - hop),
         or 0 when fewer than frame_len / hop - 1 frames make that
         negative; longer requests are zero-extended.
+
+    Returns (length, M) float64, the transposed view of the one
+    overlap-add buffer: each frame adds only its part inside the
+    returned samples, which are then divided in place by the summed
+    squared window, so no second signal-sized array is made. Samples
+    past the frames stay zero.
     """
     if isinstance(spec, RankOneImage):
         mixing, outputs = np.asarray(spec.mixing), np.asarray(spec.outputs)
@@ -343,24 +355,22 @@ def istft(spec, config=StftConfig(), length=None):
         length = check_number("length", length, integer=True)
         if length < 0:
             raise ValueError(f"length must be >= 0, got {length}")
-    n, hop = config.frame_len, config.hop
+    n, hop, pad = config.frame_len, config.hop, config.pad
+    if length is None:
+        length = max((n_frames - 1) * hop + n - 2 * pad, 0)
     win = sqrt_hann_window(n)
     win2 = win**2
-    total = (n_frames - 1) * hop + n
-    buf = np.zeros((n_chan, total))
-    wsum = np.zeros(total)
+    buf = np.zeros((n_chan, length))
+    wsum = np.zeros(length)
     for sl in blocks(n_frames, 8 * n_chan * n):
         frames = np.fft.irfft(block(sl), n=n, axis=-1)
         frames *= win
         for t, frame in enumerate(frames, sl.start):
-            buf[:, t * hop : t * hop + n] += frame
-            wsum[t * hop : t * hop + n] += win2
+            # Frame t starts pad samples before sample t * hop of the output.
+            start = t * hop - pad
+            lo, hi = max(start, 0), min(start + n, length)
+            if lo < hi:
+                buf[:, lo:hi] += frame[:, lo - start : hi - start]
+                wsum[lo:hi] += win2[lo - start : hi - start]
     np.divide(buf, wsum, out=buf, where=wsum > 1e-12)
-    pad = config.pad
-    if length is None:
-        length = max(total - 2 * pad, 0)
-    out = np.zeros((length, n_chan))
-    avail = min(length, total - pad)
-    if avail > 0:
-        out[:avail] = buf[:, pad : pad + avail].T
-    return out
+    return buf.T

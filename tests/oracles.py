@@ -212,9 +212,9 @@ def gev_largest_solves(a, b):
     """linalg.gev_largest reducing the pencil with three triangular-system
     solves against B's Cholesky factor L instead of one inverse of L:
     C = L^{-1} A L^{-H} from two solves, made exactly Hermitian, and
-    u = L^{-H} v from a third. Same checks and tie rule."""
+    u = L^{-H} v from a third. Same tie rule, and B's lower triangle read
+    by the same cholesky."""
     a = np.asarray(a, dtype=np.complex128)
-    linalg._check_hermitian(a, "a")
     ell = linalg.cholesky(b)
     y = np.linalg.solve(ell, a)
     c = linalg.hermitian_transpose(

@@ -259,6 +259,22 @@ class TestSeparate:
         assert "--hop-div" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_hop_of_a_whole_frame_is_usage_error_before_reading(
+        self, scene_dir, tmp_path, capsys, monkeypatch
+    ):
+        """--hop-div 1 makes hop = frame_len, which StftConfig refuses:
+        the WAV is never read and nothing is written."""
+
+        def no_read(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(pipeline, "read_wav", no_read)
+        out = tmp_path / "out"
+        code = main(separate_args(scene_dir, out, "--hop-div", "1"))
+        assert code == EXIT_USAGE
+        assert "hop 512 must be at most frame_len / 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_sources_with_missing_input_is_usage_error(self, tmp_path, capsys):
         """--sources 0 is rejected before the input is opened, so a
         missing input does not make it an I/O error."""

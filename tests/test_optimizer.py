@@ -920,6 +920,24 @@ class TestRunCallCounts:
             assert used == sorted(3 * list(range(len(chunks))))
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_ip2_pencil_is_hermitian_bit_for_bit(self, monkeypatch, threads):
+        """linalg.gev_largest reads the lower triangle of each operand and
+        checks neither, so every G_z and G_1 that run() hands it must equal
+        its conjugate transpose bit for bit: also on silent bins 0-2 (G_z
+        read as the identity) and on bin 5, where microphone 1 copies
+        microphone 0."""
+        x = self.make_x()
+        x[:3] = 0
+        x[5, :, 1] = x[5, :, 0]
+        pencils = count_calls(monkeypatch, linalg, "gev_largest")
+        run(x, 1, RunConfig(method="ip2", iterations=3, threads=threads))
+        n_chunks = len(sweep_chunks(len(x), x.shape[-1], threads))
+        assert len(pencils) == 3 * n_chunks
+        for pencil in pencils:
+            for g in pencil:
+                np.testing.assert_array_equal(g, linalg.hermitian_transpose(g))
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_each_step_is_called_through_the_module(self, monkeypatch, threads):
         """run() calls each method's step by its module name, once per
         iteration and frequency chunk, and no other method's step, so a

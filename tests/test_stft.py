@@ -45,6 +45,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             StftConfig(256, 100)
 
+    @pytest.mark.parametrize("frame_len", [2**j for j in range(1, 13)])
+    def test_hop_of_a_whole_frame_rejected(self, frame_len):
+        """The window is 0 at each frame's first sample, so with no
+        overlap every hop-th sample would be covered by no frame."""
+        with pytest.raises(ValueError, match=f"hop {frame_len} must be at most"):
+            StftConfig(frame_len, frame_len)
+
     @pytest.mark.parametrize(
         "args, name",
         [
@@ -160,6 +167,10 @@ class TestAnalysis:
         with pytest.raises(SignalTooShort):
             stft(np.zeros(255), StftConfig(256, 64))
 
+    def test_no_channel_raises(self):
+        with pytest.raises(ShapeMismatch, match="at least one channel"):
+            stft(np.zeros((1000, 0)), StftConfig(256, 64))
+
     @pytest.mark.parametrize("m", [1, 3, 7])
     def test_bin_major_and_bit_identical_to_frame_major_fft(self, m):
         """The bins are stored contiguously, and writing the FFT into that
@@ -172,14 +183,27 @@ class TestAnalysis:
         np.testing.assert_array_equal(data, ref)
 
 
+# Every power-of-two frame_len from 2 to 4096 with every hop that divides it
+# and is at most half of it, on frame_len + 3 * hop + 5 samples. The pairs
+# whose spectrogram, about 16 frame_len^2 / hop bytes per channel, passes
+# 16 MiB are left out: 4096 with hop 8 or less, 2048 with hop 2 or less.
+EVERY_ALLOWED_HOP = [
+    (frame_len + 3 * hop + 5, frame_len, hop)
+    for frame_len in (2**j for j in range(1, 13))
+    for hop in (frame_len >> i for i in range(1, frame_len.bit_length()))
+    if 16 * frame_len**2 // hop <= 1 << 24
+]
+
+
 class TestSynthesis:
     @pytest.mark.parametrize(
         "n,frame_len,hop",
-        [(4096, 4096, 1024), (16000, 512, 128), (7777, 256, 64), (2049, 1024, 256)],
+        [(4096, 4096, 1024), (16000, 512, 128), (7777, 256, 64), (2049, 1024, 256)]
+        + EVERY_ALLOWED_HOP,
     )
     def test_round_trip_exact(self, n, frame_len, hop):
         """Reconstruction is exact to machine precision at any length,
-        aligned or not."""
+        aligned or not, and at every allowed hop."""
         cfg = StftConfig(frame_len, hop)
         rng = np.random.default_rng(n)
         x = rng.standard_normal((n, 2))
@@ -398,7 +422,7 @@ class TestBlocking:
     count around the block size their results equal the unblocked
     oracles' bit for bit."""
 
-    @pytest.mark.parametrize("hop_div", [1, 4])
+    @pytest.mark.parametrize("hop_div", [2, 4])
     def test_stft_matches_unblocked(self, block, hop_div):
         cfg = StftConfig(64, 64 // hop_div)
         rng = np.random.default_rng(40)
@@ -412,7 +436,7 @@ class TestBlocking:
             assert data.shape == (cfg.n_bins, n_frames, 3)
             np.testing.assert_array_equal(data, stft_unblocked(x, cfg).data)
 
-    @pytest.mark.parametrize("hop_div", [1, 4])
+    @pytest.mark.parametrize("hop_div", [2, 4])
     @pytest.mark.parametrize(
         "case", ["one_frame_of_samples", "ragged_tail", "one_block", "two_blocks"]
     )
@@ -494,7 +518,8 @@ class TestMemory:
     """No spectrogram-sized intermediate: stft holds its output and one
     block's padded span and windowed frames (1.20x its output here; 3.0x
     unblocked), and istft on a bins-innermost image holds the overlap-add
-    buffer, the output and one block (0.69x the image; 1.66x unblocked)."""
+    buffer, which it returns, and one block (0.82x the image; 1.66x
+    unblocked)."""
 
     cfg = StftConfig(1024, 256)
 
@@ -546,3 +571,21 @@ class TestMemory:
         image = np.ascontiguousarray(data.transpose(1, 2, 0)).transpose(2, 0, 1)
         _, peak = traced_peak(istft, image, self.cfg, length=32000)
         assert peak < image.nbytes
+
+    def test_istft_makes_no_copy_of_its_output(self, traced_peak):
+        """istft overlap-adds into the array it returns: beyond that
+        output and the window sum it allocates one block's scratch
+        (2.9 MB here, against a 9.0 MB output), not also a signal-sized
+        buffer (10.2 MB when it overlap-added into one of its own and
+        copied the output from it)."""
+        cfg = StftConfig(4096, 1024)
+        n, n_chan = 160000, 7
+        n_frames = n_frames_for(n, cfg)
+        rng = np.random.default_rng(48)
+        mixing, outputs = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in [(n_chan, cfg.n_bins), (n_frames, cfg.n_bins)]
+        )
+        out, peak = traced_peak(istft, RankOneImage(mixing, outputs), cfg, length=n)
+        assert out.shape == (n, n_chan)
+        assert peak - out.nbytes - 8 * n < out.nbytes / 2
