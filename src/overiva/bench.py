@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import InvalidK, InvalidSpec, TooManySources, check_number
+from .errors import InvalidK, InvalidSpec, SignalTooShort, TooManySources, check_number
 from .io import AudioBuffer
 from .optimizer import RunConfig, check_targets
 from .pipeline import separate_buffer
@@ -26,7 +26,7 @@ from .simulate import (
     sdr_set,
     synthesize,
 )
-from .stft import StftConfig
+from .stft import StftConfig, _require_one_frame
 
 MIXTURE_METHOD = "mixture"
 DEFAULT_METHODS = ("auxiva", "ip1", "ip2", "ip3", MIXTURE_METHOD)
@@ -49,9 +49,11 @@ def run_benchmark(
     trials other than an integer >= 1 (not a bool) and a method named
     twice raise InvalidSpec, every method's RunConfig is
     validated, a spec with more sources than simulate.sdr_set scores
-    (MAX_PERMUTATION_SOURCES) raises TooManySources, and one whose rate
+    (MAX_PERMUTATION_SOURCES) raises TooManySources, one whose rate
     the built-in source model cannot draw at raises InvalidSpec
-    (simulate._check_model_rate). A method that
+    (simulate._check_model_rate), and one whose scene is shorter than
+    one frame of stft_config raises SignalTooShort naming the cell. A
+    method that
     cannot extract a spec's K sources from its M channels
     (optimizer.check_targets) is skipped for that spec with a note on
     `log`.
@@ -76,6 +78,11 @@ def run_benchmark(
                 f"{MAX_PERMUTATION_SOURCES} sources"
             )
         _check_model_rate(spec.sample_rate)
+        try:
+            _require_one_frame(spec.n_samples, stft_config)
+        except SignalTooShort as exc:
+            cell = f"K={spec.n_sources}, L={spec.n_noises}, M={spec.n_mics}"
+            raise SignalTooShort(f"cell {cell}: {exc}") from None
         usable = list(methods)
         for m, config in configs.items():
             try:

@@ -1,16 +1,17 @@
-"""WAV file I/O restricted to PCM16 and IEEE float32.
+"""WAV file I/O: reads PCM16 and IEEE float32, writes IEEE float32.
 
 Samples live in memory as arrays of shape (n_samples, n_channels) with
 the usual [-1, 1] nominal range: float32 as read from a file, which
 holds every PCM16 or float32 sample exactly at half the size of float64,
 and float64 otherwise (AudioBuffer). PCM16 data maps to floats by
-multiplication by 2^-15; the inverse quantization clamps to [-1, 1] and
-rounds half away from zero. write_wav writes the header and then the
-samples, with no copy of the payload beyond its one conversion. The
-RIFF parser accepts standard and extended fmt chunks and skips unrelated
-chunks; anything that is not a parseable RIFF/WAVE container, or float
-data holding a NaN or infinite sample, raises CorruptFile, while
-well-formed files in other encodings raise UnsupportedFormat.
+multiplication by 2^-15. write_wav writes float32, the one format the
+package writes, so float32 samples round-trip bit-exactly; it writes the
+header and then the samples, with no copy of the payload beyond its one
+conversion. The RIFF parser accepts standard and extended fmt chunks and
+skips unrelated chunks; anything that is not a parseable RIFF/WAVE
+container, or float data holding a NaN or infinite sample, raises
+CorruptFile, while well-formed files in other encodings raise
+UnsupportedFormat.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .stft import _as_multichannel
 _PCM = 1
 _IEEE_FLOAT = 3
 _EXTENSIBLE = 0xFFFE
+# What the RIFF size counts besides the samples of a float32 WAV: "WAVE"
+# (4 bytes), the fmt chunk's header and fields (8 + 16) closed by a zero
+# cbSize (2), the fact chunk (12) and the data chunk's header (8).
+_HEADER_BYTES = 4 + 8 + 16 + 2 + 12 + 8
 
 
 @dataclass
@@ -62,21 +67,6 @@ class AudioBuffer:
     @property
     def duration(self):
         return self.n_samples / self.sample_rate
-
-
-def quantize_pcm16(samples):
-    """Clamp to [-1, 1] and quantize to int16, rounding half away from zero."""
-    x = np.asarray(samples)
-    # One float64 working array for every step; the sign is read from the
-    # input, which the clip does not change.
-    q = np.clip(x, -1.0, 1.0, dtype=np.float64)
-    np.abs(q, out=q)
-    q *= 32768.0
-    q += 0.5
-    np.floor(q, out=q)
-    np.copysign(q, x, out=q)
-    np.clip(q, -32768, 32767, out=q)
-    return q.astype(np.int16)
 
 
 def read_wav(path):
@@ -153,26 +143,18 @@ def read_wav(path):
     return AudioBuffer(sample_rate, flat.reshape(-1, n_channels))
 
 
-def _check_header(channels, rate, frames, sample_format="float32"):
-    """Raise ValueError naming the first field of the header of a WAV of
-    these counts in sample_format ("float32" or "pcm16", else ValueError)
-    that its unsigned field cannot hold: channel count and block align
-    take 16 bits, sample rate, byte rate and data size 32. The data size
-    must also leave room for the rest of the file, which the RIFF size
-    counts besides the samples."""
-    if sample_format not in ("float32", "pcm16"):
-        raise ValueError(f"unknown sample_format {sample_format!r}")
-    width = 4 if sample_format == "float32" else 2
-    # The RIFF size counts "WAVE" (4 bytes), the fmt chunk's header and
-    # fields (8 + 16) and the data chunk's header (8); float32 adds a zero
-    # cbSize closing its fmt chunk (2) and a fact chunk (12).
-    header_bytes = 4 + 8 + 16 + 8 + (2 + 12 if width == 4 else 0)
+def _check_header(channels, rate, frames):
+    """Raise ValueError naming the first field of the header of a float32
+    WAV of these counts that its unsigned field cannot hold: channel
+    count and block align take 16 bits, sample rate, byte rate and data
+    size 32. The data size must also leave room for the rest of the
+    file, which the RIFF size counts besides the samples."""
     fields = (
         ("channel count", channels, 0xFFFF),
         ("sample rate", rate, 0xFFFFFFFF),
-        ("byte rate", rate * channels * width, 0xFFFFFFFF),
-        ("block align", channels * width, 0xFFFF),
-        ("data size", frames * channels * width, 0xFFFFFFFF - header_bytes),
+        ("byte rate", rate * channels * 4, 0xFFFFFFFF),
+        ("block align", channels * 4, 0xFFFF),
+        ("data size", frames * channels * 4, 0xFFFFFFFF - _HEADER_BYTES),
     )
     for name, value, limit in fields:
         if value > limit:
@@ -181,42 +163,33 @@ def _check_header(channels, rate, frames, sample_format="float32"):
             )
 
 
-def write_wav(path, buffer, sample_format="float32"):
-    """Write an AudioBuffer as PCM16 or IEEE float32 (default) WAV.
+def write_wav(path, buffer):
+    """Write an AudioBuffer as an IEEE float32 WAV with a fact chunk.
 
-    float32 output stores samples verbatim, so values that originated as
-    float32 round-trip bit-exactly; pcm16 output clamps and quantizes.
-    A buffer whose header does not fit the format's fields raises
-    ValueError naming the field (_check_header) before path is opened.
-    The header and the samples are written one after the other: the
-    payload is the one converted array (none for float32 samples), not
-    joined to the header in a copy.
+    Samples are stored as float32, so values that originated as float32
+    round-trip bit-exactly. A buffer whose header does not fit its
+    fields raises ValueError naming the field (_check_header) before
+    path is opened. The header and the samples are written one after
+    the other: the payload is the one converted array (none for float32
+    samples), not joined to the header in a copy.
     """
-    n_chan, rate = buffer.n_channels, buffer.sample_rate
-    _check_header(n_chan, rate, buffer.n_samples, sample_format)
-    float32 = sample_format == "float32"
-    width = 4 if float32 else 2
+    n_chan, rate, frames = buffer.n_channels, buffer.sample_rate, buffer.n_samples
+    _check_header(n_chan, rate, frames)
+    payload = np.ascontiguousarray(buffer.samples, dtype="<f4")
+    # A float fmt chunk closes with a zero cbSize.
     fmt_body = struct.pack(
-        "<HHIIHH", _IEEE_FLOAT if float32 else _PCM, n_chan, rate,
-        rate * n_chan * width, n_chan * width, 8 * width,
+        "<HHIIHHH", _IEEE_FLOAT, n_chan, rate, rate * n_chan * 4, n_chan * 4, 32, 0
     )
-    if float32:
-        payload = np.ascontiguousarray(buffer.samples, dtype="<f4")
-        fmt_body += struct.pack("<H", 0)
-        fact = struct.pack("<4sII", b"fact", 4, buffer.n_samples)
-    else:
-        payload = np.ascontiguousarray(quantize_pcm16(buffer.samples), dtype="<i2")
-        fact = b""
-    chunks = (
-        struct.pack("<4sI", b"fmt ", len(fmt_body))
+    header = (
+        struct.pack("<4sI4s", b"RIFF", _HEADER_BYTES + payload.nbytes, b"WAVE")
+        + struct.pack("<4sI", b"fmt ", len(fmt_body))
         + fmt_body
-        + fact
+        + struct.pack("<4sII", b"fact", 4, frames)
         + struct.pack("<4sI", b"data", payload.nbytes)
     )
-    header = struct.pack("<4sI4s", b"RIFF", 4 + len(chunks) + payload.nbytes, b"WAVE")
     try:
         with open(path, "wb") as fh:
-            fh.write(header + chunks)
+            fh.write(header)
             fh.write(payload)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

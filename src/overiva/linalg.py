@@ -240,15 +240,6 @@ def gev_largest(a, b):
     ell_inv_h = hermitian_transpose(ell_inv)
     c = ell_inv @ a @ ell_inv_h
     del ell_inv  # eigh's scratch then sits beside one factor, not two
-    value, v = _largest_eigpair(c)
-    u = (ell_inv_h @ v)[..., 0]
-    return _gev_result(value, u)
-
-
-def _largest_eigpair(c):
-    """Largest eigenvalue (...) and its eigenvector (..., M, 1) of batched
-    Hermitian c; among tied maximal eigenvalues the lowest index of the
-    ascending ordering is taken."""
     try:
         values, vectors = np.linalg.eigh(c)
     except np.linalg.LinAlgError as exc:
@@ -256,11 +247,6 @@ def _largest_eigpair(c):
     top = np.argmax(values == values[..., -1:], axis=-1)
     v = np.take_along_axis(vectors, top[..., None, None], axis=-1)
     value = np.take_along_axis(values, top[..., None], axis=-1)[..., 0]
-    return value, v
-
-
-def _gev_result(value, u):
+    u = (ell_inv_h @ v)[..., 0]
     u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-    if u.ndim == 1:
-        return GevResult(float(value), u)
-    return GevResult(value, u)
+    return GevResult(float(value) if u.ndim == 1 else value, u)

@@ -40,13 +40,14 @@ threads setting.
 
 The sweeps run in frequency chunks at every threads setting (stft.blocks
 of the bins): the fewest chunks that keep one (chunk, M, M) complex
-array within stft.SCRATCH_BYTES, or threads of them if that is more,
+array within stft.SCRATCH_BYTES, or one per worker if that is more,
 each chunk's K weighted covariances being the K arrays of that many bins
 that model.weighted_covariance returns. So a sweep's temporaries are
 bounded by the budget, not by F M^2, and threads > 1 only runs the
-chunks on a pool of at most as many workers as there are CPUs (none when
-that is one). Every bin's arithmetic is the same in any chunk, so no
-output depends on the chunking.
+chunks on a pool of min(threads, os.cpu_count()) workers (none when that
+is one): threads beyond the CPUs add neither workers nor chunks. Every
+bin's arithmetic is the same in any chunk, so no output depends on the
+chunking.
 
 run() looks up the method's sweep and tells auxiva apart, the one method
 that reads more than G_z itself: the inverse of G_z for its background
@@ -143,9 +144,9 @@ class RunConfig:
 
     iterations defaults to DEFAULT_ITERATIONS of the method; the run
     takes exactly that many. The sweeps run in frequency chunks at every
-    setting (stft.blocks); threads > 1 makes at least that many chunks
-    and runs them on a thread pool of min(threads, os.cpu_count())
-    workers, or inline when that is one.
+    setting (stft.blocks); threads > 1 runs them on a thread pool of
+    min(threads, os.cpu_count()) workers, making at least one chunk per
+    worker, or inline when that is one.
     Images and cost trace are identical at every setting. eps1 and eps2
     follow model._check_eps.
     """
@@ -457,19 +458,11 @@ def projection_back(w_stack, x, n_targets):
     return mixing, outputs
 
 
-def _shift_bin(exc, offset):
-    """Re-raise a numerical error with the batch index mapped to its bin."""
+def _at_bins(exc, bins):
+    """A numerical error raised on an operand over these bins (a range or
+    an index array), with its batch index mapped to the bin."""
     idx = exc.batch_index
-    bin_idx = None if idx is None else offset + idx
-    where = "unknown" if bin_idx is None else str(bin_idx)
-    return type(exc)(f"frequency bin {where}: {exc}", batch_index=bin_idx)
-
-
-def _unmask(exc, mask):
-    """Map the batch index of an error raised on a[mask] to its index in a."""
-    idx = exc.batch_index
-    idx = None if idx is None else int(np.flatnonzero(mask)[idx])
-    return type(exc)(str(exc), batch_index=idx)
+    return type(exc)(str(exc), batch_index=None if idx is None else int(bins[idx]))
 
 
 def _bin_cost(w, n_targets, ridge, offset, noise_cov, profiled):
@@ -518,7 +511,7 @@ def _masked_logabsdet(a, mask):
     try:
         return linalg.logabsdet(a[mask])
     except NumericalError as exc:
-        raise _unmask(exc, mask) from None
+        raise _at_bins(exc, np.flatnonzero(mask)) from None
 
 
 def check_targets(method, n_targets, n_chan):
@@ -545,10 +538,9 @@ def run(x, n_targets, config=RunConfig()):
     closed-form variance update, one demixing sweep of the configured
     schedule over every frequency chunk, the cost of the whole stack
     (recorded, never read back) and the rescale of the per-target
-    scales. Errors name the frequency bin they arose in. Then projects
-    the target outputs back
-    onto the array with one projection_back call, returning each image
-    as its two rank-one factors (SeparationResult). Each sweep writes
+    scales. Then projects the target outputs back onto the array with
+    one projection_back call, returning each image as its two rank-one
+    factors (SeparationResult). Each sweep writes
     into run()'s own stack, a chunk of bins at a time, so the stack the
     last iteration leaves is the one returned: its leading n_targets
     columns are the targets for every method, auxiva's included.
@@ -570,7 +562,9 @@ def run(x, n_targets, config=RunConfig()):
 
     Raises ShapeMismatch when x has no frequency bin or no frame,
     InvalidK (check_targets), and ValueError naming the first non-finite
-    entry of an array x.
+    entry of an array x. A NumericalError from any stage, projection_back
+    included, reads "frequency bin N: ..." with batch_index N, the bin it
+    arose in (or "unknown" and None when the kernel names no index).
     """
     data = model._spec_data(x)
     n_bins, n_frames, n_chan = data.shape
@@ -595,6 +589,9 @@ def run(x, n_targets, config=RunConfig()):
     # that finds no idle worker, up to max_workers. No pool of one worker:
     # on extract2-ip1's shape (2-core Xeon) one made run() 9-30 % slower
     # than running the chunks inline.
+    # The chunks follow the workers, not threads: threads beyond the CPUs
+    # add no chunks. On extract2-ip1's shape (2-core Xeon), 4096 threads
+    # swept 2049 one-bin chunks, and run() took 18.7 s instead of 0.67 s.
     workers = min(config.threads, os.cpu_count() or 1)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
@@ -611,10 +608,7 @@ def run(x, n_targets, config=RunConfig()):
         # auxiva's background rows read G_z^{-1}, formed once per run (the
         # sweep reads no background row at K = M).
         if carries and n_targets < n_chan:
-            try:
-                noise = linalg.lu_solve(noise, eye)
-            except NumericalError as exc:
-                raise _shift_bin(exc, 0) from None
+            noise = linalg.lu_solve(noise, eye)
         # The part of each bin's background cost fixed for the run
         # (_bin_cost), on the bins whose G_z is regular by an eigenvalue
         # rule (linalg.psd_logdet), not by rounding.
@@ -624,7 +618,7 @@ def run(x, n_targets, config=RunConfig()):
         w = np.tile(eye, (n_bins, 1, 1))
         # auxiva carries W^{-H}, exact at the start: W is the identity.
         inverse = w.copy() if carries else None
-        chunks = blocks(n_bins, 16 * n_chan * n_chan, at_least=config.threads)
+        chunks = blocks(n_bins, 16 * n_chan * n_chan, at_least=workers)
         cost_trace = []
 
         def stage_sweep(sl):
@@ -642,19 +636,16 @@ def run(x, n_targets, config=RunConfig()):
                 carried = (inverse[sl],) if carries else ()
                 sweep(w[sl], covs, noise[sl], *carried)
             except NumericalError as exc:
-                raise _shift_bin(exc, sl.start) from None
+                raise _at_bins(exc, range(sl.start, sl.stop)) from None
 
         for it in range(config.iterations):
             lam = model.update_variances(data, w[:, :, :n_targets], config.eps1)
             refresh = carries and it > 0 and it % AUXIVA_REFRESH_SWEEPS == 0
             list((map if pool is None else pool.map)(stage_sweep, chunks))
             # Taken before the rescale below, which leaves it unchanged.
-            try:
-                bin_cost = _bin_cost(
-                    w, n_targets, config.eps2, offset, noise_cov, profiled
-                )
-            except NumericalError as exc:
-                raise _shift_bin(exc, 0) from None
+            bin_cost = _bin_cost(
+                w, n_targets, config.eps2, offset, noise_cov, profiled
+            )
             cost_trace.append(
                 float(n_frames * bin_cost.sum() + n_bins * np.sum(np.log(lam)))
             )
@@ -671,6 +662,12 @@ def run(x, n_targets, config=RunConfig()):
         # spectra; del clears stage_sweep's cells too.
         del noise, inverse, noise_cov
         mixing, outputs = projection_back(w, data, n_targets)
+    except NumericalError as exc:
+        # Every operand above is indexed by bin, or its errors are mapped
+        # to the bin (_at_bins).
+        idx = exc.batch_index
+        where = "unknown" if idx is None else idx
+        raise type(exc)(f"frequency bin {where}: {exc}", batch_index=idx) from None
     finally:
         if pool is not None:
             pool.shutdown()

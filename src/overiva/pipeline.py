@@ -51,13 +51,14 @@ def separate_buffer(buffer, n_targets, run_config=RunConfig(), stft_config=StftC
     return list(images), result
 
 
-def verify_monotone_trace(cost_trace, rtol=MONOTONE_RTOL):
+def verify_monotone_trace(cost_trace):
     """Raise NoConvergence naming the first iteration whose cost is NaN
-    or infinite or exceeds the previous one beyond tolerance."""
+    or infinite or exceeds the previous one by more than MONOTONE_RTOL
+    of its magnitude."""
     trace = np.asarray(cost_trace, dtype=np.float64)
     # The first entry is compared with itself. Written so that NaN fails it.
     prev = np.concatenate([trace[:1], trace[:-1]])
-    ok = trace - prev <= rtol * np.abs(prev)
+    ok = trace - prev <= MONOTONE_RTOL * np.abs(prev)
     if not np.all(ok):
         i = int(np.flatnonzero(~ok)[0])
         raise NoConvergence(

@@ -221,9 +221,13 @@ def gev_largest_solves(a, b):
         np.linalg.solve(ell, linalg.hermitian_transpose(y))
     )
     c = 0.5 * (c + linalg.hermitian_transpose(c))
-    value, v = linalg._largest_eigpair(c)
+    values, vectors = np.linalg.eigh(c)
+    top = np.argmax(values == values[..., -1:], axis=-1)
+    v = np.take_along_axis(vectors, top[..., None, None], axis=-1)
+    value = np.take_along_axis(values, top[..., None], axis=-1)[..., 0]
     u = np.linalg.solve(linalg.hermitian_transpose(ell), v)[..., 0]
-    return linalg._gev_result(value, u)
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    return linalg.GevResult(float(value) if u.ndim == 1 else value, u)
 
 
 def ip2_update_gev(target_cov, noise_cov):

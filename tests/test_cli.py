@@ -689,6 +689,25 @@ class TestBench:
         assert message in err and "skipping" not in err
         assert not out.exists()
 
+    def test_scene_shorter_than_a_frame_is_usage_error_before_any_scene(
+        self, grid, tmp_path, capsys, monkeypatch
+    ):
+        """A cell whose scene does not fill one STFT frame is refused in
+        the plan, before any scene is synthesized, naming the cell."""
+
+        def no_scene(*args, **kwargs):
+            raise AssertionError("scene rendered")
+
+        monkeypatch.setattr(bench, "synthesize", no_scene)
+        out = tmp_path / "out.csv"
+        assert main(bench_args(grid, out, "--dur", "0.01")) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (
+            "cell K=1, L=1, M=2: signal of 80 samples is shorter than one frame (512)"
+            in err
+        )
+        assert not out.exists()
+
     def test_repeated_method_is_usage_error_before_any_scene(
         self, grid, tmp_path, capsys, monkeypatch
     ):

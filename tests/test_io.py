@@ -1,5 +1,5 @@
 """WAV I/O tests: round trips, header layout against a struct-level
-oracle, quantization rules, and malformed-file rejection."""
+oracle, PCM16 files built field by field, and malformed-file rejection."""
 
 import struct
 
@@ -7,12 +7,32 @@ import numpy as np
 import pytest
 
 from overiva.errors import CorruptFile, IoFailure, UnsupportedFormat
-from overiva.io import AudioBuffer, quantize_pcm16, read_wav, write_wav
+from overiva.io import AudioBuffer, read_wav, write_wav
 
 
 def make_buffer(rng, n, channels, rate=16000):
     samples = rng.uniform(-0.9, 0.9, (n, channels))
     return AudioBuffer(rate, samples)
+
+
+def write_pcm16(path, codes, rate=16000, before_data=b""):
+    """Write int16 codes, (n_samples, n_channels), as a PCM16 WAV built
+    field by field (write_wav writes float32 only), with the chunks in
+    before_data between its fmt and data chunks."""
+    codes = np.asarray(codes, dtype="<i2")
+    n_chan = codes.shape[1]
+    data = codes.tobytes()
+    fmt = struct.pack("<HHIIHH", 1, n_chan, rate, rate * n_chan * 2, n_chan * 2, 16)
+    body = (
+        b"WAVEfmt "
+        + struct.pack("<I", len(fmt))
+        + fmt
+        + before_data
+        + b"data"
+        + struct.pack("<I", len(data))
+        + data
+    )
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 class TestAudioBuffer:
@@ -50,21 +70,6 @@ class TestAudioBuffer:
             AudioBuffer(16000, np.zeros((10, 0)))
 
 
-class TestQuantize:
-    def test_rounds_half_away_from_zero(self):
-        x = np.array([0.5 / 32768, -0.5 / 32768, 1.5 / 32768, -1.5 / 32768])
-        np.testing.assert_array_equal(quantize_pcm16(x), [1, -1, 2, -2])
-
-    def test_full_scale_clamps(self):
-        np.testing.assert_array_equal(
-            quantize_pcm16(np.array([-1.0, 1.0, -2.0, 2.0])),
-            [-32768, 32767, -32768, 32767],
-        )
-
-    def test_zero_is_zero(self):
-        assert quantize_pcm16(np.array([0.0]))[0] == 0
-
-
 class TestSampleDtype:
     def test_float32_is_kept_and_every_other_dtype_widened(self):
         x = np.ones((5, 2), dtype=np.float32)
@@ -88,7 +93,10 @@ class TestSampleDtype:
         code times 2^-15, exact in float32)."""
         rng = np.random.default_rng(5)
         path = tmp_path / "s.wav"
-        write_wav(path, make_buffer(rng, 300, 2), sample_format=sample_format)
+        if sample_format == "float32":
+            write_wav(path, make_buffer(rng, 300, 2))
+        else:
+            write_pcm16(path, rng.integers(-32768, 32768, (300, 2)))
         raw = path.read_bytes()
         data = raw[raw.find(b"data") + 8 :]
         got = read_wav(path).samples
@@ -116,24 +124,6 @@ class TestRoundTrips:
             got.samples, buf.samples.astype(np.float32).astype(np.float64)
         )
 
-    def test_pcm16_within_one_lsb(self, tmp_path):
-        rng = np.random.default_rng(1)
-        buf = make_buffer(rng, 500, 2, rate=8000)
-        path = tmp_path / "b.wav"
-        write_wav(path, buf, sample_format="pcm16")
-        got = read_wav(path)
-        assert got.sample_rate == 8000
-        assert np.abs(got.samples - buf.samples).max() <= 2.0**-15
-
-    def test_pcm16_values_are_exact_quantization(self, tmp_path):
-        rng = np.random.default_rng(2)
-        buf = make_buffer(rng, 200, 1)
-        path = tmp_path / "c.wav"
-        write_wav(path, buf, sample_format="pcm16")
-        got = read_wav(path)
-        expected = quantize_pcm16(buf.samples) / 32768.0
-        np.testing.assert_array_equal(got.samples, expected)
-
 
 class TestReadMemory:
     @pytest.mark.parametrize("sample_format", ["float32", "pcm16"])
@@ -145,7 +135,10 @@ class TestReadMemory:
         are not scaled into a second array."""
         rng = np.random.default_rng(3)
         path = tmp_path / "big.wav"
-        write_wav(path, make_buffer(rng, 100_000, 4), sample_format=sample_format)
+        if sample_format == "float32":
+            write_wav(path, make_buffer(rng, 100_000, 4))
+        else:
+            write_pcm16(path, rng.integers(-32768, 32768, (100_000, 4)))
         got, peak = traced_peak(read_wav, path)
         assert peak < path.stat().st_size + got.samples.nbytes + 2**16
 
@@ -163,16 +156,6 @@ class TestWriteMemory:
         buf = AudioBuffer(16000, np.zeros((100_000, 4), dtype=np.float32))
         _, peak = traced_peak(write_wav, tmp_path / "w.wav", buf)
         assert peak < 2**16
-
-    def test_pcm16_payload_takes_one_float64_working_array(
-        self, tmp_path, traced_peak
-    ):
-        """Quantizing float64 samples to PCM16 holds one float64 working
-        array and the int16 payload, and no other whole-array temporary."""
-        rng = np.random.default_rng(3)
-        buf = make_buffer(rng, 100_000, 4)
-        _, peak = traced_peak(write_wav, tmp_path / "w.wav", buf, "pcm16")
-        assert peak < buf.samples.size * (8 + 2) + 2**16
 
 
 class TestHeaderLayout:
@@ -197,28 +180,16 @@ class TestHeaderLayout:
         data_pos = raw.find(b"data")
         assert struct.unpack("<I", raw[data_pos + 4 : data_pos + 8])[0] == 100 * 12
 
-    def test_pcm16_header_fields(self, tmp_path):
-        buf = AudioBuffer(22050, np.zeros((7, 2)))
-        path = tmp_path / "e.wav"
-        write_wav(path, buf, sample_format="pcm16")
-        raw = path.read_bytes()
-        code, channels, rate, byte_rate, block, bits = struct.unpack(
-            "<HHIIHH", raw[20:36]
-        )
-        assert code == 1 and channels == 2 and rate == 22050
-        assert bits == 16 and block == 4 and byte_rate == 22050 * 4
-        assert len(raw) % 2 == 0
-
     def test_odd_data_chunk_is_padded(self, tmp_path):
-        """A mono pcm16 file with an odd sample count still produces an
-        even-length RIFF body."""
-        buf = AudioBuffer(8000, np.zeros((3, 1)))
+        """A mono PCM16 file of 3 samples whose data chunk follows a
+        3-byte chunk and its one pad byte (RIFF pads every odd-sized
+        chunk): read_wav steps over the pad byte to the data chunk."""
         path = tmp_path / "f.wav"
-        write_wav(path, buf, sample_format="pcm16")
-        raw = path.read_bytes()
-        assert len(raw) % 2 == 0
+        odd = b"junk" + struct.pack("<I", 3) + b"abc" + b"\0"
+        write_pcm16(path, [[1], [-2], [3]], rate=8000, before_data=odd)
         got = read_wav(path)
         assert got.n_samples == 3
+        np.testing.assert_array_equal(got.samples[:, 0] * 2**15, [1, -2, 3])
 
 
 class TestHeaderFit:
@@ -226,36 +197,34 @@ class TestHeaderFit:
     a ValueError naming it, before the path is opened (the directory
     does not exist, so an attempt to open would raise IoFailure)."""
 
+    FIELDS = [
+        (2**32, 1, "sample rate"),
+        (2**31, 2, "byte rate"),
+        (16000, 20000, "block align"),
+        (16000, 70000, "channel count"),
+    ]
+
     @pytest.mark.parametrize(
-        "rate, channels, sample_format, field",
-        [
-            (2**32, 1, "pcm16", "sample rate"),
-            (2**31, 2, "float32", "byte rate"),
-            (2**31, 1, "pcm16", "byte rate"),
-            (16000, 20000, "float32", "block align"),
-            (16000, 40000, "pcm16", "block align"),
-            (8000, 70000, "pcm16", "channel count"),
-        ],
+        "rate, channels, field",
+        FIELDS,
+        ids=[f"{rate}-{channels}-float32-{field}" for rate, channels, field in FIELDS],
     )
     def test_field_that_does_not_fit_is_value_error(
-        self, tmp_path, rate, channels, sample_format, field
+        self, tmp_path, rate, channels, field
     ):
         buf = AudioBuffer(rate, np.zeros((4, channels)))
         path = tmp_path / "no" / "dir.wav"
         with pytest.raises(ValueError, match=f"^WAV {field} "):
-            write_wav(path, buf, sample_format=sample_format)
+            write_wav(path, buf)
 
-    @pytest.mark.parametrize("sample_format, width", [("float32", 4), ("pcm16", 2)])
-    def test_data_size_that_does_not_fit_is_value_error(
-        self, tmp_path, sample_format, width
-    ):
+    def test_data_size_that_does_not_fit_is_value_error(self, tmp_path):
         """The RIFF size counts the header besides the samples, so the
         largest data size is a few bytes below 2**32 - 1. The samples are
         a broadcast view: no payload is formed."""
-        n = 2**32 // width
+        n = 2**32 // 4
         buf = AudioBuffer(8000, np.broadcast_to(np.zeros(1), (n, 1)))
         with pytest.raises(ValueError, match="^WAV data size "):
-            write_wav(tmp_path / "no" / "dir.wav", buf, sample_format=sample_format)
+            write_wav(tmp_path / "no" / "dir.wav", buf)
 
     def test_largest_fields_that_fit_are_written(self, tmp_path):
         """16383 float32 channels nearly fill the block align field, and
@@ -342,8 +311,3 @@ class TestErrors:
         buf = AudioBuffer(8000, np.zeros((4, 1)))
         with pytest.raises(IoFailure):
             write_wav(tmp_path / "no" / "such" / "dir.wav", buf)
-
-    def test_unknown_sample_format_rejected(self, tmp_path):
-        buf = AudioBuffer(8000, np.zeros((4, 1)))
-        with pytest.raises(ValueError):
-            write_wav(tmp_path / "l.wav", buf, sample_format="pcm24")

@@ -4,6 +4,7 @@ orthogonality), the eigenvector-based single-target update, and the
 end-to-end run() driver on planted scenes."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -54,8 +55,9 @@ stft_module = importlib.import_module("overiva.stft")
 
 def sweep_chunks(n_bins, m, threads):
     """The bin chunks run() sweeps: blocks of (M, M) complex arrays within
-    SCRATCH_BYTES, and at least threads of them."""
-    return blocks(n_bins, 16 * m * m, at_least=threads)
+    SCRATCH_BYTES, and at least one per worker, min(threads, CPUs)."""
+    workers = min(threads, optimizer.os.cpu_count() or 1)
+    return blocks(n_bins, 16 * m * m, at_least=workers)
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -850,13 +852,10 @@ class TestRunCallCounts:
         rng = np.random.default_rng(30)
         return planted_scene(rng, n_bins, 60, m)[0]
 
-    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch):
-        """threads = 5000 on 16 bins sweeps 16 one-bin chunks, but the pool
-        is asked for min(threads, os.cpu_count() or 1) workers: map starts
-        a thread for every chunk that finds no idle worker, up to that
-        count. When that is one worker (os.cpu_count() of None), no pool
-        is made. A stand-in pool records the request and maps inline, so
-        no thread is started; the results are those of threads = 1."""
+    @staticmethod
+    def inline_pool(monkeypatch):
+        """Replace run()'s thread pool by a stand-in that maps inline, so
+        no thread is started; returns the list of worker counts asked."""
         requested = []
 
         class InlinePool:
@@ -870,6 +869,15 @@ class TestRunCallCounts:
                 pass
 
         monkeypatch.setattr(optimizer, "ThreadPoolExecutor", InlinePool)
+        return requested
+
+    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch):
+        """threads = 5000 on 16 bins asks the pool for min(threads,
+        os.cpu_count() or 1) workers: map starts a thread for every chunk
+        that finds no idle worker, up to that count. When that is one
+        worker (os.cpu_count() of None), no pool is made. The stand-in
+        pool records the request; the results are those of threads = 1."""
+        requested = self.inline_pool(monkeypatch)
         x = self.make_x()
         ref = run(x, 2, RunConfig(method="ip1", iterations=2))
         assert requested == []
@@ -879,8 +887,20 @@ class TestRunCallCounts:
             res = run(x, 2, config)
             np.testing.assert_array_equal(res.images, ref.images)
             np.testing.assert_array_equal(res.cost_trace, ref.cost_trace)
-        assert len(sweep_chunks(len(x), x.shape[-1], 5000)) == 16
         assert requested == [3]
+
+    def test_threads_beyond_the_cpus_add_no_chunks(self, monkeypatch):
+        """The chunks follow the workers, not threads: with 2 CPUs,
+        threads = 5000 on 16 bins sweeps each iteration in the chunks of
+        2 workers, not in 16 one-bin chunks."""
+        self.inline_pool(monkeypatch)
+        monkeypatch.setattr(optimizer.os, "cpu_count", lambda: 2)
+        sweeps = count_calls(monkeypatch, optimizer, "ip1_sweep")
+        x = self.make_x()
+        run(x, 2, RunConfig(method="ip1", iterations=2, threads=5000))
+        n_chunks = len(blocks(len(x), 16 * x.shape[-1] ** 2, at_least=2))
+        assert n_chunks < len(x)
+        assert len(sweeps) == 2 * n_chunks
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_ip2_factors_only_the_target_covariances(self, monkeypatch, threads):
@@ -1195,9 +1215,10 @@ class TestRun:
         """The sweeps run in the fewest bin chunks whose (chunk, M, M)
         array fits stft.SCRATCH_BYTES, at every threads setting. At
         F = 1025, M = 8 that is 2 chunks by default and 26 at 40 KiB; a
-        budget that holds every bin gives 1 chunk (threads of them at
-        threads > 1). Images, demixing and cost trace are the same bits
-        for each, for every method, with three silent bins."""
+        budget that holds every bin gives 1 chunk (one per worker,
+        min(threads, CPUs), at threads > 1). Images, demixing and cost
+        trace are the same bits for each, for every method, with three
+        silent bins."""
         rng = np.random.default_rng(31)
         n_bins, m = 1025, 8
         x = planted_scene(rng, n_bins, 24, m)[0]
@@ -1209,7 +1230,8 @@ class TestRun:
         for name, budget in budgets.items():
             monkeypatch.setattr(stft_module, "SCRATCH_BYTES", budget)
             chunks[name] = len(sweep_chunks(n_bins, m, threads))
-        assert chunks == {"one": threads, "default": 2, "small": 26}
+        workers = min(threads, optimizer.os.cpu_count() or 1)
+        assert chunks == {"one": workers, "default": 2, "small": 26}
         cases = [(1, method) for method in Method]
         cases += [(2, method) for method in Method if method is not Method.IP2]
         for k, method in cases:
@@ -1421,6 +1443,24 @@ class TestRun:
         with pytest.raises(NumericalError, match="frequency bin 3") as info:
             run(x, 1, RunConfig(method="ip2"))
         assert info.value.batch_index == 3
+
+    def test_projection_back_error_names_bin(self, monkeypatch):
+        """At an input gain of 1e9, ip2's last W^H is singular to working
+        precision in one bin, which projection_back's LU solve finds
+        after the sweeps; the failure carries the bin as run()'s other
+        stages' do."""
+        spec = SceneSpec(1, 2, 3, 0.0, duration_s=1.0, seed=3)
+        x = stft(synthesize(spec).mixture * 1e9, StftConfig(512))
+        calls = count_calls(monkeypatch, optimizer, "projection_back")
+        with pytest.raises(SingularMatrix) as info:
+            run(x, 1, RunConfig(method="ip2", iterations=3))
+        assert len(calls) == 1
+        found = re.match(
+            r"frequency bin (\d+): matrix at batch index \1 is singular",
+            str(info.value),
+        )
+        assert found is not None, str(info.value)
+        assert info.value.batch_index == int(found[1])
 
     @pytest.mark.parametrize("method", ["ip1", "ip2", "ip3"])
     def test_dead_microphone_is_a_degenerate_block_at_bin_0(self, method):
